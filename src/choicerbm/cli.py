@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import dataset, oracle, report, sensitivity, stats, trainer
+from . import dataset, report, sensitivity, stats, trainer
 from .inference import predict_batch, write_predictions_csv
 
 
@@ -216,6 +216,10 @@ def _cmd_sensitivity(args) -> int:
     if not hidden_sizes or any(j < 0 for j in hidden_sizes):
         raise UsageError("--hidden must list non-negative integers")
     cfg = _train_config(args)
+    try:
+        sensitivity.worker_limit()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     train_ds, valid_ds = _load_split(args)
     reports = [
         sensitivity.sensitivity_run(train_ds, j, cfg, args.fraction,
@@ -259,6 +263,7 @@ def _cmd_hinton(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from . import oracle    # imports scipy, which no other command needs
     pm = oracle.load_planted(args.planted, n_rows=args.n, seed=args.seed)
     oracle.write_dataset_csv(pm, args.out)
     return 0

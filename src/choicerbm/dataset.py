@@ -7,6 +7,8 @@ identical scaling to new data.
 """
 
 import csv
+import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -167,6 +169,33 @@ def from_arrays(x_raw, choice_idx, n_alternatives=None, feature_names=None,
         norm_stats=stats)
 
 
+def _cells(positions):
+    """Getter for the cells at `positions` of a row, always as a tuple."""
+    if len(positions) == 1:
+        return lambda row: (row[positions[0]],)
+    return operator.itemgetter(*positions) if positions else lambda row: ()
+
+
+def _row_error(ridx, row, n_cells, choice_pos, feature_columns, feat_pos):
+    """The RowParseError for the first bad cell of `row`, in column order."""
+    if len(row) != n_cells:
+        return RowParseError(f"row {ridx}: expected {n_cells} cells, got {len(row)}")
+    try:
+        int(row[choice_pos])
+    except ValueError:
+        return RowParseError(
+            f"row {ridx}: choice cell {row[choice_pos]!r} is not an integer")
+    for col, pos in zip(feature_columns, feat_pos):
+        try:
+            v = float(row[pos])
+        except ValueError:
+            return RowParseError(
+                f"row {ridx}: cell {row[pos]!r} in column {col!r} is not numeric")
+        if not math.isfinite(v):
+            return RowParseError(
+                f"row {ridx}: missing or non-finite value in column {col!r}")
+
+
 def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None,
              norm_stats: NormStats | None = None) -> ChoiceDataset:
     """Load a UTF-8 comma-separated file with a header row.
@@ -176,7 +205,7 @@ def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None
     own statistics unless `norm_stats` (e.g. from a saved model) is given.
     Rows with missing or non-numeric cells are rejected with the row index.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -195,34 +224,24 @@ def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None
         choice_pos = header.index(choice_column)
         feat_pos = [header.index(c) for c in feature_columns]
 
-        rows, choices = [], []
+        # A row failing any check is checked again cell by cell to name the
+        # first bad cell.  One flat list spares the collector a list per row.
+        features = _cells(feat_pos)
+        values, choices = [], []
         for ridx, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise RowParseError(
-                    f"row {ridx}: expected {len(header)} cells, got {len(row)}")
             try:
                 c = int(row[choice_pos])
-            except ValueError:
-                raise RowParseError(
-                    f"row {ridx}: choice cell {row[choice_pos]!r} is not an "
-                    "integer") from None
-            vals = []
-            for col, pos in zip(feature_columns, feat_pos):
-                try:
-                    v = float(row[pos])
-                except ValueError:
-                    raise RowParseError(
-                        f"row {ridx}: cell {row[pos]!r} in column {col!r} is "
-                        "not numeric") from None
-                if not np.isfinite(v):
-                    raise RowParseError(
-                        f"row {ridx}: missing or non-finite value in column "
-                        f"{col!r}")
-                vals.append(v)
-            rows.append(vals)
+                vals = list(map(float, features(row)))
+                ok = len(row) == len(header) and all(map(math.isfinite, vals))
+            except (ValueError, IndexError):
+                ok = False
+            if not ok:
+                raise _row_error(ridx, row, len(header), choice_pos,
+                                 feature_columns, feat_pos)
+            values += vals
             choices.append(c)
 
-    if not rows:
+    if not choices:
         raise SchemaError(f"{path}: no data rows")
     choices = np.asarray(choices, dtype=np.int64)
     if n_alternatives is None:
@@ -231,7 +250,7 @@ def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None
         bad = choices.min() if choices.min() < 1 else choices.max()
         raise ChoiceDomainError(
             f"choice value {bad} outside 1..{n_alternatives}")
-    x_raw = np.asarray(rows, dtype=np.float64)
+    x_raw = np.asarray(values, dtype=np.float64).reshape(len(choices), -1)
     stats = norm_stats if norm_stats is not None else NormStats.fit(x_raw)
     return ChoiceDataset(
         x=stats.apply(x_raw), y=one_hot(choices - 1, n_alternatives),
@@ -245,7 +264,7 @@ def load_features_csv(path, feature_names, norm_stats: NormStats) -> np.ndarray:
 
     Used at prediction time, where a choice column may be absent.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -254,19 +273,20 @@ def load_features_csv(path, feature_names, norm_stats: NormStats) -> np.ndarray:
         for col in feature_names:
             if col not in header:
                 raise SchemaError(f"missing feature column {col!r}")
-        pos = [header.index(c) for c in feature_names]
-        rows = []
+        features = _cells([header.index(c) for c in feature_names])
+        values, ridx = [], 0
         for ridx, row in enumerate(reader, start=1):
             try:
-                vals = [float(row[p]) for p in pos]
+                vals = list(map(float, features(row)))
             except (ValueError, IndexError):
                 raise RowParseError(f"row {ridx}: non-numeric feature cell") from None
-            if not all(np.isfinite(v) for v in vals):
+            if not all(map(math.isfinite, vals)):
                 raise RowParseError(f"row {ridx}: missing or non-finite value")
-            rows.append(vals)
-    if not rows:
+            values += vals
+    if not ridx:
         raise SchemaError(f"{path}: no data rows")
-    return norm_stats.apply(np.asarray(rows, dtype=np.float64))
+    x_raw = np.asarray(values, dtype=np.float64).reshape(ridx, len(feature_names))
+    return norm_stats.apply(x_raw)
 
 
 def split(ds: ChoiceDataset, spec: SplitSpec):

@@ -9,10 +9,9 @@ over sampled binary hidden vectors is available behind a flag.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import ChoiceDataset
-from .model import CrbmParams, choice_probs
+from .model import CrbmParams, choice_probs, sigmoid
 
 
 @dataclass(frozen=True)
@@ -23,8 +22,8 @@ class Prediction:
 
 
 def _context_hidden(p: CrbmParams, x):
-    return expit(p.hidden_bias + np.asarray(x, dtype=np.float64)
-                 @ p.hidden_context_w.T)
+    return sigmoid(p.hidden_bias + np.asarray(x, dtype=np.float64)
+                   @ p.hidden_context_w.T)
 
 
 def _batch_probs(p: CrbmParams, x, rng=None, mc_samples: int = 0):

@@ -14,7 +14,6 @@ choice drive gains B x (choice-context weights).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 
 @dataclass(frozen=True)
@@ -177,11 +176,17 @@ def free_energy(p: CrbmParams, y):
     return float(val) if np.ndim(val) == 0 else val
 
 
+def sigmoid(x):
+    """Logistic function 1 / (1 + exp(-x)); saturates to exactly 0 or 1."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def hidden_activation_probs(p: CrbmParams, y, x):
     """P(h_j = 1 | y, x) = sigmoid(d_j + (D'y)_j + (A x)_j), independent per unit."""
     y = _check_choice_dim(p, y)
     x = _check_context_dim(p, x)
-    return expit(p.hidden_bias + y @ p.choice_hidden_w + x @ p.hidden_context_w.T)
+    return sigmoid(p.hidden_bias + y @ p.choice_hidden_w + x @ p.hidden_context_w.T)
 
 
 def choice_logits(p: CrbmParams, h, x):

@@ -56,10 +56,12 @@ def _fit_sensitivity(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig):
     return _variable_sensitivity(params, ds)
 
 
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("CHOICERBM_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(limit, n_tasks))
+def worker_limit() -> int:
+    """The CHOICERBM_THREADS cap on concurrent fits, else the CPU count."""
+    cap = os.environ.get("CHOICERBM_THREADS") or str(os.cpu_count() or 1)
+    if not (cap.isdecimal() and int(cap) > 0):
+        raise ValueError(f"CHOICERBM_THREADS must be a positive integer, got {cap!r}")
+    return int(cap)
 
 
 def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
@@ -91,7 +93,7 @@ def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
         rows = np.sort(rng.choice(ds.n_rows, size=n_sub, replace=False))
         subsets.append(ds.take(rows))
 
-    with ThreadPoolExecutor(max_workers=_worker_count(replicates)) as pool:
+    with ThreadPoolExecutor(max_workers=min(worker_limit(), replicates)) as pool:
         futures = [pool.submit(_fit_sensitivity, sub, n_hidden, cfg)
                    for sub in subsets]
         sub_sens = np.stack([f.result() for f in futures])   # (R, K+1)

@@ -14,10 +14,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import ChoiceDataset
-from .model import CrbmParams, ParamBlocks, param_count
+from .model import CrbmParams, ParamBlocks, param_count, sigmoid
 
 
 @dataclass
@@ -35,7 +34,7 @@ class FitReport:
 
 
 def _mean_field_log_probs(p: CrbmParams, x):
-    h_bar = expit(p.hidden_bias + x @ p.hidden_context_w.T)
+    h_bar = sigmoid(p.hidden_bias + x @ p.hidden_context_w.T)
     logits = p.choice_bias + x @ p.choice_context_w.T + h_bar @ p.choice_hidden_w.T
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -120,7 +119,7 @@ def _prediction_scores(p: CrbmParams, ds: ChoiceDataset):
     """
     x = ds.x
     n = x.shape[0]
-    h_bar = expit(p.hidden_bias + x @ p.hidden_context_w.T)        # (n, J)
+    h_bar = sigmoid(p.hidden_bias + x @ p.hidden_context_w.T)      # (n, J)
     logits = (p.choice_bias + x @ p.choice_context_w.T
               + h_bar @ p.choice_hidden_w.T)
     shifted = logits - logits.max(axis=1, keepdims=True)

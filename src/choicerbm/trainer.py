@@ -12,10 +12,9 @@ bit-identical under a shared seed.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import ChoiceDataset
-from .model import CrbmParams, ParamBlocks
+from .model import CrbmParams, ParamBlocks, param_count, sigmoid
 
 BLOCK_NAMES = ("choice_hidden_w", "choice_context_w", "hidden_context_w",
                "choice_bias", "hidden_bias")
@@ -71,18 +70,13 @@ class TrainTrace:
     best_epoch: int = -1
 
 
-def init_param_arrays(n_alternatives, n_hidden, n_features, class_counts,
-                      scale, rng) -> dict:
-    """Weights ~ Normal(0, scale^2); biases zero except the choice bias,
-    which starts at log empirical shares (zero counts floored at one)."""
+def _init_params(i, j, k, class_counts, scale, rng) -> np.ndarray:
+    """Flat parameters for I alternatives, J hidden units and K features:
+    weights ~ Normal(0, scale^2); biases zero except the choice bias, which
+    starts at log empirical shares (zero counts floored at one)."""
     counts = np.maximum(np.asarray(class_counts, dtype=np.float64), 1.0)
-    return {
-        "choice_hidden_w": rng.normal(0.0, scale, size=(n_alternatives, n_hidden)),
-        "choice_context_w": rng.normal(0.0, scale, size=(n_alternatives, n_features)),
-        "hidden_context_w": rng.normal(0.0, scale, size=(n_hidden, n_features)),
-        "choice_bias": np.log(counts / counts.sum()),
-        "hidden_bias": np.zeros(n_hidden),
-    }
+    return np.concatenate([rng.normal(0.0, scale, size=i * j + i * k + j * k),
+                           np.log(counts / counts.sum()), np.zeros(j)])
 
 
 def _softmax(logits):
@@ -91,71 +85,63 @@ def _softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _mean_field_logits(b, x):
-    h_bar = expit(b["hidden_bias"] + x @ b["hidden_context_w"].T)
-    return b["choice_bias"] + x @ b["choice_context_w"].T + h_bar @ b["choice_hidden_w"].T
+def _block_views(flat, i, j, k) -> ParamBlocks:
+    """Named views of a flat vector for (I, J, K), laid out in BLOCK_NAMES
+    order, so the three weight blocks come first."""
+    parts = np.split(flat, np.cumsum([i * j, i * k, j * k, i]))
+    return ParamBlocks(*(part.reshape(shape) for part, shape in
+                         zip(parts, ((i, j), (i, k), (j, k), (i,), (j,)))))
 
 
-def _mean_nll(b, ds: ChoiceDataset) -> float:
-    logits = _mean_field_logits(b, ds.x)
+def _split_scores(b, x, choices):
+    """Mean per-row NLL and error rate of the mean-field prediction rule."""
+    h_bar = sigmoid(b.hidden_bias + x @ b.hidden_context_w.T)
+    logits = b.choice_bias + x @ b.choice_context_w.T + h_bar @ b.choice_hidden_w.T
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(-log_probs[np.arange(ds.n_rows), ds.choice_indices()].mean())
+    nll = float(-log_probs[np.arange(len(choices)), choices].mean())
+    return nll, float(np.mean(logits.argmax(axis=1) != choices))
 
 
-def _error_rate(b, ds: ChoiceDataset) -> float:
-    predicted = _mean_field_logits(b, ds.x).argmax(axis=1)
-    return float(np.mean(predicted != ds.choice_indices()))
-
-
-def _cd_batch_grads(b, xb, yb, cd_k, rng):
-    """CD-k gradient estimate for one minibatch.
+def _cd_grads(b, xb, yb, cd_k, rng, eye, out: ParamBlocks):
+    """CD-k gradient estimate for one minibatch, written into `out`.
 
     Positive phase: mean-field hidden activations at the data.  Negative
     phase: alternate hidden/choice sampling for cd_k steps from the data,
     keeping the final sampled pair.  Context stays clamped throughout.
+    Returns the sampled choice indices of the reconstruction.
     """
     n = xb.shape[0]
-    hidden_drive = xb @ b["hidden_context_w"].T + b["hidden_bias"]
-    choice_drive = xb @ b["choice_context_w"].T + b["choice_bias"]
+    hidden_drive = xb @ b.hidden_context_w.T + b.hidden_bias
+    choice_drive = xb @ b.choice_context_w.T + b.choice_bias
 
-    h_pos = expit(hidden_drive + yb @ b["choice_hidden_w"])
-    y_neg = yb
-    for _ in range(cd_k):
-        h_probs = expit(hidden_drive + y_neg @ b["choice_hidden_w"])
+    h_pos = h_probs = sigmoid(hidden_drive + yb @ b.choice_hidden_w)
+    for step in range(cd_k):
+        if step:   # step 0 starts the chain at the data, where it is h_pos
+            h_probs = sigmoid(hidden_drive + y_neg @ b.choice_hidden_w)
         h_neg = (rng.random(h_probs.shape) < h_probs).astype(np.float64)
-        probs = _softmax(choice_drive + h_neg @ b["choice_hidden_w"].T)
+        probs = _softmax(choice_drive + h_neg @ b.choice_hidden_w.T)
         u = rng.random(n)
         idx = (probs.cumsum(axis=1) > u[:, None]).argmax(axis=1)
-        y_neg = np.zeros_like(probs)
-        y_neg[np.arange(n), idx] = 1.0
+        y_neg = eye[idx]
 
-    grads = {
-        "choice_hidden_w": (yb.T @ h_pos - y_neg.T @ h_neg) / n,
-        "choice_context_w": (yb - y_neg).T @ xb / n,
-        "hidden_context_w": (h_pos - h_neg).T @ xb / n,
-        "choice_bias": (yb - y_neg).mean(axis=0),
-        "hidden_bias": (h_pos - h_neg).mean(axis=0),
-    }
-    mismatch = float(np.mean(y_neg.argmax(axis=1) != yb.argmax(axis=1)))
-    return grads, mismatch
+    dy, dh = yb - y_neg, h_pos - h_neg
+    np.divide(yb.T @ h_pos - y_neg.T @ h_neg, n, out=out.choice_hidden_w)
+    np.divide(dy.T @ xb, n, out=out.choice_context_w)
+    np.divide(dh.T @ xb, n, out=out.hidden_context_w)
+    np.divide(dy.sum(axis=0), n, out=out.choice_bias)
+    np.divide(dh.sum(axis=0), n, out=out.hidden_bias)
+    return idx
 
 
-def _mnl_batch_grads(b, xb, yb):
-    """Exact multinomial-logit gradient for one minibatch (no hidden units)."""
-    n = xb.shape[0]
-    probs = _softmax(xb @ b["choice_context_w"].T + b["choice_bias"])
+def _mnl_grads(b, xb, yb, out: ParamBlocks):
+    """Exact multinomial-logit gradient for one minibatch (no hidden units),
+    written into `out`; returns the choice probabilities."""
+    probs = _softmax(xb @ b.choice_context_w.T + b.choice_bias)
     resid = yb - probs
-    grads = {
-        "choice_hidden_w": np.zeros_like(b["choice_hidden_w"]),
-        "choice_context_w": resid.T @ xb / n,
-        "hidden_context_w": np.zeros_like(b["hidden_context_w"]),
-        "choice_bias": resid.mean(axis=0),
-        "hidden_bias": np.zeros_like(b["hidden_bias"]),
-    }
-    mismatch = float(
-        1.0 - probs[np.arange(n), yb.argmax(axis=1)].mean())
-    return grads, mismatch
+    np.divide(resid.T @ xb, xb.shape[0], out=out.choice_context_w)
+    np.divide(resid.sum(axis=0), xb.shape[0], out=out.choice_bias)
+    return probs
 
 
 def cd_step(p: CrbmParams, batch, cfg: TrainConfig, rng: np.random.Generator):
@@ -171,9 +157,10 @@ def cd_step(p: CrbmParams, batch, cfg: TrainConfig, rng: np.random.Generator):
         raise ValueError("batch is empty")
     if xb.shape[1] != p.n_features or yb.shape[1] != p.n_alternatives:
         raise ValueError("batch dimensions do not match the parameters")
-    b = {name: arr for name, arr in p.blocks()}
-    grads, _ = _cd_batch_grads(b, xb, yb, cfg.cd_k, rng)
-    return ParamBlocks(**grads)
+    dims = (p.n_alternatives, p.n_hidden, p.n_features)
+    grads = _block_views(np.empty(param_count(*dims)), *dims)
+    _cd_grads(p, xb, yb, cfg.cd_k, rng, np.eye(p.n_alternatives), grads)
+    return grads
 
 
 def _fit(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
@@ -188,15 +175,20 @@ def _fit(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
 
     rng = np.random.default_rng(cfg.seed)
     n = ds_train.n_rows
-    b = init_param_arrays(
-        ds_train.n_alternatives, n_hidden, ds_train.n_features,
-        ds_train.y.sum(axis=0), cfg.weight_init_scale, rng)
-    vel = {name: np.zeros_like(arr) for name, arr in b.items()}
-    weight_blocks = {"choice_hidden_w", "choice_context_w", "hidden_context_w"}
+    dims = (ds_train.n_alternatives, n_hidden, ds_train.n_features)
+    # Parameters, gradient and velocity share one flat layout.  Each fit
+    # owns its buffers, as sensitivity runs fits concurrently.
+    theta = _init_params(*dims, ds_train.y.sum(axis=0), cfg.weight_init_scale,
+                         rng)
+    grad, vel = np.zeros_like(theta), np.zeros_like(theta)
+    b, g = _block_views(theta, *dims), _block_views(grad, *dims)
+    n_weights = theta.size - dims[0] - n_hidden
+    eye, rows = np.eye(dims[0]), np.arange(cfg.batch_size)
+    train_choices = ds_train.choice_indices()
+    valid_choices = ds_valid.choice_indices()
 
     trace = TrainTrace()
-    best_error = np.inf
-    best_params = None
+    best_error, best_theta = np.inf, None
 
     for epoch in range(cfg.epochs):
         momentum = (cfg.momentum_initial if epoch < cfg.momentum_switch_epoch
@@ -204,45 +196,47 @@ def _fit(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
         lr = cfg.learning_rate / (1.0 + epoch) if cfg.lr_decay else cfg.learning_rate
 
         perm = rng.permutation(n)
-        mismatch_sum = 0.0
-        n_batches = 0
+        x, y, choices = ds_train.x[perm], ds_train.y[perm], train_choices[perm]
+        mismatch_sum, n_batches = 0.0, 0
         for start in range(0, n, cfg.batch_size):
-            rows = perm[start:start + cfg.batch_size]
-            xb, yb = ds_train.x[rows], ds_train.y[rows]
+            stop = start + cfg.batch_size
+            xb, yb, cb = x[start:stop], y[start:stop], choices[start:stop]
             if n_hidden > 0:
-                grads, mismatch = _cd_batch_grads(b, xb, yb, cfg.cd_k, rng)
+                idx = _cd_grads(b, xb, yb, cfg.cd_k, rng, eye, g)
+                mismatch_sum += np.count_nonzero(idx != cb) / len(cb)
             else:
-                grads, mismatch = _mnl_batch_grads(b, xb, yb)
-            for name in BLOCK_NAMES:
-                g = grads[name]
-                if cfg.weight_decay and name in weight_blocks:
-                    g = g - cfg.weight_decay * b[name]
-                vel[name] = momentum * vel[name] + lr * g
-                b[name] = b[name] + vel[name]
-            mismatch_sum += mismatch
+                probs = _mnl_grads(b, xb, yb, g)
+                mismatch_sum += float(1.0 - probs[rows[:len(cb)], cb].sum() / len(cb))
+            if cfg.weight_decay:
+                grad[:n_weights] -= cfg.weight_decay * theta[:n_weights]
+            vel *= momentum
+            grad *= lr
+            vel += grad
+            theta += vel
             n_batches += 1
 
-        for name in BLOCK_NAMES:
-            if not np.all(np.isfinite(b[name])):
+        for name, arr in b.blocks():
+            if not np.all(np.isfinite(arr)):
                 raise TrainingDivergedError(
                     f"non-finite values in {name} at epoch {epoch}")
 
-        trace.train_nll.append(_mean_nll(b, ds_train))
-        trace.valid_nll.append(_mean_nll(b, ds_valid))
-        trace.valid_error.append(_error_rate(b, ds_valid))
+        trace.train_nll.append(_split_scores(b, ds_train.x, train_choices)[0])
+        valid_nll, valid_error = _split_scores(b, ds_valid.x, valid_choices)
+        trace.valid_nll.append(valid_nll)
+        trace.valid_error.append(valid_error)
         trace.recon_error.append(mismatch_sum / n_batches)
 
         if epoch_hook is not None:
-            epoch_hook(epoch, CrbmParams(**{k: v.copy() for k, v in b.items()}))
+            epoch_hook(epoch, CrbmParams(**vars(_block_views(theta.copy(), *dims))))
 
         if trace.valid_error[-1] < best_error:
             best_error = trace.valid_error[-1]
             trace.best_epoch = epoch
-            best_params = {k: v.copy() for k, v in b.items()}
+            best_theta = theta.copy()
         elif epoch - trace.best_epoch > cfg.early_stop_patience:
             break
 
-    return CrbmParams(**best_params), trace
+    return CrbmParams(**vars(_block_views(best_theta, *dims))), trace
 
 
 def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,

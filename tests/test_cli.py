@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -148,6 +152,30 @@ class TestSensitivityCommand:
         assert lines[0].split(",")[0] == "variable"
         assert "J0_full_rank" in lines[0]
         assert len(lines) == 8  # six features plus bias plus header
+
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-1", "2.5"])
+    def test_bad_thread_cap_is_usage_error(self, data_file, tmp_path, capsys,
+                                           monkeypatch, threads):
+        monkeypatch.setenv("CHOICERBM_THREADS", threads)
+        out = tmp_path / "sens.csv"
+        rc = cli.run(["sensitivity", "--data", str(data_file),
+                      "--out", str(out)] + TRAIN_FLAGS)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "CHOICERBM_THREADS" in err
+        assert not out.exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, choicerbm.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -1,11 +1,16 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choicerbm import oracle
 from choicerbm.dataset import (ChoiceDataset, ChoiceDomainError, NormStats,
                                RowParseError, SchemaError, SplitSpec,
                                from_arrays, kfold, load_csv,
+                               load_features_csv, one_hot,
                                refit_normalization, split)
 
 
@@ -90,6 +95,95 @@ class TestLoadCsv:
                          [[1, 12.0], [2, 8.0]])
         ds = load_csv(path, "choice", norm_stats=stats)
         np.testing.assert_allclose(ds.x[:, 0], [1.0, -1.0])
+
+
+def reference_rows(path, columns):
+    """Raw cells of `columns` parsed one cell at a time, the plain way."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        pos = [header.index(c) for c in columns]
+        rows = [[float(row[p]) for p in pos] for row in reader]
+    assert all(np.isfinite(v) for row in rows for v in row)
+    return np.asarray(rows, dtype=np.float64)
+
+
+class TestParser:
+    @pytest.fixture(scope="class")
+    def generated(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("gen") / "band.csv"
+        oracle.write_dataset_csv(oracle.band_planted_model(n_rows=400, seed=3),
+                                 path)
+        return path
+
+    def test_matches_plain_reader(self, generated):
+        ds = load_csv(generated, "choice")
+        names = list(ds.feature_names)
+        raw = reference_rows(generated, names)
+        choices = reference_rows(generated, ["choice"])[:, 0].astype(np.int64)
+        stats = NormStats.fit(raw)
+        assert np.array_equal(ds.x, stats.apply(raw))
+        assert np.array_equal(ds.y, one_hot(choices - 1, ds.n_alternatives))
+        reversed_stats = NormStats.fit(raw[:, ::-1])
+        x = load_features_csv(generated, names[::-1], reversed_stats)
+        assert np.array_equal(x, reversed_stats.apply(raw[:, ::-1]))
+
+    def test_byte_order_mark_ignored(self, generated, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + generated.read_bytes())
+        plain, marked = load_csv(generated, "choice"), load_csv(bom, "choice")
+        assert np.array_equal(plain.x, marked.x)
+        assert np.array_equal(plain.y, marked.y)
+        names = list(plain.feature_names)
+        assert np.array_equal(
+            load_features_csv(generated, names, plain.norm_stats),
+            load_features_csv(bom, names, plain.norm_stats))
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("2,nan,oops", "row 2: missing or non-finite value in column 'a'"),
+        ("2,oops,nan", "row 2: cell 'oops' in column 'a' is not numeric"),
+        ("2,1.0,inf", "row 2: missing or non-finite value in column 'b'"),
+        ("x,oops,1.0", "row 2: choice cell 'x' is not an integer"),
+        ("3.0,1.0,1.0", "row 2: choice cell '3.0' is not an integer"),
+        ("2,1.0", "row 2: expected 3 cells, got 2"),
+        ("2,1.0,1.0,1.0", "row 2: expected 3 cells, got 4"),
+        ("", "row 2: expected 3 cells, got 0"),
+    ])
+    def test_first_bad_cell_reported(self, tmp_path, bad_row, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"choice,a,b\n1,0.5,0.5\n{bad_row}\n1,0.0,x\n")
+        with pytest.raises(RowParseError, match=f"^{re.escape(message)}$"):
+            load_csv(path, "choice")
+
+    def test_quoted_numeric_cells_accepted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('choice,a\n"1","0.5"\n2,"-1.5e1"\n')
+        ds = load_csv(path, "choice")
+        assert np.array_equal(ds.norm_stats.invert(ds.x)[:, 0], [0.5, -15.0])
+        assert np.array_equal(ds.y, [[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("nan,oops", "row 2: non-numeric feature cell"),
+        ("1.0", "row 2: non-numeric feature cell"),
+        ("1.0,-inf", "row 2: missing or non-finite value"),
+    ])
+    def test_feature_reader_messages(self, tmp_path, bad_row, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b\n0.5,0.5\n{bad_row}\n")
+        stats = NormStats(means=np.zeros(2), stds=np.ones(2),
+                          constant=np.zeros(2, dtype=bool))
+        with pytest.raises(RowParseError, match=f"^{re.escape(message)}$"):
+            load_features_csv(path, ["a", "b"], stats)
+
+    @pytest.mark.parametrize("names", [["b"], []])
+    def test_feature_reader_few_columns(self, tmp_path, names):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n0.5,1.5\n2.0,-3.0\n")
+        k = len(names)
+        stats = NormStats(means=np.zeros(k), stds=np.ones(k),
+                          constant=np.zeros(k, dtype=bool))
+        x = load_features_csv(path, names, stats)
+        assert np.array_equal(x, np.array([[1.5], [-3.0]])[:, :k])
 
 
 class TestSplit:

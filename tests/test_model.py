@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from choicerbm.model import (CrbmParams, GibbsState, choice_probs, energy,
                              free_energy, hidden_activation_probs, param_count,
-                             sample_choice, sample_hidden)
+                             sample_choice, sample_hidden, sigmoid)
 from conftest import random_params
 
 
@@ -103,6 +106,27 @@ class TestFreeEnergy:
             choice_bias=np.zeros(2),
             hidden_bias=np.zeros(1))
         assert np.isfinite(free_energy(p, np.array([1.0, 0.0])))
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([-800.0, 800.0, 0.0, -0.0]),
+                              st.floats(-800, 800)), min_size=1, max_size=20))
+    def test_within_four_ulp_of_expit(self, values):
+        # For x in about [-60, -30] each formula can be about 2 ulp from
+        # the exact value, in opposite directions; elsewhere they differ by
+        # at most 2 ulp, and on about 2% of inputs at all.
+        x = np.array(values)
+        got, want = sigmoid(x), expit(x)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+    def test_saturates_without_warnings(self):
+        x = np.array([-1e308, -800.0, -745.0, 0.0, 745.0, 800.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(x)
+        assert got[0] == got[1] == 0.0 and got[-1] == got[-2] == 1.0
+        assert got[3] == 0.5
 
 
 class TestHiddenActivation:
