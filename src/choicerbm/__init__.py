@@ -3,9 +3,9 @@
 from .dataset import (ChoiceDataset, NormStats, SplitSpec, from_arrays, kfold,
                       load_csv, refit_normalization, split)
 from .inference import Prediction, predict, predict_batch
-from .model import (CrbmParams, GibbsState, ParamBlocks, choice_probs, energy,
-                    free_energy, hidden_activation_probs, param_count,
-                    sample_choice, sample_hidden)
+from .model import (BLOCK_NAMES, CrbmParams, ParamBlocks, block_shapes,
+                    choice_probs, free_energy, hidden_activation_probs,
+                    param_count, sample_categorical)
 from .report import HintonSpec, hinton_svg, load_model, save_model
 from .sensitivity import SensitivityReport, rank_agreement, sensitivity_run
 from .stats import (FitReport, bic, evaluate, log_likelihood, rho_squared,
@@ -17,9 +17,9 @@ __all__ = [
     "ChoiceDataset", "NormStats", "SplitSpec", "from_arrays", "kfold",
     "load_csv", "refit_normalization", "split",
     "Prediction", "predict", "predict_batch",
-    "CrbmParams", "GibbsState", "ParamBlocks", "choice_probs", "energy",
-    "free_energy", "hidden_activation_probs", "param_count", "sample_choice",
-    "sample_hidden",
+    "BLOCK_NAMES", "CrbmParams", "ParamBlocks", "block_shapes", "choice_probs",
+    "free_energy", "hidden_activation_probs", "param_count",
+    "sample_categorical",
     "HintonSpec", "hinton_svg", "load_model", "save_model",
     "SensitivityReport", "rank_agreement", "sensitivity_run",
     "FitReport", "bic", "evaluate", "log_likelihood", "rho_squared",

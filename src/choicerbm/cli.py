@@ -135,8 +135,6 @@ def _cmd_train(args) -> int:
     train_ds, valid_ds = _load_split(args)
     params, trace = trainer.train_crbm(train_ds, valid_ds, args.hidden, cfg)
     rep = stats.evaluate(params, train_ds, valid_ds)
-    label = "MNL" if args.hidden == 0 else f"CRBM-J{args.hidden}"
-    sys.stdout.write(stats.report_table_rows([(label, rep)]))
     report.save_model(
         params, args.out, norm_stats=train_ds.norm_stats,
         feature_names=train_ds.feature_names,
@@ -156,6 +154,8 @@ def _cmd_train(args) -> int:
         },
         std_errs=rep.std_errs, tstats=rep.tstats,
         choice_column=args.choice_col)
+    label = "MNL" if args.hidden == 0 else f"CRBM-J{args.hidden}"
+    sys.stdout.write(stats.report_table_rows([(label, rep)]))
     return 0
 
 
@@ -206,8 +206,8 @@ def _cmd_predict(args) -> int:
                                params.n_alternatives),
         feature_names=tuple(feats), alternative_names=alt_names,
         norm_stats=norm)
-    preds, _ = predict_batch(params, ds_like)
-    write_predictions_csv(args.out, preds, alt_names)
+    probs, h_act, _ = predict_batch(params, ds_like)
+    write_predictions_csv(args.out, probs, h_act, alt_names)
     return 0
 
 
@@ -287,12 +287,9 @@ def run(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, FileNotFoundError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (OSError, ValueError, RuntimeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        sys.stderr.write("error: " + " ".join(str(exc).splitlines()) + "\n")
+        return 2 if isinstance(exc, (UsageError, FileNotFoundError)) else 1
 
 
 def main():

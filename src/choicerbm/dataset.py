@@ -125,14 +125,11 @@ class ChoiceDataset:
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float = 0.70
-    folds: int = 2
     seed: int = 0
 
     def validate(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction {self.train_fraction} not in (0, 1)")
-        if self.folds < 1:
-            raise ValueError("folds must be positive")
 
 
 def one_hot(indices: np.ndarray, n_alternatives: int) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Choice probabilities, predicted alternatives and latent activations.
 
 At prediction time the observed choice is unknown, so hidden units are
-driven by context alone: h = sigmoid(d + A x).  The default path is the
-deterministic mean-field activation; a Monte-Carlo path that averages
-over sampled binary hidden vectors is available behind a flag.
+driven by context alone and held at their mean-field activation
+h = sigmoid(d + A x).
 """
 
 from dataclasses import dataclass
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .model import CrbmParams, choice_probs, sigmoid
+from .model import CrbmParams, choice_probs, context_hidden
 
 
 @dataclass(frozen=True)
@@ -21,67 +20,44 @@ class Prediction:
     h_activation: np.ndarray   # length J, in (0, 1)
 
 
-def _context_hidden(p: CrbmParams, x):
-    return sigmoid(p.hidden_bias + np.asarray(x, dtype=np.float64)
-                   @ p.hidden_context_w.T)
-
-
-def _batch_probs(p: CrbmParams, x, rng=None, mc_samples: int = 0):
-    h_act = _context_hidden(p, x)
-    if mc_samples > 0:
-        if rng is None:
-            raise ValueError("mc_samples > 0 requires an rng")
-        acc = np.zeros(x.shape[:-1] + (p.n_alternatives,))
-        for _ in range(mc_samples):
-            h_draw = (rng.random(h_act.shape) < h_act).astype(np.float64)
-            acc += choice_probs(p, h_draw, x)
-        return acc / mc_samples, h_act
-    return choice_probs(p, h_act, x), h_act
-
-
-def predict(p: CrbmParams, x, rng=None, mc_samples: int = 0) -> Prediction:
+def predict(p: CrbmParams, x) -> Prediction:
     """Predict one row of already-normalized context values.
 
     Scale raw inputs with the normalization statistics stored alongside the
-    model before calling.  With `mc_samples > 0` the probabilities average
-    over that many sampled hidden vectors instead of the mean-field value.
+    model before calling.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (p.n_features,):
         raise ValueError(f"expected context of length {p.n_features}, got {x.shape}")
-    probs, h_act = _batch_probs(p, x, rng, mc_samples)
+    h_act = context_hidden(p, x)
+    probs = choice_probs(p, h_act, x)
     return Prediction(probs=probs, predicted=int(probs.argmax()), h_activation=h_act)
 
 
-def predict_batch(p: CrbmParams, ds: ChoiceDataset, rng=None, mc_samples: int = 0):
-    """Row-wise predictions plus an I x I confusion matrix (actual, predicted)."""
+def predict_batch(p: CrbmParams, ds: ChoiceDataset):
+    """(probs (rows, I), hidden activations (rows, J), I x I confusion
+    matrix of (actual, predicted) counts); the prediction is the argmax of
+    each row of probs, lowest index on ties."""
     if ds.n_features != p.n_features:
         raise ValueError(
             f"dataset has {ds.n_features} features, model expects {p.n_features}")
-    probs, h_act = _batch_probs(p, ds.x, rng, mc_samples)
-    predicted = probs.argmax(axis=1)
-    actual = ds.choice_indices()
-    n_alt = p.n_alternatives
-    confusion = np.zeros((n_alt, n_alt), dtype=np.int64)
-    np.add.at(confusion, (actual, predicted), 1)
-    preds = [Prediction(probs=probs[r], predicted=int(predicted[r]),
-                        h_activation=h_act[r]) for r in range(ds.n_rows)]
-    return preds, confusion
+    h_act = context_hidden(p, ds.x)
+    probs = choice_probs(p, h_act, ds.x)
+    confusion = np.zeros((p.n_alternatives,) * 2, dtype=np.int64)
+    np.add.at(confusion, (ds.choice_indices(), probs.argmax(axis=1)), 1)
+    return probs, h_act, confusion
 
 
-def write_predictions_csv(path, preds, alternative_names):
+def write_predictions_csv(path, probs, h_act, alternative_names):
     """Export batch predictions: row id, per-alternative probs, predicted
     choice (1-based), hidden activations."""
-    n_hidden = len(preds[0].h_activation) if preds else 0
     header = (["row"]
               + [f"p_{name}" for name in alternative_names]
               + ["predicted"]
-              + [f"h{j + 1}" for j in range(n_hidden)])
+              + [f"h{j + 1}" for j in range(h_act.shape[1])])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for r, pr in enumerate(preds):
-            cells = [str(r + 1)]
-            cells += [repr(float(v)) for v in pr.probs]
-            cells.append(str(pr.predicted + 1))
-            cells += [repr(float(v)) for v in pr.h_activation]
-            fh.write(",".join(cells) + "\n")
+        for r, predicted in enumerate(probs.argmax(axis=1).tolist()):
+            fh.write(",".join([str(r + 1), *map(repr, probs[r].tolist()),
+                               str(predicted + 1),
+                               *map(repr, h_act[r].tolist())]) + "\n")

@@ -1,8 +1,9 @@
 """Brute-force reference computations and synthetic data generation.
 
-Everything here enumerates the hidden state space explicitly, so it is
-only usable for small models (I <= 16, J <= 12).  The rest of the package
-never calls into this module; tests use it as an independent check.
+The reference computations enumerate the hidden state space explicitly,
+so they are only usable for small models (I <= 16, J <= 12).  Of the rest
+of the package only the `generate` command calls into this module; tests
+use it as an independent check.
 """
 
 import json
@@ -12,16 +13,27 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dataset import ChoiceDataset, from_arrays
-from .model import CrbmParams, ParamBlocks
+from .model import (CrbmParams, ParamBlocks, _check_choice_dim,
+                    _check_hidden_dim, sample_categorical)
 
 MAX_HIDDEN = 12
 MAX_ALTERNATIVES = 16
 
 
+def energy(p: CrbmParams, y, h) -> float:
+    """Joint energy of a (choice, hidden) configuration.
+
+    Context terms are excluded by construction; they shift the conditionals
+    only.  Supports batched inputs via leading axes.
+    """
+    y, h = _check_choice_dim(p, y), _check_hidden_dim(p, h)
+    interaction = np.einsum("...i,ij,...j->...", y, p.choice_hidden_w, h)
+    val = -(y @ p.choice_bias) - (h @ p.hidden_bias) - interaction
+    return float(val) if val.ndim == 0 else val
+
+
 def _hidden_table(n_hidden: int) -> np.ndarray:
     """All 2^J binary hidden configurations, one per row."""
-    if n_hidden == 0:
-        return np.zeros((1, 0))
     bits = np.arange(2 ** n_hidden)[:, None] >> np.arange(n_hidden)[None, :]
     return (bits & 1).astype(np.float64)
 
@@ -98,26 +110,18 @@ def exact_loglik_gradient(p: CrbmParams, ds: ChoiceDataset) -> ParamBlocks:
 def finite_difference_gradient(p: CrbmParams, ds: ChoiceDataset,
                                step: float = 1e-5) -> ParamBlocks:
     """Central finite differences of the exact conditional log-likelihood."""
-    blocks = {name: np.array(arr) for name, arr in p.blocks()}
-    out = ParamBlocks.zeros_like(p)
-    for name, arr in blocks.items():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            hi = exact_conditional_loglik(_rebuild(blocks), ds)
-            flat[idx] = orig - step
-            lo = exact_conditional_loglik(_rebuild(blocks), ds)
-            flat[idx] = orig
-            gflat[idx] = (hi - lo) / (2 * step)
-        setattr(out, name, g)
-    return out
-
-
-def _rebuild(blocks: dict) -> CrbmParams:
-    return CrbmParams(**{k: v.copy() for k, v in blocks.items()})
+    dims = (p.n_alternatives, p.n_hidden, p.n_features)
+    theta = np.concatenate([arr.ravel() for _, arr in p.blocks()])
+    grad = np.empty_like(theta)
+    for idx in range(theta.size):
+        loglik = []
+        for delta in (step, -step):
+            t = theta.copy()
+            t[idx] += delta
+            loglik.append(exact_conditional_loglik(
+                CrbmParams.from_flat(t, *dims), ds))
+        grad[idx] = (loglik[0] - loglik[1]) / (2 * step)
+    return ParamBlocks.from_flat(grad, *dims)
 
 
 @dataclass(frozen=True)
@@ -175,10 +179,8 @@ def draw_rows(pm: PlantedModel):
     """(raw context matrix, 0-based choice indices) drawn from the planted model."""
     rng = np.random.default_rng(pm.seed)
     x_raw = draw_context(pm, rng)
-    probs = exact_choice_distribution(pm.params, x_raw)
-    u = rng.random(pm.n_rows)
-    idx = (probs.cumsum(axis=1) > u[:, None]).argmax(axis=1)
-    return x_raw, idx
+    return x_raw, sample_categorical(
+        exact_choice_distribution(pm.params, x_raw), rng)
 
 
 def generate(pm: PlantedModel) -> ChoiceDataset:
@@ -193,9 +195,8 @@ def write_dataset_csv(pm: PlantedModel, path, choice_column: str = "choice"):
     names = [f"f{j + 1}" for j in range(pm.params.n_features)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join([choice_column] + names) + "\n")
-        for r in range(pm.n_rows):
-            cells = [str(idx[r] + 1)] + [repr(float(v)) for v in x_raw[r]]
-            fh.write(",".join(cells) + "\n")
+        for c, row in zip(idx.tolist(), x_raw):
+            fh.write(",".join([str(c + 1), *map(repr, row.tolist())]) + "\n")
 
 
 def conditional_kl(truth: CrbmParams, fitted: CrbmParams, x_sample) -> float:

@@ -14,12 +14,14 @@ clears the significance threshold.
 
 import dataclasses
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import NormStats
-from .model import CrbmParams, ParamBlocks
+from .model import BLOCK_NAMES, CrbmParams, ParamBlocks, block_shapes
 from .trainer import TrainConfig
 
 MODEL_FORMAT = "choicerbm-model"
@@ -35,7 +37,11 @@ def save_model(p: CrbmParams, path, norm_stats: NormStats = None,
                train_config: TrainConfig = None, metrics: dict = None,
                std_errs: ParamBlocks = None, tstats: ParamBlocks = None,
                choice_column: str = None):
-    """Write a model file; every numeric value survives a round trip exactly."""
+    """Write a model file; every numeric value survives a round trip exactly.
+
+    The file is written beside `path` and renamed over it, so a failed save
+    leaves neither a partial file nor a changed one.
+    """
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
@@ -65,16 +71,58 @@ def save_model(p: CrbmParams, path, norm_stats: NormStats = None,
             doc[key] = {name: np.asarray(a).tolist() for name, a in blocks.blocks()}
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"),
                          allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-        fh.write("\n")
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _names(raw, n):
+    if not (isinstance(raw, list) and len(raw) == n
+            and all(isinstance(v, str) for v in raw)):
+        raise ValueError(f"expected {n} names")
+    return tuple(raw)
+
+
+def _norm_stats(raw, n):
+    ns = NormStats(*(np.asarray(raw[key], dtype=dtype) for key, dtype in (
+        ("means", np.float64), ("stds", np.float64), ("constant", bool))))
+    if not (all(a.shape == (n,) for a in (ns.means, ns.stds, ns.constant))
+            and np.isfinite([ns.means, ns.stds]).all()):
+        raise ValueError(f"expected {n} finite entries per statistic")
+    return ns
+
+
+def _train_config(raw):
+    cfg = TrainConfig(**raw)
+    cfg.validate()
+    return cfg
+
+
+def _metrics(raw):
+    metrics = {k: float(v) for k, v in raw.items()}
+    if not (all(map(math.isfinite, metrics.values())) and
+            ("split_fraction" in metrics) == ("split_seed" in metrics)):
+        raise ValueError("expected finite values, with split_fraction and "
+                         "split_seed together")
+    return metrics
+
+
+# Everything malformed metadata can raise while it is read.
+_BAD_VALUE = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
 def load_model(path):
     """Read a model file back as (params, metadata dict).
 
     Metadata keys mirror the optional save arguments; parameter and
-    dimension consistency is verified before anything is returned.
+    dimension consistency is verified before anything is returned.  Any
+    malformed content raises ModelFileError with a one-line message.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -82,7 +130,7 @@ def load_model(path):
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path}: truncated or malformed model file "
                              f"({exc})") from None
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFileError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ModelFileError(
@@ -90,49 +138,36 @@ def load_model(path):
     dims = [doc.get(key) for key in ("n_alternatives", "n_hidden", "n_features")]
     if not all(isinstance(v, int) and v >= 0 for v in dims):
         raise ModelFileError(f"{path}: missing or invalid dimension header")
-    n_alt, n_hid, n_feat = dims
-    shapes = {
-        "choice_hidden_w": (n_alt, n_hid),
-        "choice_context_w": (n_alt, n_feat),
-        "hidden_context_w": (n_hid, n_feat),
-        "choice_bias": (n_alt,),
-        "hidden_bias": (n_hid,),
-    }
+    n_alt, _, n_feat = dims
 
     def read_blocks(raw):
         return {name: np.asarray(raw[name], dtype=np.float64).reshape(shape)
-                for name, shape in shapes.items()}
+                for name, shape in zip(BLOCK_NAMES, block_shapes(*dims))}
 
     try:
         params = CrbmParams(**read_blocks(doc["params"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ModelFileError(
             f"{path}: parameter blocks do not match the declared dimensions "
             f"({exc})") from None
 
+    readers = {
+        "norm_stats": lambda raw: _norm_stats(raw, n_feat),
+        "feature_names": lambda raw: _names(raw, n_feat),
+        "alternative_names": lambda raw: _names(raw, n_alt),
+        "train_config": _train_config,
+        "metrics": _metrics,
+        "choice_column": lambda raw: _names([raw], 1)[0],
+        "std_errs": lambda raw: ParamBlocks(**read_blocks(raw)),
+        "tstats": lambda raw: ParamBlocks(**read_blocks(raw)),
+    }
     meta = {}
-    if "norm_stats" in doc:
-        ns = doc["norm_stats"]
-        meta["norm_stats"] = NormStats(
-            means=np.asarray(ns["means"], dtype=np.float64),
-            stds=np.asarray(ns["stds"], dtype=np.float64),
-            constant=np.asarray(ns["constant"], dtype=bool))
-    if "feature_names" in doc:
-        meta["feature_names"] = tuple(doc["feature_names"])
-    if "alternative_names" in doc:
-        meta["alternative_names"] = tuple(doc["alternative_names"])
-    if "train_config" in doc:
-        meta["train_config"] = TrainConfig(**doc["train_config"])
-    if "metrics" in doc:
-        meta["metrics"] = dict(doc["metrics"])
-    if "choice_column" in doc:
-        meta["choice_column"] = doc["choice_column"]
-    for key in ("std_errs", "tstats"):
+    for key, read in readers.items():
         if key in doc:
             try:
-                meta[key] = ParamBlocks(**read_blocks(doc[key]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ModelFileError(f"{path}: bad {key} blocks ({exc})") from None
+                meta[key] = read(doc[key])
+            except _BAD_VALUE as exc:
+                raise ModelFileError(f"{path}: bad {key} ({exc})") from None
     return params, meta
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .model import CrbmParams, ParamBlocks, param_count, sigmoid
+from .model import (CrbmParams, ParamBlocks, choice_logits, context_hidden,
+                    log_softmax, param_count, softmax)
 
 
 @dataclass
@@ -34,10 +35,7 @@ class FitReport:
 
 
 def _mean_field_log_probs(p: CrbmParams, x):
-    h_bar = sigmoid(p.hidden_bias + x @ p.hidden_context_w.T)
-    logits = p.choice_bias + x @ p.choice_context_w.T + h_bar @ p.choice_hidden_w.T
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return log_softmax(choice_logits(p, context_hidden(p, x), x))
 
 
 def log_likelihood(p: CrbmParams, ds: ChoiceDataset) -> float:
@@ -119,13 +117,8 @@ def _prediction_scores(p: CrbmParams, ds: ChoiceDataset):
     """
     x = ds.x
     n = x.shape[0]
-    h_bar = sigmoid(p.hidden_bias + x @ p.hidden_context_w.T)      # (n, J)
-    logits = (p.choice_bias + x @ p.choice_context_w.T
-              + h_bar @ p.choice_hidden_w.T)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    resid = ds.y - probs                                           # (n, I)
+    h_bar = context_hidden(p, x)                                   # (n, J)
+    resid = ds.y - softmax(choice_logits(p, h_bar, x))             # (n, I)
 
     feats = np.concatenate([x, h_bar, np.ones((n, 1))], axis=1)    # (n, K+J+1)
     choice_scores = np.einsum("ni,nf->nif", resid, feats).reshape(n, -1)
@@ -151,63 +144,25 @@ def t_statistics(p: CrbmParams, ds_train: ChoiceDataset):
     n_alt, n_hid, k = p.n_alternatives, p.n_hidden, p.n_features
     choice_scores, hidden_scores = _prediction_scores(p, ds_train)
     se_choice = pinv_standard_errors(choice_scores).reshape(n_alt, k + n_hid + 1)
-    se_hidden = pinv_standard_errors(hidden_scores).reshape(n_hid, k + 1) \
-        if n_hid else np.zeros((0, k + 1))
+    se_hidden = pinv_standard_errors(hidden_scores).reshape(n_hid, k + 1)
 
     std_errs = ParamBlocks(
         choice_hidden_w=se_choice[:, k:k + n_hid].copy(),
         choice_context_w=se_choice[:, :k].copy(),
         hidden_context_w=se_hidden[:, :k].copy(),
         choice_bias=se_choice[:, -1].copy(),
-        hidden_bias=se_hidden[:, -1].copy() if n_hid else np.zeros(0),
+        hidden_bias=se_hidden[:, -1].copy(),
     )
-    tstats = ParamBlocks.zeros_like(p)
-    for name, se in std_errs.blocks():
-        theta = getattr(p, name)
-        t = np.zeros_like(theta)
-        nonzero = theta != 0.0
-        with np.errstate(divide="ignore"):
-            t[nonzero] = theta[nonzero] / se[nonzero]
-        setattr(tstats, name, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstats = ParamBlocks(*(np.where(theta != 0.0, theta / se, 0.0)
+                               for (_, theta), (_, se)
+                               in zip(p.blocks(), std_errs.blocks())))
     return std_errs, tstats
 
 
 def significant(tstats: np.ndarray, threshold: float = 1.96) -> np.ndarray:
     """Boolean mask: |t| at or above the two-sided 95% normal quantile."""
     return np.abs(tstats) >= threshold
-
-
-def finite_difference_hessian(fn, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Symmetric central-difference Hessian of a scalar function.
-
-    Intended for cross-checking the score-based errors on problems with at
-    most a few dozen parameters.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    m = theta.size
-    if m > 50:
-        raise ValueError("finite-difference Hessian capped at 50 parameters")
-    hess = np.zeros((m, m))
-    for a in range(m):
-        for b_idx in range(a, m):
-            t = theta.copy()
-            t[a] += step
-            t[b_idx] += step
-            fpp = fn(t)
-            t = theta.copy()
-            t[a] += step
-            t[b_idx] -= step
-            fpm = fn(t)
-            t = theta.copy()
-            t[a] -= step
-            t[b_idx] += step
-            fmp = fn(t)
-            t = theta.copy()
-            t[a] -= step
-            t[b_idx] -= step
-            fmm = fn(t)
-            hess[a, b_idx] = hess[b_idx, a] = (fpp - fpm - fmp + fmm) / (4 * step * step)
-    return hess
 
 
 def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
@@ -218,7 +173,7 @@ def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
     ll_train = log_likelihood(p, ds_train)
     ll_valid = log_likelihood(p, ds_valid)
     n_params = param_count(p.n_alternatives, p.n_hidden, p.n_features)
-    _, confusion = predict_batch(p, ds_valid)
+    *_, confusion = predict_batch(p, ds_valid)
     std_errs, tstats = t_statistics(p, ds_train)
     return FitReport(
         loglik_train=ll_train,

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .model import CrbmParams, ParamBlocks, param_count, sigmoid
-
-BLOCK_NAMES = ("choice_hidden_w", "choice_context_w", "hidden_context_w",
-               "choice_bias", "hidden_bias")
+from .model import (CrbmParams, ParamBlocks, choice_logits, context_hidden,
+                    log_softmax, param_count, sample_categorical, sigmoid,
+                    softmax)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -79,27 +78,10 @@ def _init_params(i, j, k, class_counts, scale, rng) -> np.ndarray:
                            np.log(counts / counts.sum()), np.zeros(j)])
 
 
-def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _block_views(flat, i, j, k) -> ParamBlocks:
-    """Named views of a flat vector for (I, J, K), laid out in BLOCK_NAMES
-    order, so the three weight blocks come first."""
-    parts = np.split(flat, np.cumsum([i * j, i * k, j * k, i]))
-    return ParamBlocks(*(part.reshape(shape) for part, shape in
-                         zip(parts, ((i, j), (i, k), (j, k), (i,), (j,)))))
-
-
 def _split_scores(b, x, choices):
     """Mean per-row NLL and error rate of the mean-field prediction rule."""
-    h_bar = sigmoid(b.hidden_bias + x @ b.hidden_context_w.T)
-    logits = b.choice_bias + x @ b.choice_context_w.T + h_bar @ b.choice_hidden_w.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    nll = float(-log_probs[np.arange(len(choices)), choices].mean())
+    logits = choice_logits(b, context_hidden(b, x), x)
+    nll = float(-log_softmax(logits)[np.arange(len(choices)), choices].mean())
     return nll, float(np.mean(logits.argmax(axis=1) != choices))
 
 
@@ -120,9 +102,8 @@ def _cd_grads(b, xb, yb, cd_k, rng, eye, out: ParamBlocks):
         if step:   # step 0 starts the chain at the data, where it is h_pos
             h_probs = sigmoid(hidden_drive + y_neg @ b.choice_hidden_w)
         h_neg = (rng.random(h_probs.shape) < h_probs).astype(np.float64)
-        probs = _softmax(choice_drive + h_neg @ b.choice_hidden_w.T)
-        u = rng.random(n)
-        idx = (probs.cumsum(axis=1) > u[:, None]).argmax(axis=1)
+        idx = sample_categorical(
+            softmax(choice_drive + h_neg @ b.choice_hidden_w.T), rng)
         y_neg = eye[idx]
 
     dy, dh = yb - y_neg, h_pos - h_neg
@@ -137,7 +118,7 @@ def _cd_grads(b, xb, yb, cd_k, rng, eye, out: ParamBlocks):
 def _mnl_grads(b, xb, yb, out: ParamBlocks):
     """Exact multinomial-logit gradient for one minibatch (no hidden units),
     written into `out`; returns the choice probabilities."""
-    probs = _softmax(xb @ b.choice_context_w.T + b.choice_bias)
+    probs = softmax(xb @ b.choice_context_w.T + b.choice_bias)
     resid = yb - probs
     np.divide(resid.T @ xb, xb.shape[0], out=out.choice_context_w)
     np.divide(resid.sum(axis=0), xb.shape[0], out=out.choice_bias)
@@ -158,13 +139,19 @@ def cd_step(p: CrbmParams, batch, cfg: TrainConfig, rng: np.random.Generator):
     if xb.shape[1] != p.n_features or yb.shape[1] != p.n_alternatives:
         raise ValueError("batch dimensions do not match the parameters")
     dims = (p.n_alternatives, p.n_hidden, p.n_features)
-    grads = _block_views(np.empty(param_count(*dims)), *dims)
+    grads = ParamBlocks.from_flat(np.empty(param_count(*dims)), *dims)
     _cd_grads(p, xb, yb, cfg.cd_k, rng, np.eye(p.n_alternatives), grads)
     return grads
 
 
-def _fit(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
-         cfg: TrainConfig, epoch_hook=None):
+def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
+               cfg: TrainConfig, epoch_hook=None):
+    """Estimate a conditional RBM; returns the best-validation snapshot and trace.
+
+    `n_hidden=0` degenerates to the multinomial-logit estimator.  The
+    optional `epoch_hook(epoch, params)` observes the end-of-epoch snapshot
+    and must not touch any random state.
+    """
     cfg.validate()
     if n_hidden < 0:
         raise ValueError("n_hidden must be >= 0")
@@ -181,7 +168,7 @@ def _fit(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
     theta = _init_params(*dims, ds_train.y.sum(axis=0), cfg.weight_init_scale,
                          rng)
     grad, vel = np.zeros_like(theta), np.zeros_like(theta)
-    b, g = _block_views(theta, *dims), _block_views(grad, *dims)
+    b, g = ParamBlocks.from_flat(theta, *dims), ParamBlocks.from_flat(grad, *dims)
     n_weights = theta.size - dims[0] - n_hidden
     eye, rows = np.eye(dims[0]), np.arange(cfg.batch_size)
     train_choices = ds_train.choice_indices()
@@ -227,7 +214,7 @@ def _fit(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
         trace.recon_error.append(mismatch_sum / n_batches)
 
         if epoch_hook is not None:
-            epoch_hook(epoch, CrbmParams(**vars(_block_views(theta.copy(), *dims))))
+            epoch_hook(epoch, CrbmParams.from_flat(theta.copy(), *dims))
 
         if trace.valid_error[-1] < best_error:
             best_error = trace.valid_error[-1]
@@ -236,21 +223,10 @@ def _fit(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
         elif epoch - trace.best_epoch > cfg.early_stop_patience:
             break
 
-    return CrbmParams(**vars(_block_views(best_theta, *dims))), trace
-
-
-def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
-               cfg: TrainConfig, epoch_hook=None):
-    """Estimate a conditional RBM; returns the best-validation snapshot and trace.
-
-    `n_hidden=0` degenerates to the multinomial-logit estimator.  The
-    optional `epoch_hook(epoch, params)` observes the end-of-epoch snapshot
-    and must not touch any random state.
-    """
-    return _fit(ds_train, ds_valid, n_hidden, cfg, epoch_hook)
+    return CrbmParams.from_flat(best_theta, *dims), trace
 
 
 def train_mnl(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, cfg: TrainConfig,
               epoch_hook=None):
     """Multinomial-logit baseline: the same schedule with zero hidden units."""
-    return _fit(ds_train, ds_valid, 0, cfg, epoch_hook)
+    return train_crbm(ds_train, ds_valid, 0, cfg, epoch_hook)

@@ -12,7 +12,8 @@ import pytest
 
 from choicerbm import cli, oracle
 from choicerbm.dataset import SplitSpec, from_arrays, refit_normalization, split
-from choicerbm.model import CrbmParams, energy, free_energy
+from choicerbm.model import CrbmParams, free_energy
+from choicerbm.oracle import energy
 from choicerbm.report import hinton_svg
 from choicerbm.sensitivity import rank_agreement, sensitivity_run
 from choicerbm.stats import bic, log_likelihood, rho_squared, validation_error

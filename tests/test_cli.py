@@ -76,6 +76,27 @@ class TestTrainCommand:
         err_crbm = float(rows["2"].split(",")[1])
         assert err_crbm < err_mnl
 
+    def test_failed_save_prints_no_row(self, data_file, tmp_path, capsys):
+        rc = cli.run(["train", "--data", str(data_file), "--hidden", "0",
+                      "--out", str(tmp_path / "missing" / "m.model")]
+                     + TRAIN_FLAGS)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+
+    def test_directory_as_out_leaves_nothing_behind(self, data_file, tmp_path,
+                                                    capsys):
+        target = tmp_path / "models"
+        target.mkdir()
+        rc = cli.run(["train", "--data", str(data_file), "--hidden", "0",
+                      "--out", str(target)] + TRAIN_FLAGS)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["models"]
+        assert list(target.iterdir()) == []
+
     def test_model_file_carries_metadata(self, trained_model):
         params, meta = load_model(trained_model)
         assert params.n_hidden == 2

@@ -81,16 +81,6 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(p, np.zeros(3))
 
-    def test_monte_carlo_path(self, rng):
-        p = random_params(rng, 3, 2, 2, scale=0.5)
-        x = rng.normal(0, 1, 2)
-        a = predict(p, x, rng=np.random.default_rng(4), mc_samples=200)
-        b = predict(p, x, rng=np.random.default_rng(4), mc_samples=200)
-        np.testing.assert_array_equal(a.probs, b.probs)
-        assert a.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError, match="rng"):
-            predict(p, x, mc_samples=10)
-
 
 class TestPredictBatch:
     def test_perfect_predictor_diagonal_confusion(self):
@@ -103,27 +93,44 @@ class TestPredictBatch:
             hidden_context_w=np.zeros((0, 1)),
             choice_bias=np.zeros(2),
             hidden_bias=np.zeros(0))
-        preds, confusion = predict_batch(p, ds)
+        _, _, confusion = predict_batch(p, ds)
         assert confusion[0, 1] == 0 and confusion[1, 0] == 0
         assert confusion.sum() == ds.n_rows
 
     def test_confusion_totals_and_row_sums(self, rng):
         p = random_params(rng, 4, 1, 2, scale=0.5)
         ds = from_arrays(rng.normal(0, 1, (321, 2)), rng.integers(0, 4, 321))
-        preds, confusion = predict_batch(p, ds)
+        probs, h_act, confusion = predict_batch(p, ds)
         assert confusion.sum() == 321
         np.testing.assert_array_equal(confusion.sum(axis=1), ds.y.sum(axis=0))
-        assert len(preds) == 321
+        assert probs.shape == (321, 4) and h_act.shape == (321, 1)
 
     def test_uniform_model_balanced_two_class(self, rng):
         n = 10_000
         idx = (rng.random(n) < 0.5).astype(int)
         ds = from_arrays(rng.normal(0, 1, (n, 2)), idx, n_alternatives=2)
         p = zero_params(2, 0, 2)
-        _, confusion = predict_batch(p, ds)
+        _, _, confusion = predict_batch(p, ds)
         off_diag = confusion.sum() - np.trace(confusion)
         sigma = np.sqrt(n * 0.25)
         assert abs(off_diag - 0.5 * n) < 3 * sigma
+
+    def test_rows_match_single_row_predict(self, rng):
+        p = random_params(rng, 4, 2, 3, scale=0.8)
+        ds = from_arrays(rng.normal(0, 1, (25, 3)), rng.integers(0, 4, 25),
+                         n_alternatives=4)
+        probs, h_act, confusion = predict_batch(p, ds)
+        predicted = []
+        for r in range(ds.n_rows):
+            pred = predict(p, ds.x[r])
+            np.testing.assert_allclose(probs[r], pred.probs, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(h_act[r], pred.h_activation, rtol=0,
+                                       atol=1e-15)
+            predicted.append(pred.predicted)
+        np.testing.assert_array_equal(probs.argmax(axis=1), predicted)
+        expected = np.zeros((4, 4), dtype=np.int64)
+        np.add.at(expected, (ds.choice_indices(), predicted), 1)
+        np.testing.assert_array_equal(confusion, expected)
 
     def test_feature_mismatch_rejected(self, rng):
         p = random_params(rng, 3, 1, 4)
@@ -137,9 +144,9 @@ class TestPredictionsCsv:
         p = random_params(rng, 3, 2, 2, scale=0.4)
         ds = from_arrays(rng.normal(0, 1, (5, 2)), rng.integers(0, 3, 5),
                          n_alternatives=3)
-        preds, _ = predict_batch(p, ds)
+        probs, h_act, _ = predict_batch(p, ds)
         path = tmp_path / "preds.csv"
-        write_predictions_csv(path, preds, ds.alternative_names)
+        write_predictions_csv(path, probs, h_act, ds.alternative_names)
         lines = path.read_text().strip().split("\n")
         header = lines[0].split(",")
         assert header == ["row", "p_alt1", "p_alt2", "p_alt3", "predicted",
@@ -150,3 +157,17 @@ class TestPredictionsCsv:
         probs = np.array([float(v) for v in first[1:4]])
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert first[4] in {"1", "2", "3"}
+
+    def test_values_round_trip_exactly(self, tmp_path, rng):
+        p = random_params(rng, 3, 2, 2, scale=0.4)
+        ds = from_arrays(rng.normal(0, 1, (7, 2)), rng.integers(0, 3, 7),
+                         n_alternatives=3)
+        probs, h_act, _ = predict_batch(p, ds)
+        path = tmp_path / "preds.csv"
+        write_predictions_csv(path, probs, h_act, ds.alternative_names)
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in path.read_text().strip().split("\n")[1:]])
+        np.testing.assert_array_equal(rows[:, 0], np.arange(1, 8))
+        np.testing.assert_array_equal(rows[:, 1:4], probs)
+        np.testing.assert_array_equal(rows[:, 4], probs.argmax(axis=1) + 1)
+        np.testing.assert_array_equal(rows[:, 5:], h_act)

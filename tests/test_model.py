@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from choicerbm.model import (CrbmParams, GibbsState, choice_probs, energy,
-                             free_energy, hidden_activation_probs, param_count,
-                             sample_choice, sample_hidden, sigmoid)
+from choicerbm.model import (BLOCK_NAMES, CrbmParams, ParamBlocks,
+                             block_shapes, choice_logits, choice_probs,
+                             context_hidden, free_energy,
+                             hidden_activation_probs, log_softmax, param_count,
+                             sample_categorical, sigmoid, softmax)
+from choicerbm.oracle import energy
 from conftest import random_params
 
 
@@ -221,69 +224,58 @@ class TestChoiceProbs:
             choice_probs(p, np.zeros(0), x), expected, atol=1e-14)
 
 
+class TestMeanFieldForwardPass:
+    def test_context_hidden_ignores_the_choice_weights(self, rng):
+        p = random_params(rng, 4, 3, 2)
+        x = rng.normal(0, 1, (7, 2))
+        np.testing.assert_array_equal(
+            context_hidden(p, x), sigmoid(p.hidden_bias + x @ p.hidden_context_w.T))
+
+    def test_choice_logits_add_the_three_drives(self, rng):
+        p = random_params(rng, 4, 3, 2)
+        h, x = rng.random((5, 3)), rng.normal(0, 1, (5, 2))
+        np.testing.assert_allclose(
+            choice_logits(p, h, x),
+            p.choice_bias + x @ p.choice_context_w.T + h @ p.choice_hidden_w.T,
+            atol=1e-14)
+        with pytest.raises(ValueError, match="hidden vector length"):
+            choice_logits(p, np.zeros(2), x[0])
+
+    def test_log_softmax_is_log_of_softmax(self, rng):
+        logits = rng.normal(0, 30, (50, 6))
+        np.testing.assert_allclose(np.exp(log_softmax(logits)), softmax(logits),
+                                   atol=1e-15)
+        np.testing.assert_allclose(softmax(logits).sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_log_softmax_finite_where_softmax_underflows(self):
+        logits = np.array([[0.0, -2000.0]])
+        assert softmax(logits)[0, 1] == 0.0
+        assert log_softmax(logits)[0, 1] == -2000.0
+
+
 class TestSampling:
-    def test_degenerate_hidden_probs(self):
-        p = CrbmParams(
-            choice_hidden_w=np.zeros((2, 2)),
-            choice_context_w=np.zeros((2, 1)),
-            hidden_context_w=np.zeros((2, 1)),
-            choice_bias=np.zeros(2),
-            hidden_bias=np.array([1000.0, -1000.0]))
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            draw = sample_hidden(p, np.array([1.0, 0.0]), np.zeros(1), rng)
-            np.testing.assert_array_equal(draw, [1.0, 0.0])
-
-    def test_hidden_frequencies_within_three_sigma(self, rng):
-        p = random_params(rng, 3, 3, 2, scale=0.8)
-        y, x = np.array([0.0, 1.0, 0.0]), rng.normal(0, 1, 2)
-        probs = hidden_activation_probs(p, y, x)
-        n = 100_000
-        draws = sample_hidden(p, np.tile(y, (n, 1)), np.tile(x, (n, 1)), rng)
-        freq = draws.mean(axis=0)
-        sigma = np.sqrt(probs * (1 - probs) / n)
-        assert np.all(np.abs(freq - probs) < 3 * sigma + 1e-12)
-
     def test_choice_frequencies_within_three_sigma(self, rng):
         p = random_params(rng, 4, 2, 2, scale=0.8)
         h, x = np.array([1.0, 0.0]), rng.normal(0, 1, 2)
         probs = choice_probs(p, h, x)
         n = 100_000
-        draws = sample_choice(p, np.tile(h, (n, 1)), np.tile(x, (n, 1)), rng)
-        assert np.all(draws.sum(axis=1) == 1.0)
-        freq = draws.mean(axis=0)
+        idx = sample_categorical(np.tile(probs, (n, 1)), rng)
+        assert idx.shape == (n,) and idx.min() >= 0 and idx.max() < 4
+        freq = np.bincount(idx, minlength=4) / n
         sigma = np.sqrt(probs * (1 - probs) / n)
         assert np.all(np.abs(freq - probs) < 3 * sigma + 1e-12)
 
     def test_same_seed_same_stream(self, rng):
-        p = random_params(rng, 3, 2, 2)
-        y, x = np.array([1.0, 0.0, 0.0]), np.array([0.3, -0.2])
-        a = [sample_hidden(p, y, x, np.random.default_rng(5)) for _ in range(1)]
-        b = [sample_hidden(p, y, x, np.random.default_rng(5)) for _ in range(1)]
-        np.testing.assert_array_equal(a, b)
-
-
-class TestGibbsState:
-    def test_chain_state_from_sampling_ops_is_valid(self, rng):
-        p = random_params(rng, 3, 2, 2, scale=0.5)
-        y, x = np.array([0.0, 1.0, 0.0]), rng.normal(0, 1, 2)
-        probs = hidden_activation_probs(p, y, x)
-        h = sample_hidden(p, y, x, rng)
-        state = GibbsState(choice=sample_choice(p, h, x, rng),
-                           hidden_probs=probs, hidden_sample=h, context=x)
-        state.validate()
-
-    def test_rejects_invalid_states(self):
-        with pytest.raises(ValueError, match="one-hot"):
-            GibbsState(choice=np.array([1.0, 1.0]),
-                       hidden_probs=np.array([0.5]),
-                       hidden_sample=np.array([1.0]),
-                       context=np.zeros(1)).validate()
-        with pytest.raises(ValueError, match="binary"):
-            GibbsState(choice=np.array([1.0, 0.0]),
-                       hidden_probs=np.array([0.5]),
-                       hidden_sample=np.array([0.4]),
-                       context=np.zeros(1)).validate()
+        # One uniform draw per row, inverted through the cumulative sum: the
+        # draws and the generator state after them are fixed by the seed.
+        probs = softmax(rng.normal(0, 1, (200, 5)))
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        idx = sample_categorical(probs, a)
+        u = b.random(200)
+        np.testing.assert_array_equal(
+            idx, [np.searchsorted(np.cumsum(row), v, side="right")
+                  for row, v in zip(probs, u)])
+        assert a.random() == b.random()
 
 
 class TestParamCount:
@@ -323,7 +315,38 @@ class TestParamValidation:
                 choice_bias=np.zeros(2),
                 hidden_bias=np.zeros(1))
 
+    @pytest.mark.parametrize("name,bad", [
+        ("choice_bias", np.zeros((3, 4))),
+        ("hidden_bias", np.zeros((1, 1))),
+        ("choice_bias", np.zeros(())),
+    ])
+    def test_rejects_bias_of_wrong_shape(self, rng, name, bad):
+        blocks = dict(random_params(rng, 3, 1, 2).blocks())
+        blocks[name] = bad
+        with pytest.raises(ValueError):
+            CrbmParams(**blocks)
+
     def test_arrays_are_immutable(self, rng):
         p = random_params(rng, 3, 1, 1)
         with pytest.raises(ValueError):
             p.choice_bias[0] = 1.0
+
+
+class TestLayout:
+    def test_block_shapes_follow_block_names(self, rng):
+        p = random_params(rng, 4, 3, 2)
+        assert [name for name, _ in p.blocks()] == list(BLOCK_NAMES)
+        assert [arr.shape for _, arr in p.blocks()] == list(block_shapes(4, 3, 2))
+        assert sum(arr.size for _, arr in p.blocks()) == param_count(4, 3, 2)
+
+    @pytest.mark.parametrize("dims", [(4, 3, 2), (3, 0, 5), (2, 1, 0)])
+    def test_from_flat_views_the_vector_in_order(self, dims):
+        flat = np.arange(param_count(*dims), dtype=np.float64)
+        blocks = ParamBlocks.from_flat(flat, *dims)
+        assert (blocks.n_alternatives, blocks.n_hidden, blocks.n_features) == dims
+        np.testing.assert_array_equal(
+            np.concatenate([arr.ravel() for _, arr in blocks.blocks()]), flat)
+        flat[:] = -1.0
+        assert all(np.all(arr == -1.0) for _, arr in blocks.blocks())
+        params = CrbmParams.from_flat(np.zeros(param_count(*dims)), *dims)
+        assert params.n_hidden == dims[1]

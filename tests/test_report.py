@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from choicerbm import cli, oracle, report
 from choicerbm.dataset import NormStats
 from choicerbm.model import ParamBlocks
 from choicerbm.report import (HintonSpec, ModelFileError, hinton_svg,
@@ -109,6 +116,157 @@ class TestModelFile:
         path.write_text('{"format": "other"}')
         with pytest.raises(ModelFileError, match="not a"):
             load_model(path)
+
+    def test_directory_target_leaves_no_temp_file(self, rng, tmp_path):
+        target = tmp_path / "models"
+        target.mkdir()
+        with pytest.raises(OSError):
+            save_model(random_params(rng, 3, 1, 2), target)
+        assert [p.name for p in tmp_path.iterdir()] == ["models"]
+        assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("fail", ["write", "replace"])
+    def test_failed_overwrite_keeps_old_model(self, rng, tmp_path, monkeypatch,
+                                              fail):
+        path = tmp_path / "m.model"
+        save_model(random_params(rng, 3, 1, 2), path)
+        before = path.read_bytes()
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:10])
+                raise OSError(28, "No space left on device")
+
+        def refuse(*args):
+            raise OSError(13, "Permission denied")
+
+        if fail == "write":
+            monkeypatch.setattr(report, "open",
+                                lambda *a, **k: FullDisk(open(*a, **k)),
+                                raising=False)
+        else:
+            monkeypatch.setattr(report.os, "replace", refuse)
+        with pytest.raises(OSError):
+            save_model(random_params(rng, 3, 1, 2), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.model"]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A model file written by `train`, its JSON document and its data."""
+    root = tmp_path_factory.mktemp("trained")
+    planted = root / "band.json"
+    oracle.save_planted(oracle.band_planted_model(n_rows=300, seed=4), planted)
+    data, model = root / "d.csv", root / "m.model"
+    assert cli.run(["generate", "--planted", str(planted), "--out", str(data)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["train", "--data", str(data), "--hidden", "1",
+                        "--epochs", "2", "--out", str(model)]) == 0
+    return json.loads(model.read_text()), data, root
+
+
+_DROP = object()
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+# Any JSON value, NaN and the infinities included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=5)
+
+MALFORMED = {
+    "unknown train_config key": (("train_config", "bogus"), 1),
+    "norm_stats without stds": (("norm_stats", "stds"), _DROP),
+    "feature_names not a list": (("feature_names",), 5),
+    "non-numeric split_fraction": (("metrics", "split_fraction"), "x"),
+    "split_fraction without split_seed": (("metrics", "split_seed"), _DROP),
+    "infinite split_seed": (("metrics", "split_seed"), float("inf")),
+    "2-d choice_bias": (("params", "choice_bias"), [[0.0] * 5] * 2),
+    "short norm_stats means": (("norm_stats", "means"), [0.0]),
+    "choice_column not a string": (("choice_column",), ["choice"]),
+}
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_line_model_file_error(self, trained, tmp_path, capsys, case):
+        doc, data, _ = trained
+        path, value = MALFORMED[case]
+        bad = tmp_path / "bad.model"
+        bad.write_text(json.dumps(_set(copy.deepcopy(doc), path, value)))
+        with pytest.raises(ModelFileError):
+            load_model(bad)
+        assert cli.run(["evaluate", "--model", str(bad), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_top_level_list_rejected(self, tmp_path):
+        bad = tmp_path / "bad.model"
+        bad.write_text("[1, 2]")
+        with pytest.raises(ModelFileError, match="not a"):
+            load_model(bad)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_mutated_model_fails_cleanly(self, trained, data):
+        # Drop a key or set any JSON value at a random depth of a trained
+        # model's document, or replace the whole document.
+        doc, csv_path, root = trained
+        doc = copy.deepcopy(doc)
+        if data.draw(st.integers(0, 9)) == 0:
+            doc = data.draw(JSON_VALUES)
+        else:
+            parent, node, key = None, doc, None
+            while isinstance(node, (dict, list)) and node and (
+                    parent is None or data.draw(st.booleans())):
+                keys = sorted(node) if isinstance(node, dict) else range(len(node))
+                key = data.draw(st.sampled_from(list(keys)))
+                parent, node = node, node[key]
+            if parent is not None:
+                if data.draw(st.booleans()):
+                    del parent[key]
+                else:
+                    parent[key] = data.draw(JSON_VALUES)
+        path = root / "mutated.model"
+        path.write_text(json.dumps(doc))
+        try:
+            load_model(path)
+        except ModelFileError:
+            pass
+        for argv in (["evaluate", "--data", str(csv_path)],
+                     ["predict", "--data", str(csv_path),
+                      "--out", str(root / "p.csv")],
+                     ["hinton", "--block", "B", "--out", str(root / "b.svg")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = cli.run([argv[0], "--model", str(path), *argv[1:]])
+            assert rc in (0, 1, 2)
+            assert err.getvalue().count("\n") <= 1, err.getvalue()
 
 
 def patch_rects(svg: str):

@@ -5,11 +5,10 @@ from scipy.special import expit
 from choicerbm import oracle
 from choicerbm.dataset import from_arrays
 from choicerbm.model import CrbmParams
-from choicerbm.stats import (bic, evaluate, finite_difference_hessian,
-                             log_likelihood, mean_true_probability,
-                             pinv_standard_errors, report_table_rows,
-                             rho_squared, significant, t_statistics,
-                             validation_error)
+from choicerbm.stats import (bic, evaluate, log_likelihood,
+                             mean_true_probability, pinv_standard_errors,
+                             report_table_rows, rho_squared, significant,
+                             t_statistics, validation_error)
 from conftest import random_params
 
 FULL_TRAIN_ROWS = 177_662
@@ -136,7 +135,7 @@ class TestValidationError:
         p = random_params(rng, 4, 1, 2, scale=0.5)
         ds = from_arrays(rng.normal(0, 1, (200, 2)), rng.integers(0, 4, 200))
         from choicerbm.inference import predict_batch
-        _, confusion = predict_batch(p, ds)
+        *_, confusion = predict_batch(p, ds)
         accuracy = np.trace(confusion) / ds.n_rows
         assert validation_error(p, ds) + accuracy == pytest.approx(1.0, abs=0)
 
@@ -158,26 +157,6 @@ class TestStandardErrors:
         se = pinv_standard_errors(scores)[0]
         fisher_se = 1.0 / np.sqrt((x ** 2 * prob * (1 - prob)).sum())
         assert se == pytest.approx(fisher_se, rel=0.05)
-
-    def test_fd_hessian_matches_analytic_fisher(self, rng):
-        n, beta = 4000, 0.7
-        x = rng.normal(0, 1, n)
-        prob = expit(beta * x)
-        y = (rng.random(n) < prob).astype(float)
-
-        def nll(theta):
-            z = theta[0] * x
-            return float(np.logaddexp(0, z).sum() - (y * z).sum())
-
-        hess = finite_difference_hessian(nll, np.array([beta]))
-        fisher = (x ** 2 * prob * (1 - prob)).sum()
-        assert hess[0, 0] == pytest.approx(fisher, rel=0.05)
-        assert 1 / np.sqrt(hess[0, 0]) == pytest.approx(1 / np.sqrt(fisher),
-                                                        rel=0.05)
-
-    def test_fd_hessian_caps_parameter_count(self):
-        with pytest.raises(ValueError, match="50"):
-            finite_difference_hessian(lambda t: float(t @ t), np.zeros(51))
 
     def test_zero_parameter_gives_zero_t(self, rng):
         ds = from_arrays(rng.normal(0, 1, (300, 2)), rng.integers(0, 3, 300))

@@ -13,9 +13,9 @@ import pytest
 
 from choicerbm import oracle
 from choicerbm.dataset import from_arrays
-from choicerbm.model import sigmoid
-from choicerbm.trainer import (BLOCK_NAMES, TrainConfig, TrainTrace, cd_step,
-                               train_crbm, train_mnl)
+from choicerbm.model import BLOCK_NAMES, sigmoid
+from choicerbm.trainer import (TrainConfig, TrainTrace, cd_step, train_crbm,
+                               train_mnl)
 from conftest import random_params
 
 WEIGHT_BLOCKS = {"choice_hidden_w", "choice_context_w", "hidden_context_w"}
