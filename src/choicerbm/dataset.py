@@ -9,6 +9,7 @@ identical scaling to new data.
 import csv
 import math
 import operator
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -193,6 +194,99 @@ def _row_error(ridx, row, n_cells, choice_pos, feature_columns, feat_pos):
                 f"row {ridx}: missing or non-finite value in column {col!r}")
 
 
+def _c_rows(path, n_cells, feat_pos, choice_pos=None):
+    """(choices, raw feature matrix) of the data rows of `path`, parsed in
+    one pass by numpy's C reader, or None where that parse might not equal
+    the exact readers' below, which then read the file instead.
+
+    Only a regular file named by a path is read here, as a pipe can be
+    read only once.  Column `choice_pos` is converted by Python's `int`,
+    as in the exact reader, and every other column as float64 by numpy, so
+    any non-numeric cell, used or not, takes the exact path.  So does a
+    file with a quote (csv and numpy split quoted fields differently), a
+    carriage return outside a CRLF pair, a blank line (numpy skips it), a
+    line longer than csv's field limit, no data line, a parsed row count
+    other than the line count, or a non-finite feature value.
+    """
+    if not (isinstance(path, (str, os.PathLike)) and os.path.isfile(path)):
+        return None
+    with open(path, "rb") as fb:
+        raw = fb.read()
+    if (b'"' in raw or b"\n\n" in raw or b"\n\r\n" in raw
+            or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"))):
+        return None
+    # Byte length of every line, the one after the last newline included.
+    line_bytes = np.diff(np.concatenate((
+        [-1], np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n")),
+        [len(raw)]))) - 1
+    n_rows = len(line_bytes) - 1 - (line_bytes[-1] == 0)   # after the header
+    if n_rows < 1 or line_bytes.max() > csv.field_size_limit():
+        return None
+    del raw
+    dtype = np.dtype([(f"c{pos}", np.int64 if pos == choice_pos else np.float64)
+                      for pos in range(n_cells)])
+    # A byte order mark can only sit in the header line, which is skipped.
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.readline()
+        try:
+            table = np.loadtxt(
+                fh, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                converters=None if choice_pos is None else {choice_pos: int})
+        except ValueError:
+            return None
+    if len(table) != n_rows:
+        return None
+    x_raw = np.empty((n_rows, len(feat_pos)))
+    for j, pos in enumerate(feat_pos):
+        x_raw[:, j] = table[f"c{pos}"]
+    if not np.all(np.isfinite(x_raw)):
+        return None
+    return (None if choice_pos is None else table[f"c{choice_pos}"]), x_raw
+
+
+def _exact_rows(reader, n_cells, choice_pos, feature_columns, feat_pos):
+    """(choices, raw feature matrix) of `load_csv`, one Python call per cell.
+
+    This loop alone defines which files `load_csv` accepts and the message
+    of every row error.  A row failing any check is checked again cell by
+    cell to name the first bad cell.  One flat list spares the collector a
+    list per row.
+    """
+    features = _cells(feat_pos)
+    values, choices = [], []
+    for ridx, row in enumerate(reader, start=1):
+        try:
+            c = int(row[choice_pos])
+            vals = list(map(float, features(row)))
+            ok = len(row) == n_cells and all(map(math.isfinite, vals))
+        except (ValueError, IndexError):
+            ok = False
+        if not ok:
+            raise _row_error(ridx, row, n_cells, choice_pos, feature_columns,
+                             feat_pos)
+        values += vals
+        choices.append(c)
+    return (np.asarray(choices, dtype=np.int64),
+            np.asarray(values, dtype=np.float64).reshape(len(choices),
+                                                         len(feat_pos)))
+
+
+def _exact_feature_rows(reader, feat_pos):
+    """Raw feature matrix of `load_features_csv`, one Python call per cell;
+    like `_exact_rows`, it alone defines what is accepted."""
+    features = _cells(feat_pos)
+    values, ridx = [], 0
+    for ridx, row in enumerate(reader, start=1):
+        try:
+            vals = list(map(float, features(row)))
+        except (ValueError, IndexError):
+            raise RowParseError(f"row {ridx}: non-numeric feature cell") from None
+        if not all(map(math.isfinite, vals)):
+            raise RowParseError(f"row {ridx}: missing or non-finite value")
+        values += vals
+    return np.asarray(values, dtype=np.float64).reshape(ridx, len(feat_pos))
+
+
 def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None,
              norm_stats: NormStats | None = None) -> ChoiceDataset:
     """Load a UTF-8 comma-separated file with a header row.
@@ -220,34 +314,19 @@ def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None
             raise SchemaError("no feature columns")
         choice_pos = header.index(choice_column)
         feat_pos = [header.index(c) for c in feature_columns]
+        choices, x_raw = (
+            _c_rows(path, len(header), feat_pos, choice_pos)
+            or _exact_rows(reader, len(header), choice_pos, feature_columns,
+                           feat_pos))
 
-        # A row failing any check is checked again cell by cell to name the
-        # first bad cell.  One flat list spares the collector a list per row.
-        features = _cells(feat_pos)
-        values, choices = [], []
-        for ridx, row in enumerate(reader, start=1):
-            try:
-                c = int(row[choice_pos])
-                vals = list(map(float, features(row)))
-                ok = len(row) == len(header) and all(map(math.isfinite, vals))
-            except (ValueError, IndexError):
-                ok = False
-            if not ok:
-                raise _row_error(ridx, row, len(header), choice_pos,
-                                 feature_columns, feat_pos)
-            values += vals
-            choices.append(c)
-
-    if not choices:
+    if not len(choices):
         raise SchemaError(f"{path}: no data rows")
-    choices = np.asarray(choices, dtype=np.int64)
     if n_alternatives is None:
         n_alternatives = int(choices.max())
     if choices.min() < 1 or choices.max() > n_alternatives:
         bad = choices.min() if choices.min() < 1 else choices.max()
         raise ChoiceDomainError(
             f"choice value {bad} outside 1..{n_alternatives}")
-    x_raw = np.asarray(values, dtype=np.float64).reshape(len(choices), -1)
     stats = norm_stats if norm_stats is not None else NormStats.fit(x_raw)
     return ChoiceDataset(
         x=stats.apply(x_raw), y=one_hot(choices - 1, n_alternatives),
@@ -270,19 +349,11 @@ def load_features_csv(path, feature_names, norm_stats: NormStats) -> np.ndarray:
         for col in feature_names:
             if col not in header:
                 raise SchemaError(f"missing feature column {col!r}")
-        features = _cells([header.index(c) for c in feature_names])
-        values, ridx = [], 0
-        for ridx, row in enumerate(reader, start=1):
-            try:
-                vals = list(map(float, features(row)))
-            except (ValueError, IndexError):
-                raise RowParseError(f"row {ridx}: non-numeric feature cell") from None
-            if not all(map(math.isfinite, vals)):
-                raise RowParseError(f"row {ridx}: missing or non-finite value")
-            values += vals
-    if not ridx:
+        feat_pos = [header.index(c) for c in feature_names]
+        parsed = _c_rows(path, len(header), feat_pos)
+        x_raw = parsed[1] if parsed else _exact_feature_rows(reader, feat_pos)
+    if not len(x_raw):
         raise SchemaError(f"{path}: no data rows")
-    x_raw = np.asarray(values, dtype=np.float64).reshape(ridx, len(feature_names))
     return norm_stats.apply(x_raw)
 
 

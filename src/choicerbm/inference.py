@@ -43,9 +43,16 @@ def predict_batch(p: CrbmParams, ds: ChoiceDataset):
             f"dataset has {ds.n_features} features, model expects {p.n_features}")
     h_act = context_hidden(p, ds.x)
     probs = choice_probs(p, h_act, ds.x)
-    confusion = np.zeros((p.n_alternatives,) * 2, dtype=np.int64)
-    np.add.at(confusion, (ds.choice_indices(), probs.argmax(axis=1)), 1)
+    confusion = confusion_matrix(ds.choice_indices(), probs.argmax(axis=1),
+                                 p.n_alternatives)
     return probs, h_act, confusion
+
+
+def confusion_matrix(actual, predicted, n_alternatives):
+    """I x I counts of (actual, predicted) 0-based index pairs."""
+    confusion = np.zeros((n_alternatives,) * 2, dtype=np.int64)
+    np.add.at(confusion, (actual, predicted), 1)
+    return confusion
 
 
 def write_predictions_csv(path, probs, h_act, alternative_names):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dataset import ChoiceDataset, from_arrays
-from .model import (CrbmParams, ParamBlocks, _check_choice_dim,
+from .model import (BLOCK_NAMES, CrbmParams, ParamBlocks, _check_choice_dim,
                     _check_hidden_dim, sample_categorical)
 
 MAX_HIDDEN = 12
@@ -286,19 +286,37 @@ def save_planted(pm: PlantedModel, path):
 
 
 def load_planted(path, n_rows=None, seed=None) -> PlantedModel:
+    """Read a `save_planted` file; `n_rows` and `seed` override its own.
+
+    Malformed content raises a one-line ValueError naming the problem.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "choicerbm-planted":
+    if not isinstance(doc, dict) or doc.get("format") != "choicerbm-planted":
         raise ValueError(f"{path}: not a planted-model file")
     if doc.get("version") != PLANTED_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {doc.get('version')!r}")
-    params = CrbmParams(**{k: np.asarray(v, dtype=np.float64)
-                           for k, v in doc["params"].items()})
+    blocks, specs = doc.get("params"), doc.get("context")
+    if not isinstance(blocks, dict) or sorted(blocks) != sorted(BLOCK_NAMES):
+        raise ValueError(f"{path}: 'params' must hold exactly the blocks "
+                         + ", ".join(BLOCK_NAMES))
+    if not isinstance(specs, list) or not all(
+            isinstance(c, dict) and all(isinstance(c.get(key, 0.0), (int, float))
+                                        for key in ("mean", "std", "rate"))
+            for c in specs):
+        raise ValueError(f"{path}: 'context' must be a list of objects with "
+                         "numeric mean, std and rate")
+    counts = {"n_rows": doc.get("n_rows") if n_rows is None else n_rows,
+              "seed": doc.get("seed") if seed is None else seed}
+    for key, value in counts.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{path}: {key!r} must be an integer, got {value!r}")
+    try:
+        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in blocks.items()}
+    except TypeError:
+        raise ValueError(f"{path}: parameter blocks must be numeric arrays") from None
     context = tuple(
-        ContextSpec(kind=c["kind"], mean=c.get("mean", 0.0),
+        ContextSpec(kind=c.get("kind"), mean=c.get("mean", 0.0),
                     std=c.get("std", 1.0), rate=c.get("rate", 0.5))
-        for c in doc["context"])
-    return PlantedModel(
-        params=params, context=context,
-        n_rows=int(n_rows if n_rows is not None else doc["n_rows"]),
-        seed=int(seed if seed is not None else doc["seed"]))
+        for c in specs)
+    return PlantedModel(params=CrbmParams(**arrays), context=context, **counts)

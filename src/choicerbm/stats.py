@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset
+from .inference import confusion_matrix
 from .model import (CrbmParams, ParamBlocks, choice_logits, context_hidden,
                     log_softmax, param_count, softmax)
 
@@ -34,19 +35,23 @@ class FitReport:
     tstats: ParamBlocks
 
 
-def _mean_field_log_probs(p: CrbmParams, x):
-    return log_softmax(choice_logits(p, context_hidden(p, x), x))
+def _forward(p: CrbmParams, ds: ChoiceDataset):
+    """The mean-field forward pass over every row of `ds`: (hidden
+    activations, choice logits, log choice probabilities)."""
+    if ds.n_features != p.n_features:
+        raise ValueError("dataset feature count does not match the model")
+    h_bar = context_hidden(p, ds.x)
+    logits = choice_logits(p, h_bar, ds.x)
+    return h_bar, logits, log_softmax(logits)
 
 
-def log_likelihood(p: CrbmParams, ds: ChoiceDataset) -> float:
+def log_likelihood(p: CrbmParams, ds: ChoiceDataset, forward=None) -> float:
     """Total log P(y_obs | x) under the mean-field prediction model.
 
     Computed in log space end to end, so finite parameters can never
-    produce -inf.
+    produce -inf.  `forward` is `_forward(p, ds)` when already computed.
     """
-    if ds.n_features != p.n_features:
-        raise ValueError("dataset feature count does not match the model")
-    log_probs = _mean_field_log_probs(p, ds.x)
+    log_probs = (forward or _forward(p, ds))[2]
     return float(log_probs[np.arange(ds.n_rows), ds.choice_indices()].sum())
 
 
@@ -66,17 +71,20 @@ def bic(loglik: float, n_params: int, n: int) -> float:
     return -2.0 * loglik + n_params * np.log(n)
 
 
-def validation_error(p: CrbmParams, ds: ChoiceDataset) -> float:
-    """1 - share of rows whose argmax prediction matches the observed choice."""
+def validation_error(p: CrbmParams, ds: ChoiceDataset, forward=None) -> float:
+    """1 - share of rows whose argmax prediction matches the observed choice.
+    `forward` is `_forward(p, ds)` when already computed."""
     if ds.n_rows == 0:
         raise ValueError("empty dataset")
-    predicted = _mean_field_log_probs(p, ds.x).argmax(axis=1)
+    predicted = (forward or _forward(p, ds))[2].argmax(axis=1)
     return float(np.mean(predicted != ds.choice_indices()))
 
 
-def mean_true_probability(p: CrbmParams, ds: ChoiceDataset) -> float:
-    """Secondary accuracy figure: mean probability on the observed alternative."""
-    log_probs = _mean_field_log_probs(p, ds.x)
+def mean_true_probability(p: CrbmParams, ds: ChoiceDataset,
+                          forward=None) -> float:
+    """Secondary accuracy figure: mean probability on the observed
+    alternative.  `forward` is `_forward(p, ds)` when already computed."""
+    log_probs = (forward or _forward(p, ds))[2]
     return float(np.exp(
         log_probs[np.arange(ds.n_rows), ds.choice_indices()]).mean())
 
@@ -107,8 +115,9 @@ def pinv_standard_errors(scores: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(variances, 0.0))
 
 
-def _prediction_scores(p: CrbmParams, ds: ChoiceDataset):
-    """Per-row score vectors of the mean-field prediction log-likelihood.
+def _prediction_scores(p: CrbmParams, ds: ChoiceDataset, forward):
+    """Per-row score vectors of the mean-field prediction log-likelihood,
+    from `forward`, the forward pass over `ds`.
 
     Returns (scores for the choice blocks B/D/c, scores for the hidden
     blocks A/d).  The choice blocks see an exact multinomial score over the
@@ -117,8 +126,8 @@ def _prediction_scores(p: CrbmParams, ds: ChoiceDataset):
     """
     x = ds.x
     n = x.shape[0]
-    h_bar = context_hidden(p, x)                                   # (n, J)
-    resid = ds.y - softmax(choice_logits(p, h_bar, x))             # (n, I)
+    h_bar, logits, _ = forward                                     # (n, J), (n, I)
+    resid = ds.y - softmax(logits)                                 # (n, I)
 
     feats = np.concatenate([x, h_bar, np.ones((n, 1))], axis=1)    # (n, K+J+1)
     choice_scores = np.einsum("ni,nf->nif", resid, feats).reshape(n, -1)
@@ -130,19 +139,21 @@ def _prediction_scores(p: CrbmParams, ds: ChoiceDataset):
     return choice_scores, hidden_scores
 
 
-def t_statistics(p: CrbmParams, ds_train: ChoiceDataset):
+def t_statistics(p: CrbmParams, ds_train: ChoiceDataset, forward=None):
     """(standard errors, t values) in parameter-block layout.
 
     Blocks B, D and c are scored against the mean-field prediction
     likelihood; blocks A and d against the same likelihood through the
     hidden activations and should be read as approximate.  t is the
-    parameter over its standard error, with zero parameters pinned to
-    t = 0.
+    parameter over its standard error, pinned to t = 0 where either is
+    zero: a parameter with no information is not significant.  `forward`
+    is `_forward(p, ds_train)` when already computed.
     """
     if ds_train.n_rows <= param_count(p.n_alternatives, p.n_hidden, p.n_features):
         warnings.warn("fewer rows than parameters; standard errors are unreliable")
     n_alt, n_hid, k = p.n_alternatives, p.n_hidden, p.n_features
-    choice_scores, hidden_scores = _prediction_scores(p, ds_train)
+    choice_scores, hidden_scores = _prediction_scores(
+        p, ds_train, forward or _forward(p, ds_train))
     se_choice = pinv_standard_errors(choice_scores).reshape(n_alt, k + n_hid + 1)
     se_hidden = pinv_standard_errors(hidden_scores).reshape(n_hid, k + 1)
 
@@ -154,7 +165,8 @@ def t_statistics(p: CrbmParams, ds_train: ChoiceDataset):
         hidden_bias=se_hidden[:, -1].copy(),
     )
     with np.errstate(divide="ignore", invalid="ignore"):
-        tstats = ParamBlocks(*(np.where(theta != 0.0, theta / se, 0.0)
+        tstats = ParamBlocks(*(np.where((theta != 0.0) & (se != 0.0),
+                                        theta / se, 0.0)
                                for (_, theta), (_, se)
                                in zip(p.blocks(), std_errs.blocks())))
     return std_errs, tstats
@@ -167,21 +179,24 @@ def significant(tstats: np.ndarray, threshold: float = 1.96) -> np.ndarray:
 
 def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
              ds_valid: ChoiceDataset) -> FitReport:
-    """Assemble the full statistical report for a fitted model."""
-    from .inference import predict_batch
-
-    ll_train = log_likelihood(p, ds_train)
-    ll_valid = log_likelihood(p, ds_valid)
+    """Assemble the full statistical report for a fitted model, from one
+    forward pass per split (one in all when `ds_valid is ds_train`)."""
+    train = _forward(p, ds_train)
+    valid = train if ds_valid is ds_train else _forward(p, ds_valid)
+    ll_train = log_likelihood(p, ds_train, train)
+    ll_valid = log_likelihood(p, ds_valid, valid)
     n_params = param_count(p.n_alternatives, p.n_hidden, p.n_features)
-    *_, confusion = predict_batch(p, ds_valid)
-    std_errs, tstats = t_statistics(p, ds_train)
+    confusion = confusion_matrix(ds_valid.choice_indices(),
+                                 softmax(valid[1]).argmax(axis=1),
+                                 p.n_alternatives)
+    std_errs, tstats = t_statistics(p, ds_train, train)
     return FitReport(
         loglik_train=ll_train,
         loglik_valid=ll_valid,
         rho2=rho_squared(ll_train, ds_train.n_rows, p.n_alternatives),
         bic=bic(ll_train, n_params, ds_train.n_rows),
-        validation_error=validation_error(p, ds_valid),
-        mean_true_prob=mean_true_probability(p, ds_valid),
+        validation_error=validation_error(p, ds_valid, valid),
+        mean_true_prob=mean_true_probability(p, ds_valid, valid),
         n_params=n_params,
         confusion=confusion,
         std_errs=std_errs,

@@ -207,8 +207,11 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
                 raise TrainingDivergedError(
                     f"non-finite values in {name} at epoch {epoch}")
 
-        trace.train_nll.append(_split_scores(b, ds_train.x, train_choices)[0])
-        valid_nll, valid_error = _split_scores(b, ds_valid.x, valid_choices)
+        train_scores = _split_scores(b, ds_train.x, train_choices)
+        valid_nll, valid_error = (
+            train_scores if ds_valid is ds_train
+            else _split_scores(b, ds_valid.x, valid_choices))
+        trace.train_nll.append(train_scores[0])
         trace.valid_nll.append(valid_nll)
         trace.valid_error.append(valid_error)
         trace.recon_error.append(mismatch_sum / n_batches)

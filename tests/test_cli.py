@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -228,3 +229,51 @@ class TestExitCodes:
                       "--n", "50", "--seed", "3", "--out", str(out)])
         assert rc == 0
         assert len(out.read_text().strip().split("\n")) == 51
+
+    def test_constant_column_trains_saves_and_evaluates(self, tmp_path, capsys):
+        # A constant feature leaves parameters with se = 0; their t values
+        # are 0, so the model file stays valid JSON.
+        rng = np.random.default_rng(3)
+        data = tmp_path / "const.csv"
+        data.write_text("choice,f1,f2,f3\n" + "".join(
+            f"{rng.integers(1, 4)},{rng.normal():.6f},5.0,{rng.normal():.6f}\n"
+            for _ in range(300)))
+        model = tmp_path / "m.model"
+        assert cli.run(["train", "--data", str(data), "--hidden", "2",
+                        "--epochs", "3", "--out", str(model)]) == 0
+        _, meta = load_model(model)
+        assert all(np.all(np.isfinite(t)) for _, t in meta["tstats"].blocks())
+        for extra in ([], ["--whole-file"]):
+            assert cli.run(["evaluate", "--model", str(model),
+                            "--data", str(data), *extra]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc["params"].update(bogus=[1.0]), "'params' must hold"),
+        (lambda doc: doc["params"].pop("hidden_bias"), "'params' must hold"),
+        (lambda doc: doc.pop("params"), "'params' must hold"),
+        (lambda doc: doc.pop("context"), "'context' must be"),
+        (lambda doc: doc["context"].append([1]), "'context' must be"),
+        (lambda doc: doc["context"][0].update(std="wide"), "'context' must be"),
+        (lambda doc: doc.pop("n_rows"), "'n_rows' must be an integer"),
+        (lambda doc: doc.update(seed=None), "'seed' must be an integer"),
+        (lambda doc: doc["params"].update(hidden_bias={"a": 1}),
+         "parameter blocks must be numeric"),
+        (None, "not a planted-model file"),     # the document in a list
+    ])
+    def test_malformed_planted_file_fails_in_one_line(self, planted_file,
+                                                      tmp_path, capsys,
+                                                      mutate, message):
+        doc = json.loads(planted_file.read_text())
+        if mutate is None:
+            doc = [doc]
+        else:
+            mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            oracle.load_planted(bad)
+        assert cli.run(["generate", "--planted", str(bad),
+                        "--out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err

@@ -166,6 +166,24 @@ class TestStandardErrors:
         assert np.all(tstats.choice_context_w == 0.0)
         assert np.all(tstats.choice_bias == 0.0)
 
+    def test_zero_standard_error_gives_zero_t(self, rng):
+        # A constant feature carries no information: some of its nonzero
+        # coefficients get se = 0, and their t values must be 0, not +-inf.
+        x = rng.normal(0, 1, (300, 2))
+        x[:, 1] = 5.0
+        with pytest.warns(UserWarning, match="constant"):
+            ds = from_arrays(x, rng.integers(0, 3, 300))
+        p = random_params(rng, 3, 1, 2, scale=0.5)
+        with pytest.warns(UserWarning, match="singular"):
+            std_errs, tstats = t_statistics(p, ds)
+        assert np.any(std_errs.choice_context_w[:, 1] == 0.0)
+        for (_, se), (_, t), (_, theta) in zip(std_errs.blocks(),
+                                               tstats.blocks(), p.blocks()):
+            assert np.all(np.isfinite(t))
+            np.testing.assert_array_equal(t[se == 0.0], 0.0)
+            np.testing.assert_array_equal(t[se != 0.0], (theta / np.where(
+                se == 0.0, 1.0, se))[se != 0.0])
+
     def test_t_sign_follows_parameter_sign(self, rng):
         p = random_params(rng, 3, 1, 2, scale=0.6)
         ds = from_arrays(rng.normal(0, 1, (500, 2)), rng.integers(0, 3, 500))
@@ -202,6 +220,33 @@ class TestEvaluate:
         np.testing.assert_array_equal(rep.confusion.sum(axis=1),
                                       va.y.sum(axis=0))
         assert rep.n_params == 4 * 2 + 3 * 4 + 3 * 2 + 2 + 4
+
+    @pytest.mark.parametrize("same_split", [False, True])
+    def test_one_forward_pass_per_split(self, rng, monkeypatch, same_split):
+        from choicerbm import inference, stats
+        tr = from_arrays(rng.normal(0, 1, (300, 3)), rng.integers(0, 4, 300))
+        va = tr if same_split else from_arrays(rng.normal(0, 1, (120, 3)),
+                                               rng.integers(0, 4, 120))
+        p = random_params(rng, 4, 2, 3, scale=0.4)
+        calls = []
+        forward = stats.context_hidden
+        monkeypatch.setattr(stats, "context_hidden",
+                            lambda *args: calls.append(1) or forward(*args))
+        with pytest.warns(UserWarning, match="singular"):
+            rep = evaluate(p, tr, va)
+        assert len(calls) == (1 if same_split else 2)
+        # The derived figures equal the ones computed one by one.
+        monkeypatch.undo()
+        assert rep.loglik_train == log_likelihood(p, tr)
+        assert rep.loglik_valid == log_likelihood(p, va)
+        assert rep.validation_error == validation_error(p, va)
+        assert rep.mean_true_prob == mean_true_probability(p, va)
+        np.testing.assert_array_equal(rep.confusion,
+                                      inference.predict_batch(p, va)[2])
+        with pytest.warns(UserWarning, match="singular"):
+            std_errs, tstats = t_statistics(p, tr)
+        for (_, a), (_, b) in zip(rep.tstats.blocks(), tstats.blocks()):
+            np.testing.assert_array_equal(a, b)
 
     def test_table_rows_format(self, rng):
         tr = from_arrays(rng.normal(0, 1, (200, 2)), rng.integers(0, 3, 200))

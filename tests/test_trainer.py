@@ -136,6 +136,31 @@ class TestDeterminismAndReduction:
         assert ta.train_nll == tb.train_nll
         assert ta.valid_error == tb.valid_error
 
+    @pytest.mark.parametrize("n_hidden", [0, 2])
+    def test_validating_on_the_training_set_scores_once(self, rng, monkeypatch,
+                                                         n_hidden):
+        from choicerbm import trainer
+        ds = from_arrays(rng.normal(0, 1, (300, 3)), rng.integers(0, 4, 300))
+        cfg = TrainConfig(batch_size=64, epochs=6, learning_rate=0.05, seed=2,
+                          early_stop_patience=2)
+        snapshots = []
+        hook = lambda epoch, p: snapshots.append(p)
+        p_copy, t_copy = train_crbm(ds, ds.take(np.arange(ds.n_rows)),
+                                    n_hidden, cfg, hook)
+        calls = []
+        scores = trainer._split_scores
+        monkeypatch.setattr(trainer, "_split_scores",
+                            lambda *args: calls.append(1) or scores(*args))
+        p_same, t_same = train_crbm(ds, ds, n_hidden, cfg, hook)
+        assert len(calls) == len(t_same.train_nll)
+        assert t_same == t_copy
+        for (_, a), (_, b) in zip(p_same.blocks(), p_copy.blocks()):
+            np.testing.assert_array_equal(a, b)
+        half = len(snapshots) // 2
+        for a, b in zip(snapshots[:half], snapshots[half:]):
+            for (_, u), (_, v) in zip(a.blocks(), b.blocks()):
+                np.testing.assert_array_equal(u, v)
+
     def test_zero_hidden_equals_mnl(self, rng):
         ds = from_arrays(rng.normal(0, 1, (400, 2)), rng.integers(0, 3, 400))
         cfg = TrainConfig(batch_size=64, epochs=20, learning_rate=0.02, seed=5)
