@@ -8,6 +8,7 @@ failure with a one-line diagnostic.
 """
 
 import argparse
+import csv
 import sys
 
 import numpy as np
@@ -20,8 +21,15 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are one line, like every other diagnostic."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="choicerbm",
         description="Latent-variable discrete choice estimation with a "
                     "conditional RBM")
@@ -216,10 +224,6 @@ def _cmd_sensitivity(args) -> int:
     if not hidden_sizes or any(j < 0 for j in hidden_sizes):
         raise UsageError("--hidden must list non-negative integers")
     cfg = _train_config(args)
-    try:
-        sensitivity.worker_limit()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     train_ds, valid_ds = _load_split(args)
     reports = [
         sensitivity.sensitivity_run(train_ds, j, cfg, args.fraction,
@@ -287,7 +291,7 @@ def run(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, csv.Error) as exc:
         sys.stderr.write("error: " + " ".join(str(exc).splitlines()) + "\n")
         return 2 if isinstance(exc, (UsageError, FileNotFoundError)) else 1
 

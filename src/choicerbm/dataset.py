@@ -266,9 +266,14 @@ def _exact_rows(reader, n_cells, choice_pos, feature_columns, feat_pos):
                              feat_pos)
         values += vals
         choices.append(c)
-    return (np.asarray(choices, dtype=np.int64),
-            np.asarray(values, dtype=np.float64).reshape(len(choices),
-                                                         len(feat_pos)))
+    try:
+        choices = np.asarray(choices, dtype=np.int64)
+    except OverflowError:
+        bad = next(c for c in choices if not -2 ** 63 <= c < 2 ** 63)
+        raise ChoiceDomainError(
+            f"choice value {bad} is beyond the 64-bit integer range") from None
+    return choices, np.asarray(values, dtype=np.float64).reshape(
+        len(choices), len(feat_pos))
 
 
 def _exact_feature_rows(reader, feat_pos):

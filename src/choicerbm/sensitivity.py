@@ -7,8 +7,6 @@ fits, plus the relative change in standard errors, measures how sensitive
 the estimates are to input variability.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +54,6 @@ def _fit_sensitivity(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig):
     return _variable_sensitivity(params, ds)
 
 
-def worker_limit() -> int:
-    """The CHOICERBM_THREADS cap on concurrent fits, else the CPU count."""
-    cap = os.environ.get("CHOICERBM_THREADS") or str(os.cpu_count() or 1)
-    if not (cap.isdecimal() and int(cap) > 0):
-        raise ValueError(f"CHOICERBM_THREADS must be a positive integer, got {cap!r}")
-    return int(cap)
-
-
 def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
                     fraction: float, replicates: int,
                     seed: int) -> SensitivityReport:
@@ -71,9 +61,7 @@ def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
 
     Subsamples are simple random draws without replacement that preserve
     the original row order, so fraction 1.0 reproduces the full fit
-    exactly.  Replicate fits run concurrently (capped by the
-    CHOICERBM_THREADS environment variable) and are reduced in replicate
-    order, so the report is deterministic in (seed, fraction, replicates).
+    exactly.  The report is deterministic in (seed, fraction, replicates).
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction {fraction} not in (0, 1]")
@@ -86,17 +74,12 @@ def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
 
     full_sens = _fit_sensitivity(ds, n_hidden, cfg)
 
-    streams = np.random.SeedSequence(seed).spawn(replicates)
-    subsets = []
-    for ss in streams:
+    sub_sens = []
+    for ss in np.random.SeedSequence(seed).spawn(replicates):
         rng = np.random.default_rng(ss)
         rows = np.sort(rng.choice(ds.n_rows, size=n_sub, replace=False))
-        subsets.append(ds.take(rows))
-
-    with ThreadPoolExecutor(max_workers=min(worker_limit(), replicates)) as pool:
-        futures = [pool.submit(_fit_sensitivity, sub, n_hidden, cfg)
-                   for sub in subsets]
-        sub_sens = np.stack([f.result() for f in futures])   # (R, K+1)
+        sub_sens.append(_fit_sensitivity(ds.take(rows), n_hidden, cfg))
+    sub_sens = np.stack(sub_sens)   # (R, K+1)
 
     # Zero full-sample sensitivity only happens for parameters with no
     # information at all; report the absolute change there.

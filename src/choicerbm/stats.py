@@ -97,22 +97,26 @@ def pinv_standard_errors(scores: np.ndarray) -> np.ndarray:
     are projected out rather than inverted, which is the minimum-norm gauge
     for overparameterized softmax blocks.  Emits a warning when that
     happens.  Parameters with no information at all get a zero standard
-    error.
+    error, as do directions too weak for their inverse to be a finite float.
     """
     n_params = scores.shape[1]
-    if n_params == 0:
-        return np.zeros(0)
     info = scores.T @ scores
-    eigvals, eigvecs = np.linalg.eigh(info)
-    cutoff = max(n_params, 1) * np.finfo(np.float64).eps * max(eigvals.max(), 0.0)
+    # A zero score column is a zero row and column of `info`; leaving them
+    # out of the decomposition keeps that parameter's se exactly zero.
+    live = np.flatnonzero(np.diag(info) != 0.0)
+    eigvals, eigvecs = np.linalg.eigh(info[np.ix_(live, live)])
+    cutoff = max(len(live) * np.finfo(np.float64).eps * eigvals.max(initial=0.0),
+                 len(live) / np.finfo(np.float64).max)
     keep = eigvals > cutoff
-    if not np.all(keep):
-        warnings.warn(
-            f"information matrix is singular (rank {int(keep.sum())} of "
-            f"{n_params}); standard errors use the identified subspace only")
+    rank = int(keep.sum())
     inv = np.where(keep, 1.0 / np.where(keep, eigvals, 1.0), 0.0)
-    variances = (eigvecs ** 2 * inv).sum(axis=1)
-    return np.sqrt(np.maximum(variances, 0.0))
+    std_errs = np.zeros(n_params)
+    std_errs[live] = np.sqrt(np.maximum((eigvecs ** 2 * inv).sum(axis=1), 0.0))
+    if rank < n_params:
+        warnings.warn(
+            f"information matrix is singular (rank {rank} of {n_params}); "
+            "standard errors use the identified subspace only")
+    return std_errs
 
 
 def _prediction_scores(p: CrbmParams, ds: ChoiceDataset, forward):

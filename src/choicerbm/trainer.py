@@ -45,17 +45,17 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         for m in (self.momentum_initial, self.momentum_final):
             if not 0.0 <= m < 1.0:
                 raise ValueError("momentum must lie in [0, 1)")
         if self.early_stop_patience < 0:
             raise ValueError("early_stop_patience must be non-negative")
-        if self.weight_init_scale <= 0:
-            raise ValueError("weight_init_scale must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        if not 0 < self.weight_init_scale < np.inf:
+            raise ValueError("weight_init_scale must be positive and finite")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError("weight_decay must be non-negative and finite")
 
 
 @dataclass
@@ -144,6 +144,9 @@ def cd_step(p: CrbmParams, batch, cfg: TrainConfig, rng: np.random.Generator):
     return grads
 
 
+# A diverging fit fails with TrainingDivergedError at the end of its epoch;
+# the floating-point warnings on the way there would only repeat that.
+@np.errstate(over="ignore", invalid="ignore")
 def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
                cfg: TrainConfig, epoch_hook=None):
     """Estimate a conditional RBM; returns the best-validation snapshot and trace.
@@ -163,14 +166,13 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
     rng = np.random.default_rng(cfg.seed)
     n = ds_train.n_rows
     dims = (ds_train.n_alternatives, n_hidden, ds_train.n_features)
-    # Parameters, gradient and velocity share one flat layout.  Each fit
-    # owns its buffers, as sensitivity runs fits concurrently.
+    # Parameters, gradient and velocity share one flat layout.
     theta = _init_params(*dims, ds_train.y.sum(axis=0), cfg.weight_init_scale,
                          rng)
     grad, vel = np.zeros_like(theta), np.zeros_like(theta)
     b, g = ParamBlocks.from_flat(theta, *dims), ParamBlocks.from_flat(grad, *dims)
     n_weights = theta.size - dims[0] - n_hidden
-    eye, rows = np.eye(dims[0]), np.arange(cfg.batch_size)
+    eye, rows = np.eye(dims[0]), np.arange(min(cfg.batch_size, n))
     train_choices = ds_train.choice_indices()
     valid_choices = ds_valid.choice_indices()
 

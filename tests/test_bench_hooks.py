@@ -74,3 +74,11 @@ def test_cli_session_records_every_span(traced, tmp_path):
     wanted = {name for _, _, name, _, _ in traced._TRACE_POINTS}
     assert wanted - recorded == set()
     assert "trainer.epoch" in recorded
+    # `sensitivity.replicate_fit_s` reads the fits under each run's span:
+    # the full fit and one per replicate.
+    (run,) = [s for s in tracer.spans
+              if s["name"] == "sensitivity.sensitivity_run"]
+    fits = [s for s in tracer.spans if s["name"] == "trainer.train_crbm"
+            and s["start"] >= run["start"] and s["end"] <= run["end"]]
+    assert len(fits) == 3
+    assert all(s["parent"] == run["id"] for s in fits)

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicerbm import cli, oracle
 from choicerbm.report import load_model
@@ -176,19 +181,6 @@ class TestSensitivityCommand:
         assert len(lines) == 8  # six features plus bias plus header
 
 
-    @pytest.mark.parametrize("threads", ["abc", "0", "-1", "2.5"])
-    def test_bad_thread_cap_is_usage_error(self, data_file, tmp_path, capsys,
-                                           monkeypatch, threads):
-        monkeypatch.setenv("CHOICERBM_THREADS", threads)
-        out = tmp_path / "sens.csv"
-        rc = cli.run(["sensitivity", "--data", str(data_file),
-                      "--out", str(out)] + TRAIN_FLAGS)
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.count("\n") == 1 and "CHOICERBM_THREADS" in err
-        assert not out.exists()
-
-
 def test_import_leaves_scipy_unloaded():
     code = ("import sys, choicerbm.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
@@ -248,6 +240,50 @@ class TestExitCodes:
                             "--data", str(data), *extra]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--weight-decay", "nan"),
+        ("--init-scale", "inf")])
+    def test_non_finite_setting_is_usage_error(self, data_file, tmp_path,
+                                               capsys, flag, value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.run(["train", "--data", str(data_file), "--epochs", "1",
+                          f"{flag}={value}", "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "finite" in err, err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_choice_beyond_int64_fails_in_one_line(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("choice,f1,f2\n1,0.5,1.0\n2,0.1,2.0\n"
+                        "99999999999999999999,0.3,3.0\n")
+        rc = cli.run(["train", "--data", str(data), "--epochs", "1",
+                      "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "99999999999999999999" in err, err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_cell_over_csv_field_limit_fails_in_one_line(
+            self, command, trained_model, data_file, tmp_path, capsys):
+        lines = data_file.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "1" * 200_001
+        data = tmp_path / "long.csv"
+        data.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n")
+        out = str(tmp_path / "out")
+        argv = {"train": ["train", "--data", str(data), "--out", out],
+                "evaluate": ["evaluate", "--model", str(trained_model),
+                             "--data", str(data)],
+                "predict": ["predict", "--model", str(trained_model),
+                            "--data", str(data), "--out", out]}[command]
+        rc = cli.run(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "field limit" in err, err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("mutate, message", [
         (lambda doc: doc["params"].update(bogus=[1.0]), "'params' must hold"),
         (lambda doc: doc["params"].pop("hidden_bias"), "'params' must hold"),
@@ -277,3 +313,85 @@ class TestExitCodes:
                         "--out", str(tmp_path / "d.csv")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err, err
+
+
+def _mostly(sane, whole):
+    """Values from `sane` three times in four, else from `whole`."""
+    return st.sampled_from([sane, sane, sane, whole]).flatmap(lambda s: s)
+
+
+# Flags shared by `train` and `sensitivity`: mostly values a run accepts,
+# else any value of the type, NaN and infinities included.  Only the work a
+# run may ask for is bounded: --epochs, --cd-k, --hidden and --replicates.
+EPOCHS = {"--epochs": _mostly(st.integers(1, 2), st.integers(max_value=2))}
+FUZZED_FLAGS = {
+    "--lr": _mostly(st.floats(1e-4, 10.0), st.floats()),
+    "--batch": _mostly(st.integers(1, 200), st.integers()),
+    "--cd-k": _mostly(st.integers(1, 3), st.integers(max_value=3)),
+    "--split": _mostly(st.floats(0.05, 0.95), st.floats()),
+    "--patience": _mostly(st.integers(0, 5), st.integers()),
+    "--init-scale": _mostly(st.floats(1e-3, 10.0), st.floats()),
+    "--momentum": st.tuples(*[_mostly(st.floats(0.0, 0.99), st.floats())] * 2),
+    "--weight-decay": _mostly(st.floats(0.0, 1.0), st.floats()),
+}
+HIDDEN = _mostly(st.integers(0, 2), st.integers(-1, 2))
+
+
+@pytest.fixture(scope="module")
+def tiny_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "d.csv"
+    oracle.write_dataset_csv(oracle.band_planted_model(n_rows=300, seed=5),
+                             path)
+    return path
+
+
+def _flag_argv(flags):
+    argv = []
+    for flag, value in flags.items():
+        # "--flag=value" keeps a value such as "-inf" from reading as a flag.
+        if isinstance(value, tuple):
+            argv += [flag, *(f"{v!r}" for v in value)]   # nargs=2
+        else:
+            argv.append(f"{flag}={value!r}")
+    return argv
+
+
+def _assert_contract(argv):
+    """Exit 0, 1 or 2; a failure is one stderr line and no RuntimeWarning."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = cli.run(argv)
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.getvalue().startswith("error: "), err.getvalue()
+        assert not [str(w.message) for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(flags=st.fixed_dictionaries(EPOCHS, optional={**FUZZED_FLAGS,
+                                                   "--hidden": HIDDEN}))
+def test_fuzzed_train_flags_keep_the_exit_contract(tiny_file,
+                                                   tmp_path_factory, flags):
+    out = tmp_path_factory.getbasetemp() / "fuzz.model"
+    _assert_contract(["train", "--data", str(tiny_file), "--out", str(out),
+                      *_flag_argv(flags)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(flags=st.fixed_dictionaries(
+    {**EPOCHS, "--fraction": _mostly(st.floats(0.5, 1.0), st.floats())},
+    optional={**FUZZED_FLAGS,
+              "--replicates": _mostly(st.integers(1, 4),
+                                      st.integers(max_value=4))}),
+       hidden=st.lists(HIDDEN, min_size=1, max_size=2))
+def test_fuzzed_sensitivity_flags_keep_the_exit_contract(
+        tiny_file, tmp_path_factory, flags, hidden):
+    out = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    _assert_contract(["sensitivity", "--data", str(tiny_file),
+                      "--out", str(out), "--hidden=" + ",".join(map(str, hidden)),
+                      *_flag_argv(flags)])

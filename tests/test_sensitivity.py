@@ -1,8 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from choicerbm import oracle
+from choicerbm import oracle, sensitivity
 from choicerbm.dataset import from_arrays
 from choicerbm.model import CrbmParams
 from choicerbm.sensitivity import (rank_agreement, sensitivity_run,
@@ -90,6 +92,27 @@ class TestSensitivityRun:
         np.testing.assert_array_equal(a.stderr_diff_pct, b.stderr_diff_pct)
         np.testing.assert_array_equal(a.full_sensitivity, b.full_sensitivity)
         np.testing.assert_array_equal(a.sub_rank, b.sub_rank)
+
+    def test_refits_run_in_the_calling_thread_in_replicate_order(
+            self, rng, monkeypatch):
+        ds = small_dataset(rng, n=200)
+        calls = []
+
+        def fake_fit(sub, n_hidden, cfg):
+            calls.append((threading.get_ident(), sub.n_rows, sub.x))
+            return np.full(ds.n_features + 1, float(len(calls)))
+
+        monkeypatch.setattr(sensitivity, "_fit_sensitivity", fake_fit)
+        rep = sensitivity_run(ds, 0, quick_config(), fraction=0.5,
+                              replicates=3, seed=4)
+        assert [c[0] for c in calls] == [threading.get_ident()] * 4
+        assert [c[1] for c in calls] == [200, 100, 100, 100]   # full fit first
+        streams = np.random.SeedSequence(4).spawn(3)
+        for (_, _, x), ss in zip(calls[1:], streams):
+            rows = np.sort(np.random.default_rng(ss).choice(200, 100,
+                                                            replace=False))
+            np.testing.assert_array_equal(x, ds.x[rows])
+        np.testing.assert_array_equal(rep.sub_sensitivity, 3.0)  # mean of 2, 3, 4
 
     def test_subsample_below_batch_size_rejected(self, rng):
         ds = small_dataset(rng, n=200)

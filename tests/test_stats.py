@@ -184,6 +184,22 @@ class TestStandardErrors:
             np.testing.assert_array_equal(t[se != 0.0], (theta / np.where(
                 se == 0.0, 1.0, se))[se != 0.0])
 
+    @pytest.mark.parametrize("n_hidden", [0, 1, 2])
+    def test_constant_column_has_zero_se_and_t(self, rng, n_hidden):
+        # Every coefficient of a constant column has a zero score column, so
+        # no information: se = 0 exactly, not a rounding residue.
+        x = rng.normal(0, 1, (300, 2))
+        x[:, 1] = 5.0
+        with pytest.warns(UserWarning, match="constant"):
+            ds = from_arrays(x, rng.integers(0, 3, 300))
+        p = random_params(rng, 3, n_hidden, 2, scale=0.5)
+        with pytest.warns(UserWarning, match="singular"):
+            std_errs, tstats = t_statistics(p, ds)
+        for block in ("choice_context_w", "hidden_context_w"):
+            np.testing.assert_array_equal(getattr(std_errs, block)[:, 1], 0.0)
+            np.testing.assert_array_equal(getattr(tstats, block)[:, 1], 0.0)
+            assert np.all(getattr(std_errs, block)[:, 0] > 0.0)
+
     def test_t_sign_follows_parameter_sign(self, rng):
         p = random_params(rng, 3, 1, 2, scale=0.6)
         ds = from_arrays(rng.normal(0, 1, (500, 2)), rng.integers(0, 3, 500))
