@@ -128,6 +128,8 @@ def _train_config(args) -> trainer.TrainConfig:
 
 
 def _load_split(args):
+    if not 0.0 < args.split < 1.0:
+        raise UsageError("--split must lie in (0, 1)")
     ds = dataset.load_csv(args.data, args.choice_col, _feature_list(args.features))
     spec = dataset.SplitSpec(train_fraction=args.split, seed=args.seed)
     train_ds, valid_ds = dataset.split(ds, spec)
@@ -138,8 +140,6 @@ def _cmd_train(args) -> int:
     cfg = _train_config(args)
     if args.hidden < 0:
         raise UsageError("--hidden must be >= 0")
-    if not 0.0 < args.split < 1.0:
-        raise UsageError("--split must lie in (0, 1)")
     train_ds, valid_ds = _load_split(args)
     params, trace = trainer.train_crbm(train_ds, valid_ds, args.hidden, cfg)
     rep = stats.evaluate(params, train_ds, valid_ds)
@@ -223,6 +223,10 @@ def _cmd_sensitivity(args) -> int:
     hidden_sizes = [int(tok) for tok in str(args.hidden).split(",") if tok != ""]
     if not hidden_sizes or any(j < 0 for j in hidden_sizes):
         raise UsageError("--hidden must list non-negative integers")
+    if not 0.0 < args.fraction <= 1.0:
+        raise UsageError("--fraction must lie in (0, 1]")
+    if args.replicates < 1:
+        raise UsageError("--replicates must be >= 1")
     cfg = _train_config(args)
     train_ds, valid_ds = _load_split(args)
     reports = [

@@ -83,23 +83,25 @@ class ChoiceDataset:
 
     @property
     def n_rows(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-2]
 
     @property
     def n_features(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
     @property
     def n_alternatives(self) -> int:
-        return self.y.shape[1]
+        return self.y.shape[-1]
 
     def validate(self):
-        n, k = self.x.shape
+        if self.x.ndim not in (2, 3) or self.y.ndim != self.x.ndim:
+            raise ValueError("x and y must be 2-d, or 3-d stacks (see `stack`)")
+        n, k = self.x.shape[-2:]
         if n < 1:
             raise ValueError("dataset has no rows")
         if self.n_alternatives < 2:
             raise ValueError("need at least 2 alternatives")
-        if self.y.shape[0] != n:
+        if self.y.shape[:-1] != self.x.shape[:-1]:
             raise ValueError("x and y disagree on row count")
         if len(self.feature_names) != k:
             raise ValueError("feature name count != feature columns")
@@ -107,13 +109,13 @@ class ChoiceDataset:
             raise ValueError("alternative name count != choice columns")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("non-finite feature values")
-        ok = np.all((self.y == 0) | (self.y == 1)) and np.all(self.y.sum(axis=1) == 1)
+        ok = np.all((self.y == 0) | (self.y == 1)) and np.all(self.y.sum(axis=-1) == 1)
         if not ok:
             raise ValueError("y rows are not one-hot")
 
     def choice_indices(self) -> np.ndarray:
         """0-based chosen alternative per row."""
-        return self.y.argmax(axis=1)
+        return self.y.argmax(axis=-1)
 
     def take(self, rows: np.ndarray) -> "ChoiceDataset":
         return ChoiceDataset(
@@ -121,6 +123,24 @@ class ChoiceDataset:
             feature_names=self.feature_names,
             alternative_names=self.alternative_names,
             norm_stats=self.norm_stats)
+
+
+def stack(datasets) -> ChoiceDataset:
+    """Equal-size datasets over the same variables as one dataset with a
+    leading axis, x (R, N, K) and y (R, N, I), that `train_crbm` fits as R
+    fits in one loop.  Its norm stats are those of the first dataset."""
+    datasets = list(datasets)
+    first = datasets[0]
+    for ds in datasets[1:]:
+        if (ds.feature_names != first.feature_names
+                or ds.alternative_names != first.alternative_names):
+            raise ValueError("stacked datasets disagree on their variables")
+    return ChoiceDataset(
+        x=np.stack([ds.x for ds in datasets]),
+        y=np.stack([ds.y for ds in datasets]),
+        feature_names=first.feature_names,
+        alternative_names=first.alternative_names,
+        norm_stats=first.norm_stats)
 
 
 @dataclass(frozen=True)
@@ -328,6 +348,13 @@ def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None
         raise SchemaError(f"{path}: no data rows")
     if n_alternatives is None:
         n_alternatives = int(choices.max())
+        # One-hot coding allocates rows x I cells; a file cannot name more
+        # alternatives than it has rows.
+        if n_alternatives > len(choices):
+            raise ChoiceDomainError(
+                f"choice value {n_alternatives} is more than the "
+                f"{len(choices)} data rows; the alternative count is "
+                "inferred from the largest choice")
     if choices.min() < 1 or choices.max() > n_alternatives:
         bad = choices.min() if choices.min() < 1 else choices.max()
         raise ChoiceDomainError(

@@ -34,26 +34,35 @@ class _Blocks:
 
     @property
     def n_alternatives(self) -> int:
-        return self.choice_bias.shape[0]
+        return self.choice_bias.shape[-1]
 
     @property
     def n_hidden(self) -> int:
-        return self.hidden_bias.shape[0]
+        return self.hidden_bias.shape[-1]
 
     @property
     def n_features(self) -> int:
-        return self.choice_context_w.shape[1]
+        return self.choice_context_w.shape[-1]
 
     def blocks(self):
         """(name, array) pairs in BLOCK_NAMES order."""
         return [(name, getattr(self, name)) for name in BLOCK_NAMES]
 
     @classmethod
-    def from_flat(cls, flat, i, j, k):
-        """Blocks as views of a flat vector laid out in BLOCK_NAMES order."""
+    def from_flat(cls, flat, i, j, k, batched=False):
+        """Blocks as views of a flat vector laid out in BLOCK_NAMES order.
+
+        Leading axes of `flat` carry over to every block, one parameter
+        set per index.  With `batched`, each bias block gains a unit axis
+        before its last, so that every block broadcasts against a batch of
+        rows (..., rows, n).
+        """
         shapes = block_shapes(i, j, k)
-        parts = np.split(flat, np.cumsum([math.prod(s) for s in shapes[:-1]]))
-        return cls(*(part.reshape(s) for part, s in zip(parts, shapes)))
+        parts = np.split(flat, np.cumsum([math.prod(s) for s in shapes[:-1]]),
+                         axis=-1)
+        return cls(*(part.reshape(flat.shape[:-1] + (
+            (1, *s) if batched and len(s) == 1 else s), copy=False)
+            for part, s in zip(parts, shapes)))
 
 
 @dataclass(frozen=True)
@@ -153,13 +162,13 @@ def context_hidden(p: CrbmParams, x):
     """Mean-field hidden activations at prediction time, when the choice is
     unknown: sigmoid(d + A x)."""
     x = _check_context_dim(p, x)
-    return sigmoid(p.hidden_bias + x @ p.hidden_context_w.T)
+    return sigmoid(p.hidden_bias + x @ p.hidden_context_w.mT)
 
 
 def choice_logits(p: CrbmParams, h, x):
     """Unnormalized log P(y = i | h, x): c + B x + D h."""
     h, x = _check_hidden_dim(p, h), _check_context_dim(p, x)
-    return p.choice_bias + x @ p.choice_context_w.T + h @ p.choice_hidden_w.T
+    return p.choice_bias + x @ p.choice_context_w.mT + h @ p.choice_hidden_w.mT
 
 
 def softmax(logits):
@@ -186,10 +195,11 @@ def choice_probs(p: CrbmParams, h, x):
 
 
 def sample_categorical(probs, rng: np.random.Generator):
-    """One 0-based index per row of `probs` (rows, I), drawn by inverting
-    the row's cumulative sum at one `rng.random` draw per row."""
-    u = rng.random(probs.shape[0])
-    return (probs.cumsum(axis=1) > u[:, None]).argmax(axis=1)
+    """One 0-based index per row of `probs` (..., rows, I), drawn by
+    inverting the row's cumulative sum at one `rng.random` draw per row.
+    The draws are shared by all leading indices."""
+    u = rng.random(probs.shape[-2])
+    return (probs.cumsum(axis=-1) > u[:, None]).argmax(axis=-1)
 
 
 def param_count(n_alternatives: int, n_hidden: int, n_features: int) -> int:

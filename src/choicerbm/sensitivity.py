@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ChoiceDataset
+from .dataset import ChoiceDataset, stack
 from .stats import t_statistics
 from .trainer import TrainConfig, train_crbm
 
@@ -47,13 +47,6 @@ def _ranks_descending(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _fit_sensitivity(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig):
-    # Early stopping validates on the fitted rows themselves; the point here
-    # is a deterministic refit, not generalization measurement.
-    params, _ = train_crbm(ds, ds, n_hidden, cfg)
-    return _variable_sensitivity(params, ds)
-
-
 def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
                     fraction: float, replicates: int,
                     seed: int) -> SensitivityReport:
@@ -72,14 +65,22 @@ def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
         raise ValueError(
             f"subsample size {n_sub} is smaller than batch size {cfg.batch_size}")
 
-    full_sens = _fit_sensitivity(ds, n_hidden, cfg)
+    # Early stopping validates on the fitted rows themselves; the point here
+    # is a deterministic refit, not generalization measurement.
+    params, _ = train_crbm(ds, ds, n_hidden, cfg)
+    full_sens = _variable_sensitivity(params, ds)
 
-    sub_sens = []
+    subsets = []
     for ss in np.random.SeedSequence(seed).spawn(replicates):
         rng = np.random.default_rng(ss)
         rows = np.sort(rng.choice(ds.n_rows, size=n_sub, replace=False))
-        sub_sens.append(_fit_sensitivity(ds.take(rows), n_hidden, cfg))
-    sub_sens = np.stack(sub_sens)   # (R, K+1)
+        subsets.append(ds.take(rows))
+    # One stacked fit gives each subset the parameters of a fit of it alone.
+    refits = stack(subsets)
+    sub_sens = np.stack([   # (R, K+1)
+        _variable_sensitivity(p, sub)
+        for (p, _), sub in zip(train_crbm(refits, refits, n_hidden, cfg),
+                               subsets)])
 
     # Zero full-sample sensitivity only happens for parameters with no
     # information at all; report the absolute change there.

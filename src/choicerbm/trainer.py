@@ -72,17 +72,24 @@ class TrainTrace:
 def _init_params(i, j, k, class_counts, scale, rng) -> np.ndarray:
     """Flat parameters for I alternatives, J hidden units and K features:
     weights ~ Normal(0, scale^2); biases zero except the choice bias, which
-    starts at log empirical shares (zero counts floored at one)."""
+    starts at log empirical shares (zero counts floored at one).  Counts
+    with leading axes give one parameter vector per index, all sharing the
+    one weight draw."""
     counts = np.maximum(np.asarray(class_counts, dtype=np.float64), 1.0)
-    return np.concatenate([rng.normal(0.0, scale, size=i * j + i * k + j * k),
-                           np.log(counts / counts.sum()), np.zeros(j)])
+    weights = rng.normal(0.0, scale, size=i * j + i * k + j * k)
+    lead = counts.shape[:-1]
+    return np.concatenate([np.broadcast_to(weights, lead + weights.shape),
+                           np.log(counts / counts.sum(axis=-1, keepdims=True)),
+                           np.zeros(lead + (j,))], axis=-1)
 
 
 def _split_scores(b, x, choices):
-    """Mean per-row NLL and error rate of the mean-field prediction rule."""
+    """Mean per-row NLL and error rate of the mean-field prediction rule,
+    one of each per leading index."""
     logits = choice_logits(b, context_hidden(b, x), x)
-    nll = float(-log_softmax(logits)[np.arange(len(choices)), choices].mean())
-    return nll, float(np.mean(logits.argmax(axis=1) != choices))
+    nll = np.take_along_axis(-log_softmax(logits), choices[..., None], axis=-1)
+    return (nll[..., 0].mean(axis=-1),
+            np.mean(logits.argmax(axis=-1) != choices, axis=-1))
 
 
 def _cd_grads(b, xb, yb, cd_k, rng, eye, out: ParamBlocks):
@@ -91,37 +98,39 @@ def _cd_grads(b, xb, yb, cd_k, rng, eye, out: ParamBlocks):
     Positive phase: mean-field hidden activations at the data.  Negative
     phase: alternate hidden/choice sampling for cd_k steps from the data,
     keeping the final sampled pair.  Context stays clamped throughout.
-    Returns the sampled choice indices of the reconstruction.
+    Returns the sampled choice indices of the reconstruction.  Every
+    array may carry a leading stack axis; `out` holds batched blocks.
     """
-    n = xb.shape[0]
-    hidden_drive = xb @ b.hidden_context_w.T + b.hidden_bias
-    choice_drive = xb @ b.choice_context_w.T + b.choice_bias
+    n = xb.shape[-2]
+    hidden_drive = xb @ b.hidden_context_w.mT + b.hidden_bias
+    choice_drive = xb @ b.choice_context_w.mT + b.choice_bias
 
     h_pos = h_probs = sigmoid(hidden_drive + yb @ b.choice_hidden_w)
     for step in range(cd_k):
         if step:   # step 0 starts the chain at the data, where it is h_pos
             h_probs = sigmoid(hidden_drive + y_neg @ b.choice_hidden_w)
-        h_neg = (rng.random(h_probs.shape) < h_probs).astype(np.float64)
+        h_neg = (rng.random(h_probs.shape[-2:]) < h_probs).astype(np.float64)
         idx = sample_categorical(
-            softmax(choice_drive + h_neg @ b.choice_hidden_w.T), rng)
+            softmax(choice_drive + h_neg @ b.choice_hidden_w.mT), rng)
         y_neg = eye[idx]
 
     dy, dh = yb - y_neg, h_pos - h_neg
-    np.divide(yb.T @ h_pos - y_neg.T @ h_neg, n, out=out.choice_hidden_w)
-    np.divide(dy.T @ xb, n, out=out.choice_context_w)
-    np.divide(dh.T @ xb, n, out=out.hidden_context_w)
-    np.divide(dy.sum(axis=0), n, out=out.choice_bias)
-    np.divide(dh.sum(axis=0), n, out=out.hidden_bias)
+    np.divide(yb.mT @ h_pos - y_neg.mT @ h_neg, n, out=out.choice_hidden_w)
+    np.divide(dy.mT @ xb, n, out=out.choice_context_w)
+    np.divide(dh.mT @ xb, n, out=out.hidden_context_w)
+    np.divide(dy.sum(axis=-2, keepdims=True), n, out=out.choice_bias)
+    np.divide(dh.sum(axis=-2, keepdims=True), n, out=out.hidden_bias)
     return idx
 
 
 def _mnl_grads(b, xb, yb, out: ParamBlocks):
     """Exact multinomial-logit gradient for one minibatch (no hidden units),
-    written into `out`; returns the choice probabilities."""
-    probs = softmax(xb @ b.choice_context_w.T + b.choice_bias)
+    written into the batched blocks `out`; returns the choice probabilities."""
+    probs = softmax(xb @ b.choice_context_w.mT + b.choice_bias)
     resid = yb - probs
-    np.divide(resid.T @ xb, xb.shape[0], out=out.choice_context_w)
-    np.divide(resid.sum(axis=0), xb.shape[0], out=out.choice_bias)
+    np.divide(resid.mT @ xb, xb.shape[-2], out=out.choice_context_w)
+    np.divide(resid.sum(axis=-2, keepdims=True), xb.shape[-2],
+              out=out.choice_bias)
     return probs
 
 
@@ -139,9 +148,10 @@ def cd_step(p: CrbmParams, batch, cfg: TrainConfig, rng: np.random.Generator):
     if xb.shape[1] != p.n_features or yb.shape[1] != p.n_alternatives:
         raise ValueError("batch dimensions do not match the parameters")
     dims = (p.n_alternatives, p.n_hidden, p.n_features)
-    grads = ParamBlocks.from_flat(np.empty(param_count(*dims)), *dims)
-    _cd_grads(p, xb, yb, cfg.cd_k, rng, np.eye(p.n_alternatives), grads)
-    return grads
+    flat = np.empty(param_count(*dims))
+    _cd_grads(p, xb, yb, cfg.cd_k, rng, np.eye(p.n_alternatives),
+              ParamBlocks.from_flat(flat, *dims, batched=True))
+    return ParamBlocks.from_flat(flat, *dims)
 
 
 # A diverging fit fails with TrainingDivergedError at the end of its epoch;
@@ -154,6 +164,15 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
     `n_hidden=0` degenerates to the multinomial-logit estimator.  The
     optional `epoch_hook(epoch, params)` observes the end-of-epoch snapshot
     and must not touch any random state.
+
+    `ds_train` may also be a stack of equal-size datasets (`dataset.stack`)
+    validated on itself.  The fits then run together, as matrix products
+    over the leading axis, and each of the returned (params, trace) pairs
+    is that of a fit of its dataset alone: the draws of a fit have shapes
+    that do not depend on its rows, so one generator whose draws broadcast
+    over the stack gives each fit its own stream.  The hook sees a dict
+    from fit index to snapshot.  A fit leaves the stack when it stops; a
+    divergence raises the error of the lowest fit that diverges.
     """
     cfg.validate()
     if n_hidden < 0:
@@ -162,73 +181,111 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
         raise ValueError("train and valid disagree on feature count")
     if ds_train.n_alternatives != ds_valid.n_alternatives:
         raise ValueError("train and valid disagree on alternative count")
+    stacked = ds_train.x.ndim == 3
+    if stacked and ds_valid is not ds_train:
+        raise ValueError("a stack of datasets must be validated on itself")
 
     rng = np.random.default_rng(cfg.seed)
     n = ds_train.n_rows
     dims = (ds_train.n_alternatives, n_hidden, ds_train.n_features)
-    # Parameters, gradient and velocity share one flat layout.
-    theta = _init_params(*dims, ds_train.y.sum(axis=0), cfg.weight_init_scale,
-                         rng)
-    grad, vel = np.zeros_like(theta), np.zeros_like(theta)
-    b, g = ParamBlocks.from_flat(theta, *dims), ParamBlocks.from_flat(grad, *dims)
-    n_weights = theta.size - dims[0] - n_hidden
-    eye, rows = np.eye(dims[0]), np.arange(min(cfg.batch_size, n))
+    x_all, y_all = ds_train.x, ds_train.y
     train_choices = ds_train.choice_indices()
     valid_choices = ds_valid.choice_indices()
+    # Parameters, gradient and velocity share one flat layout, with one
+    # row per fit of a stack.
+    theta = _init_params(*dims, y_all.sum(axis=-2), cfg.weight_init_scale,
+                         rng)
+    n_weights = theta.shape[-1] - dims[0] - n_hidden
+    eye = np.eye(dims[0])
 
-    trace = TrainTrace()
-    best_error, best_theta = np.inf, None
+    live = list(range(len(theta) if stacked else 1))   # fits in the stack
+    traces = [TrainTrace() for _ in live]
+    best_error, best_theta = [np.inf] * len(live), [None] * len(live)
+    diverged = {}   # fit -> the error that a fit alone would raise
+    grad, vel = np.zeros_like(theta), np.zeros_like(theta)
+    b, g = (ParamBlocks.from_flat(a, *dims, batched=True) for a in (theta, grad))
 
     for epoch in range(cfg.epochs):
         momentum = (cfg.momentum_initial if epoch < cfg.momentum_switch_epoch
                     else cfg.momentum_final)
         lr = cfg.learning_rate / (1.0 + epoch) if cfg.lr_decay else cfg.learning_rate
 
+        # `take` keeps each fit's rows contiguous, as matrix products need
+        # for the bits of a fit alone.
         perm = rng.permutation(n)
-        x, y, choices = ds_train.x[perm], ds_train.y[perm], train_choices[perm]
-        mismatch_sum, n_batches = 0.0, 0
+        x, y = np.take(x_all, perm, axis=-2), np.take(y_all, perm, axis=-2)
+        choices = np.take(train_choices, perm, axis=-1)
+        mismatch_sum, n_batches = 0.0, 0   # becomes one sum per fit
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
-            xb, yb, cb = x[start:stop], y[start:stop], choices[start:stop]
+            xb, yb = x[..., start:stop, :], y[..., start:stop, :]
+            cb = choices[..., start:stop]
             if n_hidden > 0:
                 idx = _cd_grads(b, xb, yb, cfg.cd_k, rng, eye, g)
-                mismatch_sum += np.count_nonzero(idx != cb) / len(cb)
+                mismatch_sum += (idx != cb).sum(axis=-1) / cb.shape[-1]
             else:
                 probs = _mnl_grads(b, xb, yb, g)
-                mismatch_sum += float(1.0 - probs[rows[:len(cb)], cb].sum() / len(cb))
+                picked = probs.reshape(-1, dims[0])[np.arange(cb.size),
+                                                    cb.ravel()].reshape(cb.shape)
+                mismatch_sum += 1.0 - picked.sum(axis=-1) / cb.shape[-1]
             if cfg.weight_decay:
-                grad[:n_weights] -= cfg.weight_decay * theta[:n_weights]
+                grad[..., :n_weights] -= cfg.weight_decay * theta[..., :n_weights]
             vel *= momentum
             grad *= lr
             vel += grad
             theta += vel
             n_batches += 1
 
-        for name, arr in b.blocks():
-            if not np.all(np.isfinite(arr)):
-                raise TrainingDivergedError(
-                    f"non-finite values in {name} at epoch {epoch}")
+        rows = theta.reshape(len(live), -1)   # one per fit in the stack
+        for pos in np.flatnonzero(~np.isfinite(rows).all(axis=-1)):
+            name = next(name for name, arr in b.blocks() if not np.all(
+                np.isfinite(arr.reshape(len(live), -1)[pos])))
+            diverged[live[pos]] = f"non-finite values in {name} at epoch {epoch}"
 
-        train_scores = _split_scores(b, ds_train.x, train_choices)
+        train_nll, train_error = _split_scores(b, x_all, train_choices)
         valid_nll, valid_error = (
-            train_scores if ds_valid is ds_train
+            (train_nll, train_error) if ds_valid is ds_train
             else _split_scores(b, ds_valid.x, valid_choices))
-        trace.train_nll.append(train_scores[0])
-        trace.valid_nll.append(valid_nll)
-        trace.valid_error.append(valid_error)
-        trace.recon_error.append(mismatch_sum / n_batches)
+        scores = [np.ravel(v) for v in (train_nll, valid_nll, valid_error,
+                                        mismatch_sum / n_batches)]
+        stay, snapshots = [], {}
+        for pos, fit in enumerate(live):
+            if fit in diverged:
+                continue
+            trace = traces[fit]
+            for series, values in zip((trace.train_nll, trace.valid_nll,
+                                       trace.valid_error, trace.recon_error),
+                                      scores):
+                series.append(float(values[pos]))
+            if epoch_hook is not None:
+                snapshots[fit] = CrbmParams.from_flat(rows[pos].copy(), *dims)
+            if trace.valid_error[-1] < best_error[fit]:
+                best_error[fit] = trace.valid_error[-1]
+                trace.best_epoch = epoch
+                best_theta[fit] = rows[pos].copy()
+            elif epoch - trace.best_epoch > cfg.early_stop_patience:
+                continue
+            stay.append(pos)
+        if snapshots:
+            epoch_hook(epoch, snapshots if stacked else snapshots[0])
 
-        if epoch_hook is not None:
-            epoch_hook(epoch, CrbmParams.from_flat(theta.copy(), *dims))
-
-        if trace.valid_error[-1] < best_error:
-            best_error = trace.valid_error[-1]
-            trace.best_epoch = epoch
-            best_theta = theta.copy()
-        elif epoch - trace.best_epoch > cfg.early_stop_patience:
+        live = [live[pos] for pos in stay]
+        # A diverged fit's error stands once every fit before it is done.
+        if not live or (diverged and live[0] > min(diverged)):
             break
+        if len(stay) < len(rows):
+            theta, vel = theta[stay], vel[stay]
+            grad = np.zeros_like(theta)
+            x_all, y_all = x_all[stay], y_all[stay]
+            train_choices = train_choices[stay]
+            b, g = (ParamBlocks.from_flat(a, *dims, batched=True)
+                    for a in (theta, grad))
 
-    return CrbmParams.from_flat(best_theta, *dims), trace
+    if diverged:
+        raise TrainingDivergedError(diverged[min(diverged)])
+    fits = [(CrbmParams.from_flat(t, *dims), trace)
+            for t, trace in zip(best_theta, traces)]
+    return fits if stacked else fits[0]
 
 
 def train_mnl(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, cfg: TrainConfig,

@@ -74,11 +74,17 @@ def test_cli_session_records_every_span(traced, tmp_path):
     wanted = {name for _, _, name, _, _ in traced._TRACE_POINTS}
     assert wanted - recorded == set()
     assert "trainer.epoch" in recorded
-    # `sensitivity.replicate_fit_s` reads the fits under each run's span:
-    # the full fit and one per replicate.
+    # `sensitivity.replicate_fit_s` reads the fits under each run's span
+    # that have fewer rows than the run: the full fit comes first, then one
+    # stacked fit of all replicates, timed by its epochs.
     (run,) = [s for s in tracer.spans
               if s["name"] == "sensitivity.sensitivity_run"]
     fits = [s for s in tracer.spans if s["name"] == "trainer.train_crbm"
             and s["start"] >= run["start"] and s["end"] <= run["end"]]
-    assert len(fits) == 3
+    assert len(fits) == 2
     assert all(s["parent"] == run["id"] for s in fits)
+    assert fits[0]["counts"]["rows"] == run["counts"]["rows"]
+    refit = fits[1]
+    assert refit["counts"]["rows"] < run["counts"]["rows"]
+    assert any(s["parent"] == refit["id"] and s["name"] == "trainer.epoch"
+               for s in tracer.spans)

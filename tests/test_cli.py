@@ -264,6 +264,33 @@ class TestExitCodes:
         assert rc == 1
         assert err.count("\n") == 1 and "99999999999999999999" in err, err
 
+    def test_choice_beyond_the_row_count_fails_in_one_line(self, tmp_path,
+                                                           capsys):
+        # The alternative count is inferred from the largest choice, and
+        # one-hot coding would allocate 3 x 10^15 cells for this file.
+        data = tmp_path / "d.csv"
+        data.write_text("choice,f1,f2\n1,0.5,1.0\n2,0.1,2.0\n"
+                        "1000000000000000,0.3,3.0\n")
+        rc = cli.run(["train", "--data", str(data), "--epochs", "1",
+                      "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1, err
+        assert "1000000000000000" in err and "3 data rows" in err, err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--fraction", "2"), ("--fraction", "0"), ("--fraction", "nan"),
+        ("--replicates", "0")])
+    def test_sensitivity_range_is_usage_error_before_reading(
+            self, tmp_path, capsys, flag, value):
+        # The data file does not exist: only a check made before any read
+        # can name the flag.
+        rc = cli.run(["sensitivity", "--data", str(tmp_path / "none.csv"),
+                      f"{flag}={value}", "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and flag in err, err
+
     @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
     def test_cell_over_csv_field_limit_fails_in_one_line(
             self, command, trained_model, data_file, tmp_path, capsys):

@@ -5,7 +5,8 @@ numpy's C reader and hand every other file to a per-cell Python loop.  The
 reference below is that Python reader as it stood before the C path was
 added: it alone defined which files are accepted and what each error says.
 The package readers must return bit-identical arrays, or raise the same
-exception type with the same message, on any file.
+exception type with the same message, on any file.  The one later rule
+in the reference is the bound on the inferred alternative count.
 """
 
 import contextlib
@@ -94,6 +95,13 @@ def reference_load_csv(path, choice_column, feature_columns=None,
     choices = np.asarray(choices, dtype=np.int64)
     if n_alternatives is None:
         n_alternatives = int(choices.max())
+        # Added with the bound on the inferred alternative count, which
+        # both readers apply after parsing.
+        if n_alternatives > len(choices):
+            raise ChoiceDomainError(
+                f"choice value {n_alternatives} is more than the "
+                f"{len(choices)} data rows; the alternative count is "
+                "inferred from the largest choice")
     if choices.min() < 1 or choices.max() > n_alternatives:
         bad = choices.min() if choices.min() < 1 else choices.max()
         raise ChoiceDomainError(

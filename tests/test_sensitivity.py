@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 import scipy.stats
@@ -9,7 +7,7 @@ from choicerbm.dataset import from_arrays
 from choicerbm.model import CrbmParams
 from choicerbm.sensitivity import (rank_agreement, sensitivity_run,
                                    sensitivity_table_csv)
-from choicerbm.trainer import TrainConfig
+from choicerbm.trainer import TrainConfig, train_crbm
 
 
 def quick_config(**kw):
@@ -93,26 +91,27 @@ class TestSensitivityRun:
         np.testing.assert_array_equal(a.full_sensitivity, b.full_sensitivity)
         np.testing.assert_array_equal(a.sub_rank, b.sub_rank)
 
-    def test_refits_run_in_the_calling_thread_in_replicate_order(
+    def test_refits_are_one_stack_of_the_spawned_subsets_in_order(
             self, rng, monkeypatch):
         ds = small_dataset(rng, n=200)
         calls = []
 
-        def fake_fit(sub, n_hidden, cfg):
-            calls.append((threading.get_ident(), sub.n_rows, sub.x))
-            return np.full(ds.n_features + 1, float(len(calls)))
+        def spy(ds_train, ds_valid, n_hidden, cfg):
+            calls.append((ds_train, ds_valid))
+            return train_crbm(ds_train, ds_valid, n_hidden, cfg)
 
-        monkeypatch.setattr(sensitivity, "_fit_sensitivity", fake_fit)
-        rep = sensitivity_run(ds, 0, quick_config(), fraction=0.5,
-                              replicates=3, seed=4)
-        assert [c[0] for c in calls] == [threading.get_ident()] * 4
-        assert [c[1] for c in calls] == [200, 100, 100, 100]   # full fit first
+        monkeypatch.setattr(sensitivity, "train_crbm", spy)
+        sensitivity_run(ds, 0, quick_config(), fraction=0.5, replicates=3,
+                        seed=4)
+        (full, full_valid), (refits, refits_valid) = calls
+        assert full is ds and full_valid is ds and refits_valid is refits
+        assert refits.x.shape == (3, 100, ds.n_features)
         streams = np.random.SeedSequence(4).spawn(3)
-        for (_, _, x), ss in zip(calls[1:], streams):
+        for r, ss in enumerate(streams):
             rows = np.sort(np.random.default_rng(ss).choice(200, 100,
                                                             replace=False))
-            np.testing.assert_array_equal(x, ds.x[rows])
-        np.testing.assert_array_equal(rep.sub_sensitivity, 3.0)  # mean of 2, 3, 4
+            np.testing.assert_array_equal(refits.x[r], ds.x[rows])
+            np.testing.assert_array_equal(refits.y[r], ds.y[rows])
 
     def test_subsample_below_batch_size_rejected(self, rng):
         ds = small_dataset(rng, n=200)
