@@ -1,6 +1,18 @@
 """Latent-variable discrete choice estimation with a conditional RBM."""
 
-from .dataset import (ChoiceDataset, NormStats, SplitSpec, from_arrays, kfold,
+import os
+import sys
+
+# One BLAS thread unless the caller chose otherwise.  OpenBLAS reads this
+# once, when numpy loads it, so it must be set before the first import of
+# numpy below; a host that loaded numpy already keeps its own setting.  One
+# thread keeps the BHHH information product's summation order, and with it
+# the standard errors, independent of the core count, and leaves no idle
+# worker spinning on a second core.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .dataset import (ChoiceDataset, NormStats, SplitSpec, from_arrays,
                       load_csv, refit_normalization, split)
 from .inference import Prediction, predict, predict_batch
 from .model import (BLOCK_NAMES, CrbmParams, ParamBlocks, block_shapes,
@@ -14,8 +26,8 @@ from .trainer import (TrainConfig, TrainTrace, TrainingDivergedError, cd_step,
                       train_crbm, train_mnl)
 
 __all__ = [
-    "ChoiceDataset", "NormStats", "SplitSpec", "from_arrays", "kfold",
-    "load_csv", "refit_normalization", "split",
+    "ChoiceDataset", "NormStats", "SplitSpec", "from_arrays", "load_csv",
+    "refit_normalization", "split",
     "Prediction", "predict", "predict_batch",
     "BLOCK_NAMES", "CrbmParams", "ParamBlocks", "block_shapes", "choice_probs",
     "free_energy", "hidden_activation_probs", "param_count",

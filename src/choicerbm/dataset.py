@@ -405,22 +405,6 @@ def split(ds: ChoiceDataset, spec: SplitSpec):
     return ds.take(perm[:n_train]), ds.take(perm[n_train:])
 
 
-def kfold(ds: ChoiceDataset, folds: int, seed: int):
-    """Seeded k-fold partition: validation sets cover every row exactly once."""
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    if folds > ds.n_rows:
-        raise ValueError(f"folds {folds} exceeds row count {ds.n_rows}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(ds.n_rows)
-    pairs = []
-    for chunk in np.array_split(perm, folds):
-        mask = np.ones(ds.n_rows, dtype=bool)
-        mask[chunk] = False
-        pairs.append((ds.take(np.flatnonzero(mask)), ds.take(np.sort(chunk))))
-    return pairs
-
-
 def refit_normalization(train: ChoiceDataset, valid: ChoiceDataset):
     """Re-scale both partitions with statistics fitted on the train rows only.
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choicerbm import cli, oracle
+from choicerbm.model import CrbmParams
 from choicerbm.report import load_model
 
 
@@ -190,6 +191,72 @@ def test_import_leaves_scipy_unloaded():
                           capture_output=True, text=True, timeout=60,
                           check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _fresh_env(drop=("OPENBLAS_NUM_THREADS",), **extra):
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    return dict(env, **extra)
+
+
+def _fresh_python(code, env):
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True).stdout.split("\n")
+
+
+class TestBlasThreads:
+    REPORT = ("import os, sys; {imports}; "
+              "print(os.environ.get('OPENBLAS_NUM_THREADS')); "
+              "print(open('/proc/self/status').read() "
+              "if sys.platform == 'linux' else '')")
+
+    def test_cli_import_runs_one_blas_thread(self):
+        out = _fresh_python(self.REPORT.format(imports="import choicerbm.cli"),
+                            _fresh_env())
+        assert out[0] == "1"
+        if sys.platform == "linux":
+            assert "Threads:\t1" in out, out
+
+    def test_user_setting_wins(self):
+        out = _fresh_python(self.REPORT.format(imports="import choicerbm.cli"),
+                            _fresh_env(OPENBLAS_NUM_THREADS="2"))
+        assert out[0] == "2"
+
+    def test_numpy_loaded_first_leaves_environment_alone(self):
+        code = self.REPORT.format(imports="import numpy, choicerbm")
+        assert _fresh_python(code, _fresh_env())[0] == "None"
+
+    def test_model_file_does_not_depend_on_blas_threads(self, tmp_path):
+        # With no thread variable set, OpenBLAS would use one thread per
+        # core.  Paper-shape blocks (I = 13, K = 20, J = 2) give a 299 x 299
+        # information matrix for the choice blocks, large enough for OpenBLAS
+        # to split its product over threads even on a 20-row table.
+        rng = np.random.default_rng(0)
+        params = CrbmParams(
+            choice_hidden_w=rng.normal(0, 1, (13, 2)),
+            choice_context_w=rng.normal(0, 1, (13, 20)),
+            hidden_context_w=rng.normal(0, 1, (2, 20)),
+            choice_bias=rng.normal(0, 1, 13), hidden_bias=rng.normal(0, 1, 2))
+        oracle.save_planted(oracle.PlantedModel(
+            params=params, context=[oracle.ContextSpec("normal")] * 20,
+            n_rows=20, seed=1), tmp_path / "p.json")
+        default = _fresh_env(drop=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "GOTO_NUM_THREADS"))
+
+        def run(env, *argv):
+            subprocess.run([sys.executable, "-m", "choicerbm.cli", *argv],
+                           env=env, capture_output=True, timeout=120,
+                           check=True)
+
+        run(default, "generate", "--planted", str(tmp_path / "p.json"),
+            "--out", str(tmp_path / "d.csv"))
+        for name, env in (("default", default),
+                          ("one", dict(default, OPENBLAS_NUM_THREADS="1"))):
+            run(env, "train", "--data", str(tmp_path / "d.csv"),
+                "--epochs", "1", "--out", str(tmp_path / f"{name}.model"))
+        assert ((tmp_path / "default.model").read_bytes()
+                == (tmp_path / "one.model").read_bytes())
 
 
 class TestExitCodes:

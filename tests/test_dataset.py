@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from choicerbm import oracle
 from choicerbm.dataset import (ChoiceDataset, ChoiceDomainError, NormStats,
                                RowParseError, SchemaError, SplitSpec,
-                               from_arrays, kfold, load_csv,
-                               load_features_csv, one_hot,
-                               refit_normalization, split)
+                               from_arrays, load_csv, load_features_csv,
+                               one_hot, refit_normalization, split)
 
 
 def write_csv(path, header, rows):
@@ -224,36 +223,6 @@ class TestSplit:
         ds = self.make_ds(rng, n=2).take(np.array([0]))
         with pytest.raises(ValueError):
             split(ds, SplitSpec())
-
-
-class TestKfold:
-    def test_two_folds_cover_rows(self, rng):
-        ds = from_arrays(rng.normal(0, 1, (4, 1)), np.array([0, 1, 0, 1]))
-        pairs = kfold(ds, 2, seed=0)
-        assert len(pairs) == 2
-        sizes = [va.n_rows for _, va in pairs]
-        assert sizes == [2, 2]
-        all_rows = np.vstack([va.x for _, va in pairs])
-        assert sorted(map(tuple, all_rows)) == sorted(map(tuple, ds.x))
-
-    def test_leave_one_out(self, rng):
-        ds = from_arrays(rng.normal(0, 1, (5, 1)), rng.integers(0, 2, 5))
-        pairs = kfold(ds, 5, seed=0)
-        assert all(va.n_rows == 1 for _, va in pairs)
-        assert all(tr.n_rows == 4 for tr, _ in pairs)
-
-    def test_reproducible(self, rng):
-        ds = from_arrays(rng.normal(0, 1, (12, 2)), rng.integers(0, 3, 12))
-        a = kfold(ds, 3, seed=8)
-        b = kfold(ds, 3, seed=8)
-        for (tra, vaa), (trb, vab) in zip(a, b):
-            np.testing.assert_array_equal(tra.x, trb.x)
-            np.testing.assert_array_equal(vaa.x, vab.x)
-
-    def test_folds_exceeding_rows(self, rng):
-        ds = from_arrays(rng.normal(0, 1, (3, 1)), np.array([0, 1, 0]))
-        with pytest.raises(ValueError):
-            kfold(ds, 4, seed=0)
 
 
 class TestNormalization:
