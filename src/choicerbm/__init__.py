@@ -14,10 +14,9 @@ if "numpy" not in sys.modules:
 
 from .dataset import (ChoiceDataset, NormStats, SplitSpec, from_arrays,
                       load_csv, refit_normalization, split)
-from .inference import Prediction, predict, predict_batch
+from .inference import predict_batch
 from .model import (BLOCK_NAMES, CrbmParams, ParamBlocks, block_shapes,
-                    choice_probs, free_energy, hidden_activation_probs,
-                    param_count, sample_categorical)
+                    choice_probs, free_energy, param_count, sample_categorical)
 from .report import HintonSpec, hinton_svg, load_model, save_model
 from .sensitivity import SensitivityReport, rank_agreement, sensitivity_run
 from .stats import (FitReport, bic, evaluate, log_likelihood, rho_squared,
@@ -28,10 +27,9 @@ from .trainer import (TrainConfig, TrainTrace, TrainingDivergedError, cd_step,
 __all__ = [
     "ChoiceDataset", "NormStats", "SplitSpec", "from_arrays", "load_csv",
     "refit_normalization", "split",
-    "Prediction", "predict", "predict_batch",
+    "predict_batch",
     "BLOCK_NAMES", "CrbmParams", "ParamBlocks", "block_shapes", "choice_probs",
-    "free_energy", "hidden_activation_probs", "param_count",
-    "sample_categorical",
+    "free_energy", "param_count", "sample_categorical",
     "HintonSpec", "hinton_svg", "load_model", "save_model",
     "SensitivityReport", "rank_agreement", "sensitivity_run",
     "FitReport", "bic", "evaluate", "log_likelihood", "rho_squared",

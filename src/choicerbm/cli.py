@@ -207,20 +207,16 @@ def _cmd_predict(args) -> int:
     alt_names = meta.get("alternative_names",
                          tuple(f"alt{i + 1}" for i in
                                range(params.n_alternatives)))
-    # predict only reads x; a placeholder choice column keeps the dataset
-    # invariants satisfied.
-    ds_like = dataset.ChoiceDataset(
-        x=x, y=dataset.one_hot(np.zeros(len(x), dtype=np.int64),
-                               params.n_alternatives),
-        feature_names=tuple(feats), alternative_names=alt_names,
-        norm_stats=norm)
-    probs, h_act, _ = predict_batch(params, ds_like)
+    probs, h_act = predict_batch(params, x)
     write_predictions_csv(args.out, probs, h_act, alt_names)
     return 0
 
 
 def _cmd_sensitivity(args) -> int:
-    hidden_sizes = [int(tok) for tok in str(args.hidden).split(",") if tok != ""]
+    try:
+        hidden_sizes = [int(tok) for tok in args.hidden.split(",") if tok != ""]
+    except ValueError:
+        hidden_sizes = []
     if not hidden_sizes or any(j < 0 for j in hidden_sizes):
         raise UsageError("--hidden must list non-negative integers")
     if not 0.0 < args.fraction <= 1.0:
@@ -249,6 +245,8 @@ _BLOCKS = {
 
 
 def _cmd_hinton(args) -> int:
+    if not 0.0 <= args.threshold < np.inf:
+        raise UsageError("--threshold must be a non-negative number")
     params, meta = report.load_model(args.model)
     attr, row_key, col_key = _BLOCKS[args.block]
     values = getattr(params, attr)
@@ -271,6 +269,10 @@ def _cmd_hinton(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.n is not None and args.n < 1:
+        raise UsageError("--n must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     from . import oracle    # imports scipy, which no other command needs
     pm = oracle.load_planted(args.planted, n_rows=args.n, seed=args.seed)
     oracle.write_dataset_csv(pm, args.out)

@@ -1,4 +1,4 @@
-"""Choice data ingestion: CSV loading, z-scoring, splits and k-folds.
+"""Choice data ingestion: CSV loading, z-scoring and splits.
 
 A dataset pairs a z-scored feature matrix with a one-hot choice matrix.
 Normalization statistics travel with the dataset so that the original
@@ -386,7 +386,10 @@ def load_features_csv(path, feature_names, norm_stats: NormStats) -> np.ndarray:
         x_raw = parsed[1] if parsed else _exact_feature_rows(reader, feat_pos)
     if not len(x_raw):
         raise SchemaError(f"{path}: no data rows")
-    return norm_stats.apply(x_raw)
+    x = norm_stats.apply(x_raw)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite feature values")
+    return x
 
 
 def split(ds: ChoiceDataset, spec: SplitSpec):

@@ -5,54 +5,19 @@ driven by context alone and held at their mean-field activation
 h = sigmoid(d + A x).
 """
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .dataset import ChoiceDataset
 from .model import CrbmParams, choice_probs, context_hidden
 
 
-@dataclass(frozen=True)
-class Prediction:
-    probs: np.ndarray          # length I, sums to 1
-    predicted: int             # 0-based argmax, lowest index on ties
-    h_activation: np.ndarray   # length J, in (0, 1)
-
-
-def predict(p: CrbmParams, x) -> Prediction:
-    """Predict one row of already-normalized context values.
+def predict_batch(p: CrbmParams, x):
+    """(probs (rows, I), hidden activations (rows, J)) for the rows of `x`,
+    already-normalized context values (rows, K); the prediction is the
+    argmax of each row of probs, lowest index on ties.
 
     Scale raw inputs with the normalization statistics stored alongside the
-    model before calling.
+    model before calling.  A width other than K raises ValueError.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p.n_features,):
-        raise ValueError(f"expected context of length {p.n_features}, got {x.shape}")
     h_act = context_hidden(p, x)
-    probs = choice_probs(p, h_act, x)
-    return Prediction(probs=probs, predicted=int(probs.argmax()), h_activation=h_act)
-
-
-def predict_batch(p: CrbmParams, ds: ChoiceDataset):
-    """(probs (rows, I), hidden activations (rows, J), I x I confusion
-    matrix of (actual, predicted) counts); the prediction is the argmax of
-    each row of probs, lowest index on ties."""
-    if ds.n_features != p.n_features:
-        raise ValueError(
-            f"dataset has {ds.n_features} features, model expects {p.n_features}")
-    h_act = context_hidden(p, ds.x)
-    probs = choice_probs(p, h_act, ds.x)
-    confusion = confusion_matrix(ds.choice_indices(), probs.argmax(axis=1),
-                                 p.n_alternatives)
-    return probs, h_act, confusion
-
-
-def confusion_matrix(actual, predicted, n_alternatives):
-    """I x I counts of (actual, predicted) 0-based index pairs."""
-    confusion = np.zeros((n_alternatives,) * 2, dtype=np.int64)
-    np.add.at(confusion, (actual, predicted), 1)
-    return confusion
+    return choice_probs(p, h_act, x), h_act
 
 
 def write_predictions_csv(path, probs, h_act, alternative_names):

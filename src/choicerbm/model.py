@@ -152,12 +152,6 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def hidden_activation_probs(p: CrbmParams, y, x):
-    """P(h_j = 1 | y, x) = sigmoid(d_j + (D'y)_j + (A x)_j), independent per unit."""
-    y, x = _check_choice_dim(p, y), _check_context_dim(p, x)
-    return sigmoid(p.hidden_bias + y @ p.choice_hidden_w + x @ p.hidden_context_w.T)
-
-
 def context_hidden(p: CrbmParams, x):
     """Mean-field hidden activations at prediction time, when the choice is
     unknown: sigmoid(d + A x)."""

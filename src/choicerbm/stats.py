@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .inference import confusion_matrix
 from .model import (CrbmParams, ParamBlocks, choice_logits, context_hidden,
                     log_softmax, param_count, softmax)
 
@@ -38,8 +37,6 @@ class FitReport:
 def _forward(p: CrbmParams, ds: ChoiceDataset):
     """The mean-field forward pass over every row of `ds`: (hidden
     activations, choice logits, log choice probabilities)."""
-    if ds.n_features != p.n_features:
-        raise ValueError("dataset feature count does not match the model")
     h_bar = context_hidden(p, ds.x)
     logits = choice_logits(p, h_bar, ds.x)
     return h_bar, logits, log_softmax(logits)
@@ -176,9 +173,11 @@ def t_statistics(p: CrbmParams, ds_train: ChoiceDataset, forward=None):
     return std_errs, tstats
 
 
-def significant(tstats: np.ndarray, threshold: float = 1.96) -> np.ndarray:
-    """Boolean mask: |t| at or above the two-sided 95% normal quantile."""
-    return np.abs(tstats) >= threshold
+def confusion_matrix(actual, predicted, n_alternatives):
+    """I x I counts of (actual, predicted) 0-based index pairs."""
+    confusion = np.zeros((n_alternatives,) * 2, dtype=np.int64)
+    np.add.at(confusion, (actual, predicted), 1)
+    return confusion
 
 
 def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
@@ -190,9 +189,6 @@ def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
     ll_train = log_likelihood(p, ds_train, train)
     ll_valid = log_likelihood(p, ds_valid, valid)
     n_params = param_count(p.n_alternatives, p.n_hidden, p.n_features)
-    confusion = confusion_matrix(ds_valid.choice_indices(),
-                                 softmax(valid[1]).argmax(axis=1),
-                                 p.n_alternatives)
     std_errs, tstats = t_statistics(p, ds_train, train)
     return FitReport(
         loglik_train=ll_train,
@@ -202,7 +198,8 @@ def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
         validation_error=validation_error(p, ds_valid, valid),
         mean_true_prob=mean_true_probability(p, ds_valid, valid),
         n_params=n_params,
-        confusion=confusion,
+        confusion=confusion_matrix(ds_valid.choice_indices(),
+                                   valid[2].argmax(axis=1), p.n_alternatives),
         std_errs=std_errs,
         tstats=tstats,
     )

@@ -32,7 +32,7 @@ class TrainConfig:
     momentum_initial: float = 0.5
     momentum_final: float = 0.9
     momentum_switch_epoch: int = 5
-    seed: int = 0
+    seed: int = 0               # < 2**53: saved as a float split seed
     early_stop_patience: int = 20
     weight_init_scale: float = 0.01
     lr_decay: bool = False      # optional 1/(1+epoch) decay of the base rate
@@ -50,6 +50,8 @@ class TrainConfig:
         for m in (self.momentum_initial, self.momentum_final):
             if not 0.0 <= m < 1.0:
                 raise ValueError("momentum must lie in [0, 1)")
+        if not 0 <= self.seed < 2 ** 53:
+            raise ValueError("seed must lie in [0, 2**53)")
         if self.early_stop_patience < 0:
             raise ValueError("early_stop_patience must be non-negative")
         if not 0 < self.weight_init_scale < np.inf:

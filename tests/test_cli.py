@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choicerbm import cli, oracle
+from choicerbm.dataset import NormStats
 from choicerbm.model import CrbmParams
-from choicerbm.report import load_model
+from choicerbm.report import load_model, save_model
+from conftest import random_params
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +149,27 @@ class TestPredictCommand:
         first = lines[1].split(",")
         probs = np.array([float(v) for v in first[1:6]])
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_value_overflowing_after_scaling_fails_in_one_line(
+            self, tmp_path, capsys):
+        # 1e308 / 0.5 is inf: the prediction is refused, not written as NaN.
+        model = tmp_path / "m.model"
+        save_model(random_params(np.random.default_rng(0), 3, 2, 2), model,
+                   norm_stats=NormStats(means=np.zeros(2), stds=np.full(2, 0.5),
+                                        constant=np.zeros(2, dtype=bool)),
+                   feature_names=("f1", "f2"))
+        data = tmp_path / "d.csv"
+        data.write_text("f1,f2\n0.5,1.0\n1e308,2.0\n")
+        out = tmp_path / "preds.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = cli.run(["predict", "--model", str(model), "--data", str(data),
+                          "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: non-finite feature values\n"
+        assert not out.exists()
 
 
 class TestHintonCommand:
@@ -347,7 +370,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--fraction", "2"), ("--fraction", "0"), ("--fraction", "nan"),
-        ("--replicates", "0")])
+        ("--replicates", "0"), ("--hidden", "2,a")])
     def test_sensitivity_range_is_usage_error_before_reading(
             self, tmp_path, capsys, flag, value):
         # The data file does not exist: only a check made before any read
@@ -357,6 +380,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and flag in err, err
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("train", "--seed", "-1", "seed must"),
+        ("train", "--seed", str(2 ** 53), "seed must"),
+        ("sensitivity", "--seed", "-1", "seed must"),
+        ("generate", "--seed", "-1", "--seed must"),
+        ("generate", "--n", "0", "--n must")])
+    def test_seed_and_row_count_are_usage_errors_before_reading(
+            self, tmp_path, capsys, command, flag, value, message):
+        # The input file does not exist: only a check made before any read
+        # can name the flag.
+        source = "--planted" if command == "generate" else "--data"
+        rc = cli.run([command, source, str(tmp_path / "none"),
+                      f"{flag}={value}", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and message in err, err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_hinton_threshold_must_be_finite_and_non_negative(
+            self, trained_model, tmp_path, capsys, value):
+        out = tmp_path / "B.svg"
+        rc = cli.run(["hinton", "--model", str(trained_model), "--block", "B",
+                      f"--threshold={value}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "--threshold" in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
     def test_cell_over_csv_field_limit_fails_in_one_line(
@@ -427,6 +478,7 @@ FUZZED_FLAGS = {
     "--init-scale": _mostly(st.floats(1e-3, 10.0), st.floats()),
     "--momentum": st.tuples(*[_mostly(st.floats(0.0, 0.99), st.floats())] * 2),
     "--weight-decay": _mostly(st.floats(0.0, 1.0), st.floats()),
+    "--seed": _mostly(st.integers(0, 2 ** 32 - 1), st.integers()),
 }
 HIDDEN = _mostly(st.integers(0, 2), st.integers(-1, 2))
 

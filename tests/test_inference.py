@@ -3,8 +3,9 @@ import pytest
 
 from choicerbm import oracle
 from choicerbm.dataset import from_arrays
-from choicerbm.inference import predict, predict_batch, write_predictions_csv
+from choicerbm.inference import predict_batch, write_predictions_csv
 from choicerbm.model import CrbmParams
+from choicerbm.stats import confusion_matrix
 from conftest import random_params
 
 
@@ -17,12 +18,18 @@ def zero_params(n_alt, n_hid, n_feat):
         hidden_bias=np.zeros(n_hid))
 
 
+def predict_row(p, x):
+    """`predict_batch` on one row: (probs (I,), argmax, activations (J,))."""
+    probs, h_act = predict_batch(p, np.asarray(x, dtype=np.float64)[None, :])
+    return probs[0], int(probs[0].argmax()), h_act[0]
+
+
 class TestPredict:
     def test_zero_params_uniform_with_tie_break(self):
         p = zero_params(13, 2, 3)
-        pred = predict(p, np.zeros(3))
-        np.testing.assert_allclose(pred.probs, 1 / 13, atol=1e-15)
-        assert pred.predicted == 0
+        probs, predicted, _ = predict_row(p, np.zeros(3))
+        np.testing.assert_allclose(probs, 1 / 13, atol=1e-15)
+        assert predicted == 0
 
     def test_mnl_reduction(self, rng):
         p = random_params(rng, 4, 0, 3, scale=0.8)
@@ -30,9 +37,9 @@ class TestPredict:
         logits = p.choice_bias + p.choice_context_w @ x
         expected = np.exp(logits - logits.max())
         expected /= expected.sum()
-        pred = predict(p, x)
-        np.testing.assert_allclose(pred.probs, expected, atol=1e-14)
-        assert pred.predicted == int(expected.argmax())
+        probs, predicted, _ = predict_row(p, x)
+        np.testing.assert_allclose(probs, expected, atol=1e-14)
+        assert predicted == int(expected.argmax())
 
     def test_dominant_planted_row_predicted(self, rng):
         # ground-truth probability of one alternative above 0.99 forces the
@@ -48,7 +55,7 @@ class TestPredict:
         x = np.array([2.0, 0.1, -0.3])
         truth = oracle.exact_choice_distribution(strong, x)
         assert truth[0] > 0.99
-        assert predict(strong, x).predicted == 0
+        assert predict_row(strong, x)[1] == 0
 
     def test_invariant_to_common_bias_shift(self, rng):
         p = random_params(rng, 4, 2, 2, scale=0.7)
@@ -59,27 +66,34 @@ class TestPredict:
             choice_bias=p.choice_bias + 11.5,
             hidden_bias=p.hidden_bias)
         x = rng.normal(0, 1, 2)
-        a, b = predict(p, x), predict(shifted, x)
-        np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
-        assert a.predicted == b.predicted
+        a, b = predict_row(p, x), predict_row(shifted, x)
+        np.testing.assert_allclose(a[0], b[0], atol=1e-12)
+        assert a[1] == b[1]
 
     def test_activation_strictly_inside_unit_interval(self, rng):
         p = random_params(rng, 3, 4, 2, scale=5.0)
-        pred = predict(p, rng.normal(0, 1, 2))
-        assert np.all(pred.h_activation > 0.0)
-        assert np.all(pred.h_activation < 1.0)
+        *_, h_act = predict_row(p, rng.normal(0, 1, 2))
+        assert np.all(h_act > 0.0)
+        assert np.all(h_act < 1.0)
 
     def test_pure_function(self, rng):
         p = random_params(rng, 3, 2, 2)
         x = rng.normal(0, 1, 2)
-        a, b = predict(p, x), predict(p, x)
-        np.testing.assert_array_equal(a.probs, b.probs)
-        assert a.predicted == b.predicted
+        a, b = predict_row(p, x), predict_row(p, x)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[2], b[2])
 
     def test_dimension_mismatch(self, rng):
         p = random_params(rng, 3, 1, 2)
         with pytest.raises(ValueError):
-            predict(p, np.zeros(3))
+            predict_row(p, np.zeros(3))
+
+
+def predicted_confusion(p, ds):
+    """Confusion counts of `predict_batch`'s argmax against `ds`'s choices."""
+    probs, _ = predict_batch(p, ds.x)
+    return confusion_matrix(ds.choice_indices(), probs.argmax(axis=1),
+                            p.n_alternatives)
 
 
 class TestPredictBatch:
@@ -93,14 +107,15 @@ class TestPredictBatch:
             hidden_context_w=np.zeros((0, 1)),
             choice_bias=np.zeros(2),
             hidden_bias=np.zeros(0))
-        _, _, confusion = predict_batch(p, ds)
+        confusion = predicted_confusion(p, ds)
         assert confusion[0, 1] == 0 and confusion[1, 0] == 0
         assert confusion.sum() == ds.n_rows
 
     def test_confusion_totals_and_row_sums(self, rng):
         p = random_params(rng, 4, 1, 2, scale=0.5)
         ds = from_arrays(rng.normal(0, 1, (321, 2)), rng.integers(0, 4, 321))
-        probs, h_act, confusion = predict_batch(p, ds)
+        probs, h_act = predict_batch(p, ds.x)
+        confusion = predicted_confusion(p, ds)
         assert confusion.sum() == 321
         np.testing.assert_array_equal(confusion.sum(axis=1), ds.y.sum(axis=0))
         assert probs.shape == (321, 4) and h_act.shape == (321, 1)
@@ -110,7 +125,7 @@ class TestPredictBatch:
         idx = (rng.random(n) < 0.5).astype(int)
         ds = from_arrays(rng.normal(0, 1, (n, 2)), idx, n_alternatives=2)
         p = zero_params(2, 0, 2)
-        _, _, confusion = predict_batch(p, ds)
+        confusion = predicted_confusion(p, ds)
         off_diag = confusion.sum() - np.trace(confusion)
         sigma = np.sqrt(n * 0.25)
         assert abs(off_diag - 0.5 * n) < 3 * sigma
@@ -119,24 +134,23 @@ class TestPredictBatch:
         p = random_params(rng, 4, 2, 3, scale=0.8)
         ds = from_arrays(rng.normal(0, 1, (25, 3)), rng.integers(0, 4, 25),
                          n_alternatives=4)
-        probs, h_act, confusion = predict_batch(p, ds)
+        probs, h_act = predict_batch(p, ds.x)
         predicted = []
         for r in range(ds.n_rows):
-            pred = predict(p, ds.x[r])
-            np.testing.assert_allclose(probs[r], pred.probs, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(h_act[r], pred.h_activation, rtol=0,
-                                       atol=1e-15)
-            predicted.append(pred.predicted)
+            row_probs, row_predicted, row_h = predict_row(p, ds.x[r])
+            np.testing.assert_allclose(probs[r], row_probs, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(h_act[r], row_h, rtol=0, atol=1e-15)
+            predicted.append(row_predicted)
         np.testing.assert_array_equal(probs.argmax(axis=1), predicted)
         expected = np.zeros((4, 4), dtype=np.int64)
         np.add.at(expected, (ds.choice_indices(), predicted), 1)
-        np.testing.assert_array_equal(confusion, expected)
+        np.testing.assert_array_equal(predicted_confusion(p, ds), expected)
 
     def test_feature_mismatch_rejected(self, rng):
         p = random_params(rng, 3, 1, 4)
         ds = from_arrays(rng.normal(0, 1, (10, 2)), rng.integers(0, 3, 10))
         with pytest.raises(ValueError, match="features"):
-            predict_batch(p, ds)
+            predict_batch(p, ds.x)
 
 
 class TestPredictionsCsv:
@@ -144,7 +158,7 @@ class TestPredictionsCsv:
         p = random_params(rng, 3, 2, 2, scale=0.4)
         ds = from_arrays(rng.normal(0, 1, (5, 2)), rng.integers(0, 3, 5),
                          n_alternatives=3)
-        probs, h_act, _ = predict_batch(p, ds)
+        probs, h_act = predict_batch(p, ds.x)
         path = tmp_path / "preds.csv"
         write_predictions_csv(path, probs, h_act, ds.alternative_names)
         lines = path.read_text().strip().split("\n")
@@ -162,7 +176,7 @@ class TestPredictionsCsv:
         p = random_params(rng, 3, 2, 2, scale=0.4)
         ds = from_arrays(rng.normal(0, 1, (7, 2)), rng.integers(0, 3, 7),
                          n_alternatives=3)
-        probs, h_act, _ = predict_batch(p, ds)
+        probs, h_act = predict_batch(p, ds.x)
         path = tmp_path / "preds.csv"
         write_predictions_csv(path, probs, h_act, ds.alternative_names)
         rows = np.array([[float(v) for v in line.split(",")]

@@ -8,9 +8,8 @@ from scipy.special import expit
 
 from choicerbm.model import (BLOCK_NAMES, CrbmParams, ParamBlocks,
                              block_shapes, choice_logits, choice_probs,
-                             context_hidden, free_energy,
-                             hidden_activation_probs, log_softmax, param_count,
-                             sample_categorical, sigmoid, softmax)
+                             context_hidden, free_energy, log_softmax,
+                             param_count, sample_categorical, sigmoid, softmax)
 from choicerbm.oracle import energy
 from conftest import random_params
 
@@ -130,49 +129,6 @@ class TestSigmoid:
             got = sigmoid(x)
         assert got[0] == got[1] == 0.0 and got[-1] == got[-2] == 1.0
         assert got[3] == 0.5
-
-
-class TestHiddenActivation:
-    def test_all_zero_gives_half(self):
-        p = zero_params(3, 4, 2)
-        probs = hidden_activation_probs(p, np.array([1.0, 0, 0]), np.zeros(2))
-        np.testing.assert_allclose(probs, 0.5)
-
-    def test_log3_bias(self):
-        p = CrbmParams(
-            choice_hidden_w=np.zeros((2, 1)),
-            choice_context_w=np.zeros((2, 1)),
-            hidden_context_w=np.zeros((1, 1)),
-            choice_bias=np.zeros(2),
-            hidden_bias=np.array([np.log(3.0)]))
-        probs = hidden_activation_probs(p, np.array([1.0, 0.0]), np.zeros(1))
-        assert probs[0] == pytest.approx(0.75, abs=1e-12)
-
-    def test_weight_bias_cancellation(self):
-        p = CrbmParams(
-            choice_hidden_w=np.array([[2.0], [0.0]]),
-            choice_context_w=np.zeros((2, 1)),
-            hidden_context_w=np.zeros((1, 1)),
-            choice_bias=np.zeros(2),
-            hidden_bias=np.array([-2.0]))
-        probs = hidden_activation_probs(p, np.array([1.0, 0.0]), np.zeros(1))
-        assert probs[0] == pytest.approx(0.5, abs=1e-12)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(-30, 30), st.floats(-30, 30))
-    def test_monotone_in_hidden_bias(self, lo, hi):
-        lo, hi = sorted((lo, hi))
-        base = dict(
-            choice_hidden_w=np.array([[0.7], [-0.3]]),
-            choice_context_w=np.array([[0.2], [0.1]]),
-            hidden_context_w=np.array([[0.5]]),
-            choice_bias=np.zeros(2))
-        y, x = np.array([1.0, 0.0]), np.array([0.4])
-        p_lo = hidden_activation_probs(
-            CrbmParams(hidden_bias=np.array([lo]), **base), y, x)
-        p_hi = hidden_activation_probs(
-            CrbmParams(hidden_bias=np.array([hi]), **base), y, x)
-        assert p_lo[0] <= p_hi[0]
 
 
 class TestChoiceProbs:

@@ -7,8 +7,8 @@ from choicerbm.dataset import from_arrays
 from choicerbm.model import CrbmParams
 from choicerbm.stats import (bic, evaluate, log_likelihood,
                              mean_true_probability, pinv_standard_errors,
-                             report_table_rows, rho_squared, significant,
-                             t_statistics, validation_error)
+                             report_table_rows, rho_squared, t_statistics,
+                             validation_error)
 from conftest import random_params
 
 FULL_TRAIN_ROWS = 177_662
@@ -134,9 +134,7 @@ class TestValidationError:
     def test_error_plus_accuracy_is_one(self, rng):
         p = random_params(rng, 4, 1, 2, scale=0.5)
         ds = from_arrays(rng.normal(0, 1, (200, 2)), rng.integers(0, 4, 200))
-        from choicerbm.inference import predict_batch
-        *_, confusion = predict_batch(p, ds)
-        accuracy = np.trace(confusion) / ds.n_rows
+        accuracy = np.trace(evaluate(p, ds, ds).confusion) / ds.n_rows
         assert validation_error(p, ds) + accuracy == pytest.approx(1.0, abs=0)
 
     def test_empty_dataset_rejected(self, rng):
@@ -210,11 +208,6 @@ class TestStandardErrors:
             mask = (se > 0) & (theta != 0)
             assert np.all(np.sign(t[mask]) == np.sign(theta[mask]))
 
-    def test_significance_flag_threshold(self):
-        t = np.array([-2.5, -1.96, -1.0, 0.0, 1.0, 1.96, 2.5])
-        np.testing.assert_array_equal(
-            significant(t), [True, True, False, False, False, True, True])
-
     def test_warns_when_underdetermined(self, rng):
         p = random_params(rng, 3, 2, 4, scale=0.3)
         ds = from_arrays(rng.normal(0, 1, (10, 4)), rng.integers(0, 3, 10))
@@ -239,7 +232,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("same_split", [False, True])
     def test_one_forward_pass_per_split(self, rng, monkeypatch, same_split):
-        from choicerbm import inference, stats
+        from choicerbm import stats
         tr = from_arrays(rng.normal(0, 1, (300, 3)), rng.integers(0, 4, 300))
         va = tr if same_split else from_arrays(rng.normal(0, 1, (120, 3)),
                                                rng.integers(0, 4, 120))
@@ -257,12 +250,18 @@ class TestEvaluate:
         assert rep.loglik_valid == log_likelihood(p, va)
         assert rep.validation_error == validation_error(p, va)
         assert rep.mean_true_prob == mean_true_probability(p, va)
-        np.testing.assert_array_equal(rep.confusion,
-                                      inference.predict_batch(p, va)[2])
+        assert np.trace(rep.confusion) == round(
+            (1 - rep.validation_error) * va.n_rows)
         with pytest.warns(UserWarning, match="singular"):
             std_errs, tstats = t_statistics(p, tr)
         for (_, a), (_, b) in zip(rep.tstats.blocks(), tstats.blocks()):
             np.testing.assert_array_equal(a, b)
+
+    def test_feature_mismatch_rejected(self, rng):
+        p = random_params(rng, 3, 1, 4)
+        ds = from_arrays(rng.normal(0, 1, (10, 2)), rng.integers(0, 3, 10))
+        with pytest.raises(ValueError, match="features"):
+            evaluate(p, ds, ds)
 
     def test_table_rows_format(self, rng):
         tr = from_arrays(rng.normal(0, 1, (200, 2)), rng.integers(0, 3, 200))
