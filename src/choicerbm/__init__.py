@@ -16,7 +16,8 @@ from .dataset import (ChoiceDataset, NormStats, SplitSpec, from_arrays,
                       load_csv, refit_normalization, split)
 from .inference import predict_batch
 from .model import (BLOCK_NAMES, CrbmParams, ParamBlocks, block_shapes,
-                    choice_probs, free_energy, param_count, sample_categorical)
+                    choice_probs, log_choice_probs, param_count,
+                    sample_categorical)
 from .report import HintonSpec, hinton_svg, load_model, save_model
 from .sensitivity import SensitivityReport, rank_agreement, sensitivity_run
 from .stats import (FitReport, bic, evaluate, log_likelihood, rho_squared,
@@ -29,7 +30,7 @@ __all__ = [
     "refit_normalization", "split",
     "predict_batch",
     "BLOCK_NAMES", "CrbmParams", "ParamBlocks", "block_shapes", "choice_probs",
-    "free_energy", "param_count", "sample_categorical",
+    "log_choice_probs", "param_count", "sample_categorical",
     "HintonSpec", "hinton_svg", "load_model", "save_model",
     "SensitivityReport", "rank_agreement", "sensitivity_run",
     "FitReport", "bic", "evaluate", "log_likelihood", "rho_squared",

@@ -42,7 +42,10 @@ class NormStats:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    # Values near the float limit overflow here; the non-finite result is
+    # refused, in one line, by `ChoiceDataset.validate`.
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")
     def fit(cls, x: np.ndarray) -> "NormStats":
         means = x.mean(axis=0)
         stds = x.std(axis=0)
@@ -53,10 +56,12 @@ class NormStats:
                 "after normalization")
         return cls(means=means, stds=stds, constant=constant)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def apply(self, x: np.ndarray) -> np.ndarray:
         safe = np.where(self.constant, 1.0, self.stds)
         return (x - self.means) / safe
 
+    @np.errstate(over="ignore", invalid="ignore")
     def invert(self, x: np.ndarray) -> np.ndarray:
         safe = np.where(self.constant, 1.0, self.stds)
         return x * safe + self.means

@@ -1,23 +1,23 @@
 """Choice probabilities, predicted alternatives and latent activations.
 
-At prediction time the observed choice is unknown, so hidden units are
-driven by context alone and held at their mean-field activation
-h = sigmoid(d + A x).
+Predictions use the exact conditional p(y | x), the hidden units summed
+out.  The latent output is their posterior mean given the context alone,
+E[h_j | x] = sum_i p(i | x) p(h_j = 1 | i, x).
 """
 
-from .model import CrbmParams, choice_probs, context_hidden
+from .model import CrbmParams, choice_probs, hidden_given_choice
 
 
 def predict_batch(p: CrbmParams, x):
-    """(probs (rows, I), hidden activations (rows, J)) for the rows of `x`,
-    already-normalized context values (rows, K); the prediction is the
-    argmax of each row of probs, lowest index on ties.
+    """(probs (rows, I), hidden activations E[h | x] (rows, J)) for the
+    rows of `x`, already-normalized context values (rows, K); the
+    prediction is the argmax of each row of probs, lowest index on ties.
 
     Scale raw inputs with the normalization statistics stored alongside the
     model before calling.  A width other than K raises ValueError.
     """
-    h_act = context_hidden(p, x)
-    return choice_probs(p, h_act, x), h_act
+    probs = choice_probs(p, x)
+    return probs, (probs[..., None] * hidden_given_choice(p, x)).sum(axis=-2)
 
 
 def write_predictions_csv(path, probs, h_act, alternative_names):

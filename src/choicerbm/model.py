@@ -8,7 +8,9 @@ that is never reconstructed.  Energy over (y, h):
 
 with D the choice-hidden weight matrix.  Context enters only through the
 conditionals: the hidden drive gains A x (hidden-context weights) and the
-choice drive gains B x (choice-context weights).
+choice drive gains B x (choice-context weights).  The hidden units sum out
+of p(y | x) in closed form, so `log_choice_probs` is the exact conditional
+(Larochelle & Bengio, ICML 2008) and the model's one prediction rule.
 """
 
 import math
@@ -122,28 +124,8 @@ def _checked(v, n: int, what: str, unit: str):
     return v
 
 
-def _check_choice_dim(p: CrbmParams, y):
-    return _checked(y, p.n_alternatives, "choice", "alternatives")
-
-
-def _check_hidden_dim(p: CrbmParams, h):
-    return _checked(h, p.n_hidden, "hidden", "hidden units")
-
-
 def _check_context_dim(p: CrbmParams, x):
     return _checked(x, p.n_features, "context", "features")
-
-
-def free_energy(p: CrbmParams, y):
-    """Free energy of a choice vector: -c.y - sum_j softplus((D'y)_j + d_j).
-
-    Hidden units are summed out analytically; softplus is evaluated through
-    logaddexp so large drives do not overflow.
-    """
-    y = _check_choice_dim(p, y)
-    drive = y @ p.choice_hidden_w + p.hidden_bias  # (..., J)
-    val = -(y @ p.choice_bias) - np.logaddexp(0.0, drive).sum(axis=-1)
-    return float(val) if np.ndim(val) == 0 else val
 
 
 def sigmoid(x):
@@ -152,17 +134,33 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def context_hidden(p: CrbmParams, x):
-    """Mean-field hidden activations at prediction time, when the choice is
-    unknown: sigmoid(d + A x)."""
+def choice_logits(p: CrbmParams, x):
+    """Unnormalized log p(y = i | x), the hidden units summed out:
+    c_i + B_i x + sum_j softplus(d_j + A_j x + D_ij).
+
+    Softplus is max(u, 0) + log1p(exp(-|u|)), so no drive overflows.  `p`
+    may hold batched blocks (`from_flat(..., batched=True)`) whose leading
+    axes match those of `x` before its rows.
+    """
     x = _check_context_dim(p, x)
-    return sigmoid(p.hidden_bias + x @ p.hidden_context_w.mT)
+    if x.ndim == 1:
+        return choice_logits(p, x[None])[0]
+    logits = x @ p.choice_context_w.mT + p.choice_bias
+    hidden = x @ p.hidden_context_w.mT + p.hidden_bias   # (..., rows, J)
+    for j in range(p.n_hidden):   # in place: each temporary costs time
+        u = hidden[..., j, None] + p.choice_hidden_w[..., None, :, j]
+        tail = np.abs(u)
+        np.exp(np.negative(tail, out=tail), out=tail)
+        logits += np.maximum(u, 0.0, out=u) + np.log1p(tail, out=tail)
+    return logits
 
 
-def choice_logits(p: CrbmParams, h, x):
-    """Unnormalized log P(y = i | h, x): c + B x + D h."""
-    h, x = _check_hidden_dim(p, h), _check_context_dim(p, x)
-    return p.choice_bias + x @ p.choice_context_w.mT + h @ p.choice_hidden_w.mT
+def hidden_given_choice(p: CrbmParams, x):
+    """p(h_j = 1 | y = i, x) = sigmoid(d_j + A_j x + D_ij), shaped
+    (..., I, J): one row of hidden probabilities per alternative."""
+    x = _check_context_dim(p, x)
+    hidden = x @ p.hidden_context_w.mT + p.hidden_bias
+    return sigmoid(hidden[..., None, :] + p.choice_hidden_w)
 
 
 def softmax(logits):
@@ -179,13 +177,16 @@ def log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def choice_probs(p: CrbmParams, h, x):
-    """P(y = i | h, x): softmax over alternatives of c + B x + D h.
+def log_choice_probs(p: CrbmParams, x):
+    """log p(y = i | x): the prediction rule, and the likelihood that
+    training, statistics and inference all report."""
+    return log_softmax(choice_logits(p, x))
 
-    `h` may be a binary sample or a vector of activation probabilities.
-    Computed with max subtraction; output sums to 1 to float precision.
-    """
-    return softmax(choice_logits(p, h, x))
+
+def choice_probs(p: CrbmParams, x):
+    """p(y = i | x): `log_choice_probs` exponentiated, as a softmax with
+    max subtraction; each row sums to 1 to float precision."""
+    return softmax(choice_logits(p, x))
 
 
 def sample_categorical(probs, rng: np.random.Generator):

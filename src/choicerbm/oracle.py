@@ -13,8 +13,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dataset import ChoiceDataset, from_arrays
-from .model import (BLOCK_NAMES, CrbmParams, ParamBlocks, _check_choice_dim,
-                    _check_hidden_dim, sample_categorical)
+from .model import (BLOCK_NAMES, CrbmParams, ParamBlocks, _checked,
+                    sample_categorical)
 
 MAX_HIDDEN = 12
 MAX_ALTERNATIVES = 16
@@ -26,7 +26,8 @@ def energy(p: CrbmParams, y, h) -> float:
     Context terms are excluded by construction; they shift the conditionals
     only.  Supports batched inputs via leading axes.
     """
-    y, h = _check_choice_dim(p, y), _check_hidden_dim(p, h)
+    y = _checked(y, p.n_alternatives, "choice", "alternatives")
+    h = _checked(h, p.n_hidden, "hidden", "hidden units")
     interaction = np.einsum("...i,ij,...j->...", y, p.choice_hidden_w, h)
     val = -(y @ p.choice_bias) - (h @ p.hidden_bias) - interaction
     return float(val) if val.ndim == 0 else val

@@ -1,13 +1,13 @@
 """Fit statistics: log-likelihood, rho-squared, BIC, validation error,
 standard errors and t values.
 
-The likelihood surface evaluated here is the prediction model itself:
-hidden activations are held at their context-driven mean-field values, so
-with zero hidden units everything reduces to exact multinomial-logit
-statistics.  Standard errors come from the outer product of per-row score
-vectors (the BHHH information estimator); the softmax blocks are always
-rank-deficient by one per feature, so the information matrix is inverted
-on its identified subspace (minimum-norm gauge).
+Every figure here scores the model's exact conditional p(y | x), with the
+hidden units summed out (`model.log_choice_probs`), so with zero hidden
+units everything reduces to exact multinomial-logit statistics.  Standard
+errors come from the outer product of per-row score vectors (the BHHH
+information estimator) over all parameter blocks at once; the softmax
+blocks are always rank-deficient by one per feature, so the information
+matrix is inverted on its identified subspace (minimum-norm gauge).
 """
 
 import warnings
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .model import (CrbmParams, ParamBlocks, choice_logits, context_hidden,
-                    log_softmax, param_count, softmax)
+from .model import (CrbmParams, ParamBlocks, hidden_given_choice,
+                    log_choice_probs, param_count)
 
 
 @dataclass
@@ -34,22 +34,26 @@ class FitReport:
     tstats: ParamBlocks
 
 
-def _forward(p: CrbmParams, ds: ChoiceDataset):
-    """The mean-field forward pass over every row of `ds`: (hidden
-    activations, choice logits, log choice probabilities)."""
-    h_bar = context_hidden(p, ds.x)
-    logits = choice_logits(p, h_bar, ds.x)
-    return h_bar, logits, log_softmax(logits)
+def _log_probs(p: CrbmParams, ds: ChoiceDataset, log_probs=None):
+    """`log_choice_probs` over every row of `ds`, unless already computed
+    and passed in as `log_probs`."""
+    return log_choice_probs(p, ds.x) if log_probs is None else log_probs
 
 
-def log_likelihood(p: CrbmParams, ds: ChoiceDataset, forward=None) -> float:
-    """Total log P(y_obs | x) under the mean-field prediction model.
+def _observed(p, ds, log_probs):
+    """log p(y_obs | x) per row of `ds`."""
+    return _log_probs(p, ds, log_probs)[np.arange(ds.n_rows),
+                                        ds.choice_indices()]
+
+
+def log_likelihood(p: CrbmParams, ds: ChoiceDataset, log_probs=None) -> float:
+    """Total log p(y_obs | x).
 
     Computed in log space end to end, so finite parameters can never
-    produce -inf.  `forward` is `_forward(p, ds)` when already computed.
+    produce -inf.  `log_probs` is `log_choice_probs(p, ds.x)` when already
+    computed.
     """
-    log_probs = (forward or _forward(p, ds))[2]
-    return float(log_probs[np.arange(ds.n_rows), ds.choice_indices()].sum())
+    return float(_observed(p, ds, log_probs).sum())
 
 
 def rho_squared(loglik: float, n: int, n_alternatives: int) -> float:
@@ -68,22 +72,21 @@ def bic(loglik: float, n_params: int, n: int) -> float:
     return -2.0 * loglik + n_params * np.log(n)
 
 
-def validation_error(p: CrbmParams, ds: ChoiceDataset, forward=None) -> float:
+def validation_error(p: CrbmParams, ds: ChoiceDataset, log_probs=None) -> float:
     """1 - share of rows whose argmax prediction matches the observed choice.
-    `forward` is `_forward(p, ds)` when already computed."""
+    `log_probs` is `log_choice_probs(p, ds.x)` when already computed."""
     if ds.n_rows == 0:
         raise ValueError("empty dataset")
-    predicted = (forward or _forward(p, ds))[2].argmax(axis=1)
+    predicted = _log_probs(p, ds, log_probs).argmax(axis=1)
     return float(np.mean(predicted != ds.choice_indices()))
 
 
 def mean_true_probability(p: CrbmParams, ds: ChoiceDataset,
-                          forward=None) -> float:
+                          log_probs=None) -> float:
     """Secondary accuracy figure: mean probability on the observed
-    alternative.  `forward` is `_forward(p, ds)` when already computed."""
-    log_probs = (forward or _forward(p, ds))[2]
-    return float(np.exp(
-        log_probs[np.arange(ds.n_rows), ds.choice_indices()]).mean())
+    alternative.  `log_probs` is `log_choice_probs(p, ds.x)` when already
+    computed."""
+    return float(np.exp(_observed(p, ds, log_probs)).mean())
 
 
 def pinv_standard_errors(scores: np.ndarray) -> np.ndarray:
@@ -116,61 +119,46 @@ def pinv_standard_errors(scores: np.ndarray) -> np.ndarray:
     return std_errs
 
 
-def _prediction_scores(p: CrbmParams, ds: ChoiceDataset, forward):
-    """Per-row score vectors of the mean-field prediction log-likelihood,
-    from `forward`, the forward pass over `ds`.
+def _prediction_scores(p: CrbmParams, ds: ChoiceDataset, log_probs):
+    """Per-row score vectors of log p(y_obs | x), (rows, param_count) in
+    the parameter layout, from `log_probs`, the forward pass over `ds`.
 
-    Returns (scores for the choice blocks B/D/c, scores for the hidden
-    blocks A/d).  The choice blocks see an exact multinomial score over the
-    augmented features [x, h_bar, 1]; the hidden blocks receive the chain
-    rule through h_bar and are therefore approximate.
+    With r_i = y_i - p(i | x) and w_ij = r_i p(h_j = 1 | i, x), the score
+    is w for D, r x for B, (sum_i w_ij) x for A, r for c and sum_i w_ij
+    for d.
     """
+    dims = (p.n_alternatives, p.n_hidden, p.n_features)
     x = ds.x
-    n = x.shape[0]
-    h_bar, logits, _ = forward                                     # (n, J), (n, I)
-    resid = ds.y - softmax(logits)                                 # (n, I)
+    resid = ds.y - np.exp(log_probs)                               # (n, I)
+    scores = np.empty((ds.n_rows, param_count(*dims)))
+    g = ParamBlocks.from_flat(scores, *dims)
+    np.multiply(resid[:, :, None], hidden_given_choice(p, x),
+                out=g.choice_hidden_w)
+    np.multiply(resid[:, :, None], x[:, None, :], out=g.choice_context_w)
+    g.choice_hidden_w.sum(axis=1, out=g.hidden_bias)
+    np.multiply(g.hidden_bias[:, :, None], x[:, None, :],
+                out=g.hidden_context_w)
+    g.choice_bias[...] = resid
+    return scores
 
-    feats = np.concatenate([x, h_bar, np.ones((n, 1))], axis=1)    # (n, K+J+1)
-    choice_scores = np.einsum("ni,nf->nif", resid, feats).reshape(n, -1)
 
-    # d(log lik)/d(h_bar_j) = sum_i resid_i D_ij, then through the sigmoid.
-    dh = (resid @ p.choice_hidden_w) * h_bar * (1.0 - h_bar)       # (n, J)
-    hidden_feats = np.concatenate([x, np.ones((n, 1))], axis=1)    # (n, K+1)
-    hidden_scores = np.einsum("nj,nf->njf", dh, hidden_feats).reshape(n, -1)
-    return choice_scores, hidden_scores
+def t_statistics(p: CrbmParams, ds_train: ChoiceDataset, log_probs=None):
+    """(standard errors, t values) in parameter-block layout, from one
+    information matrix over every block of the exact likelihood.
 
-
-def t_statistics(p: CrbmParams, ds_train: ChoiceDataset, forward=None):
-    """(standard errors, t values) in parameter-block layout.
-
-    Blocks B, D and c are scored against the mean-field prediction
-    likelihood; blocks A and d against the same likelihood through the
-    hidden activations and should be read as approximate.  t is the
-    parameter over its standard error, pinned to t = 0 where either is
-    zero: a parameter with no information is not significant.  `forward`
-    is `_forward(p, ds_train)` when already computed.
+    t is the parameter over its standard error, pinned to t = 0 where
+    either is zero: a parameter with no information is not significant.
+    `log_probs` is `log_choice_probs(p, ds_train.x)` when already computed.
     """
-    if ds_train.n_rows <= param_count(p.n_alternatives, p.n_hidden, p.n_features):
+    dims = (p.n_alternatives, p.n_hidden, p.n_features)
+    if ds_train.n_rows <= param_count(*dims):
         warnings.warn("fewer rows than parameters; standard errors are unreliable")
-    n_alt, n_hid, k = p.n_alternatives, p.n_hidden, p.n_features
-    choice_scores, hidden_scores = _prediction_scores(
-        p, ds_train, forward or _forward(p, ds_train))
-    se_choice = pinv_standard_errors(choice_scores).reshape(n_alt, k + n_hid + 1)
-    se_hidden = pinv_standard_errors(hidden_scores).reshape(n_hid, k + 1)
-
-    std_errs = ParamBlocks(
-        choice_hidden_w=se_choice[:, k:k + n_hid].copy(),
-        choice_context_w=se_choice[:, :k].copy(),
-        hidden_context_w=se_hidden[:, :k].copy(),
-        choice_bias=se_choice[:, -1].copy(),
-        hidden_bias=se_hidden[:, -1].copy(),
-    )
+    se = pinv_standard_errors(_prediction_scores(
+        p, ds_train, _log_probs(p, ds_train, log_probs)))
+    theta = np.concatenate([arr.ravel() for _, arr in p.blocks()])
     with np.errstate(divide="ignore", invalid="ignore"):
-        tstats = ParamBlocks(*(np.where((theta != 0.0) & (se != 0.0),
-                                        theta / se, 0.0)
-                               for (_, theta), (_, se)
-                               in zip(p.blocks(), std_errs.blocks())))
-    return std_errs, tstats
+        t = np.where((theta != 0.0) & (se != 0.0), theta / se, 0.0)
+    return ParamBlocks.from_flat(se, *dims), ParamBlocks.from_flat(t, *dims)
 
 
 def confusion_matrix(actual, predicted, n_alternatives):
@@ -184,8 +172,8 @@ def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
              ds_valid: ChoiceDataset) -> FitReport:
     """Assemble the full statistical report for a fitted model, from one
     forward pass per split (one in all when `ds_valid is ds_train`)."""
-    train = _forward(p, ds_train)
-    valid = train if ds_valid is ds_train else _forward(p, ds_valid)
+    train = log_choice_probs(p, ds_train.x)
+    valid = train if ds_valid is ds_train else log_choice_probs(p, ds_valid.x)
     ll_train = log_likelihood(p, ds_train, train)
     ll_valid = log_likelihood(p, ds_valid, valid)
     n_params = param_count(p.n_alternatives, p.n_hidden, p.n_features)
@@ -199,7 +187,7 @@ def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
         mean_true_prob=mean_true_probability(p, ds_valid, valid),
         n_params=n_params,
         confusion=confusion_matrix(ds_valid.choice_indices(),
-                                   valid[2].argmax(axis=1), p.n_alternatives),
+                                   valid.argmax(axis=1), p.n_alternatives),
         std_errs=std_errs,
         tstats=tstats,
     )

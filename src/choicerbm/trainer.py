@@ -1,12 +1,14 @@
 """Contrastive-divergence estimation with minibatch SGD and momentum.
 
 One loop drives both estimators.  With hidden units the per-batch gradient
-is the CD estimate: mean-field hidden activations against a sampled
-reconstruction chain.  Without hidden units the reconstruction chain mixes
-in a single step, so its expectation is available in closed form and the
-loop becomes exact multinomial-logit gradient ascent; `train_mnl` is that
+is the CD estimate: hidden activation probabilities at the data against a
+sampled reconstruction chain.  Without hidden units the reconstruction
+chain mixes in a single step, so its expectation is available in closed
+form and the loop becomes exact multinomial-logit gradient ascent; `train_mnl` is that
 same loop pinned to zero hidden units, which keeps the two estimators
-bit-identical under a shared seed.
+bit-identical under a shared seed.  Each epoch scores both splits with
+`model.log_choice_probs`, the rule that `stats` reports, and early stopping
+keeps the snapshot of lowest validation error.
 """
 
 from dataclasses import dataclass, field
@@ -14,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .model import (CrbmParams, ParamBlocks, choice_logits, context_hidden,
-                    log_softmax, param_count, sample_categorical, sigmoid,
-                    softmax)
+from .model import (CrbmParams, ParamBlocks, log_choice_probs, param_count,
+                    sample_categorical, sigmoid, softmax)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -86,18 +87,18 @@ def _init_params(i, j, k, class_counts, scale, rng) -> np.ndarray:
 
 
 def _split_scores(b, x, choices):
-    """Mean per-row NLL and error rate of the mean-field prediction rule,
-    one of each per leading index."""
-    logits = choice_logits(b, context_hidden(b, x), x)
-    nll = np.take_along_axis(-log_softmax(logits), choices[..., None], axis=-1)
+    """Mean per-row NLL and error rate of the prediction rule
+    `log_choice_probs`, one of each per leading index."""
+    log_probs = log_choice_probs(b, x)
+    nll = np.take_along_axis(-log_probs, choices[..., None], axis=-1)
     return (nll[..., 0].mean(axis=-1),
-            np.mean(logits.argmax(axis=-1) != choices, axis=-1))
+            np.mean(log_probs.argmax(axis=-1) != choices, axis=-1))
 
 
 def _cd_grads(b, xb, yb, cd_k, rng, eye, out: ParamBlocks):
     """CD-k gradient estimate for one minibatch, written into `out`.
 
-    Positive phase: mean-field hidden activations at the data.  Negative
+    Positive phase: hidden activation probabilities at the data.  Negative
     phase: alternate hidden/choice sampling for cd_k steps from the data,
     keeping the final sampled pair.  Context stays clamped throughout.
     Returns the sampled choice indices of the reconstruction.  Every

@@ -282,6 +282,49 @@ class TestBlasThreads:
                 == (tmp_path / "one.model").read_bytes())
 
 
+class TestValuesAtTheFloatLimit:
+    """A feature value that overflows when scaled, or a column whose mean
+    or spread overflows, fails in exactly one stderr line: numpy's own
+    overflow warnings stay off stderr.  Run as fresh processes, because
+    only there do warnings reach stderr."""
+
+    @staticmethod
+    def _run(cwd, *argv):
+        done = subprocess.run([sys.executable, "-m", "choicerbm.cli", *argv],
+                              cwd=cwd, env=_fresh_env(), capture_output=True,
+                              text=True, timeout=120)
+        return done.returncode, done.stderr
+
+    @pytest.mark.parametrize("argv", [["predict", "--out", "p.csv"],
+                                      ["evaluate", "--whole-file"]],
+                             ids=["predict", "evaluate-whole-file"])
+    def test_scaled_value_overflows(self, tmp_path, argv):
+        save_model(random_params(np.random.default_rng(0), 3, 2, 2),
+                   tmp_path / "m.model",
+                   norm_stats=NormStats(means=np.zeros(2),
+                                        stds=np.full(2, 0.98),
+                                        constant=np.zeros(2, dtype=bool)),
+                   feature_names=("f1", "f2"))
+        (tmp_path / "d.csv").write_text(
+            "choice,f1,f2\n1,0.5,1.0\n2,1.78e308,2.0\n3,0.1,0.3\n")
+        assert self._run(tmp_path, *argv, "--model", "m.model",
+                         "--data", "d.csv") == (
+            1, "error: non-finite feature values\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--out", "m.model"],
+        ["sensitivity", "--fraction", "1", "--replicates", "1",
+         "--out", "s.csv"]], ids=["train", "sensitivity"])
+    def test_column_statistics_overflow(self, tmp_path, argv):
+        rng = np.random.default_rng(4)
+        (tmp_path / "d.csv").write_text("choice,f1,f2\n" + "".join(
+            f"{r % 3 + 1},{'' if r < 100 else '-'}1.7e308,{rng.normal()!r}\n"
+            for r in range(200)))
+        assert self._run(tmp_path, *argv, "--data", "d.csv",
+                         "--epochs", "1") == (
+            1, "error: non-finite feature values\n")
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert cli.run(["train", "--data", "d", "--out", "m", "--bogus"]) == 2

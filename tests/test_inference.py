@@ -18,6 +18,22 @@ def zero_params(n_alt, n_hid, n_feat):
         hidden_bias=np.zeros(n_hid))
 
 
+def enumerated_hidden_mean(p, x):
+    """E[h | x] for one context row, by summing p(y = i, h | x) h over
+    every alternative i and every binary hidden vector h."""
+    eye = np.eye(p.n_alternatives)
+    total, weighted = 0.0, np.zeros(p.n_hidden)
+    for m in range(2 ** p.n_hidden):
+        h = np.array([(m >> j) & 1 for j in range(p.n_hidden)], dtype=float)
+        for i in range(p.n_alternatives):
+            weight = np.exp(-oracle.energy(p, eye[i], h)
+                            + p.choice_context_w[i] @ x
+                            + h @ (p.hidden_context_w @ x))
+            total += weight
+            weighted += weight * h
+    return weighted / total
+
+
 def predict_row(p, x):
     """`predict_batch` on one row: (probs (I,), argmax, activations (J,))."""
     probs, h_act = predict_batch(p, np.asarray(x, dtype=np.float64)[None, :])
@@ -75,6 +91,17 @@ class TestPredict:
         *_, h_act = predict_row(p, rng.normal(0, 1, 2))
         assert np.all(h_act > 0.0)
         assert np.all(h_act < 1.0)
+
+    def test_activation_is_the_enumerated_posterior_mean(self, rng):
+        for n_hidden in range(5):
+            p = random_params(rng, 4, n_hidden, 3, scale=1.5)
+            x = rng.normal(0, 1, (6, 3))
+            _, h_act = predict_batch(p, x)
+            assert h_act.shape == (6, n_hidden)
+            for r in range(6):
+                np.testing.assert_allclose(
+                    h_act[r], enumerated_hidden_mean(p, x[r]), rtol=0,
+                    atol=1e-12)
 
     def test_pure_function(self, rng):
         p = random_params(rng, 3, 2, 2)

@@ -8,8 +8,9 @@ from scipy.special import expit
 
 from choicerbm.model import (BLOCK_NAMES, CrbmParams, ParamBlocks,
                              block_shapes, choice_logits, choice_probs,
-                             context_hidden, free_energy, log_softmax,
-                             param_count, sample_categorical, sigmoid, softmax)
+                             hidden_given_choice, log_choice_probs,
+                             log_softmax, param_count, sample_categorical,
+                             sigmoid, softmax)
 from choicerbm.oracle import energy
 from conftest import random_params
 
@@ -66,6 +67,9 @@ class TestEnergy:
 
 
 class TestFreeEnergy:
+    """The exact logits are the negative conditional free energies of the
+    alternatives, -F(y = i | x), with the hidden units summed out."""
+
     def test_softplus_at_zero(self):
         p = CrbmParams(
             choice_hidden_w=np.zeros((2, 1)),
@@ -73,18 +77,17 @@ class TestFreeEnergy:
             hidden_context_w=np.zeros((1, 0)),
             choice_bias=np.array([1.0, 0.0]),
             hidden_bias=np.zeros(1))
-        val = free_energy(p, np.array([1.0, 0.0]))
-        assert val == pytest.approx(-1.0 - np.log(2.0), abs=1e-15)
+        val = choice_logits(p, np.zeros(0))
+        assert val[0] == pytest.approx(1.0 + np.log(2.0), abs=1e-15)
+        assert val[1] == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_symmetric_when_all_zero(self):
         p = zero_params(13, 3, 2)
-        eye = np.eye(13)
-        vals = [free_energy(p, eye[i]) for i in range(13)]
-        assert np.ptp(vals) == 0.0
+        assert np.ptp(choice_logits(p, np.zeros(2))) == 0.0
 
     def test_matches_hidden_enumeration(self, rng):
-        # exp(-F(y))/sum equals the energy-based marginal, brute force over
-        # every hidden configuration
+        # softmax of the logits equals the energy-based marginal, brute
+        # force over every hidden configuration
         for _ in range(30):
             n_alt = int(rng.integers(2, 6))
             n_hid = int(rng.integers(0, 5))
@@ -96,18 +99,24 @@ class TestFreeEnergy:
                 for i in range(n_alt):
                     table[i, m] = np.exp(-energy(p, eye[i], h))
             direct = table.sum(axis=1) / table.sum()
-            via_free = np.exp([-free_energy(p, eye[i]) for i in range(n_alt)])
-            via_free /= via_free.sum()
-            np.testing.assert_allclose(direct, via_free, atol=1e-10)
+            np.testing.assert_allclose(
+                direct, np.exp(log_choice_probs(p, np.zeros(0))), atol=1e-10)
 
     def test_large_drive_does_not_overflow(self):
-        p = CrbmParams(
-            choice_hidden_w=np.full((2, 1), 800.0),
-            choice_context_w=np.zeros((2, 0)),
-            hidden_context_w=np.zeros((1, 0)),
-            choice_bias=np.zeros(2),
-            hidden_bias=np.zeros(1))
-        assert np.isfinite(free_energy(p, np.array([1.0, 0.0])))
+        x = np.array([[1.0], [-1.0], [0.0]])
+        for drive in (800.0, -800.0):
+            p = CrbmParams(
+                choice_hidden_w=np.array([[drive], [0.0]]),
+                choice_context_w=np.zeros((2, 1)),
+                hidden_context_w=np.full((1, 1), drive),
+                choice_bias=np.zeros(2),
+                hidden_bias=np.zeros(1))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                log_probs = log_choice_probs(p, x)
+                probs = choice_probs(p, x)
+            assert np.all(np.isfinite(log_probs)) and np.all(log_probs <= 0.0)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-15)
 
 
 class TestSigmoid:
@@ -134,7 +143,7 @@ class TestSigmoid:
 class TestChoiceProbs:
     def test_uniform_for_zero_params(self):
         p = zero_params(13, 2, 3)
-        probs = choice_probs(p, np.zeros(2), np.zeros(3))
+        probs = choice_probs(p, np.zeros(3))
         np.testing.assert_allclose(probs, 1.0 / 13.0, atol=1e-15)
 
     def test_bias_shift_invariance(self, rng):
@@ -145,28 +154,39 @@ class TestChoiceProbs:
             hidden_context_w=p.hidden_context_w,
             choice_bias=p.choice_bias + 7.3,
             hidden_bias=p.hidden_bias)
-        h, x = rng.random(2), rng.normal(0, 1, 3)
+        x = rng.normal(0, 1, 3)
         np.testing.assert_allclose(
-            choice_probs(p, h, x), choice_probs(shifted, h, x), atol=1e-12)
+            choice_probs(p, x), choice_probs(shifted, x), atol=1e-12)
 
     def test_matches_high_precision_softmax(self, rng):
         import mpmath
         mpmath.mp.dps = 50
         for _ in range(10):
             p = random_params(rng, 4, 2, 3, scale=2.0)
-            h, x = rng.random(2), rng.normal(0, 1, 3)
-            logits = (p.choice_bias + p.choice_context_w @ x
-                      + p.choice_hidden_w @ h)
-            exps = [mpmath.e ** mpmath.mpf(v) for v in logits]
+            x = rng.normal(0, 1, 3)
+            drive = [mpmath.mpf(v) for v in p.hidden_bias]
+            for j in range(2):
+                for k in range(3):
+                    drive[j] += mpmath.mpf(p.hidden_context_w[j, k]) * x[k]
+            exps = []
+            for i in range(4):
+                logit = mpmath.mpf(p.choice_bias[i]) + sum(
+                    mpmath.mpf(p.choice_context_w[i, k]) * x[k]
+                    for k in range(3))
+                logit += sum(mpmath.log(1 + mpmath.e ** (
+                    drive[j] + mpmath.mpf(p.choice_hidden_w[i, j])))
+                    for j in range(2))
+                exps.append(mpmath.e ** logit)
             total = sum(exps)
             expected = np.array([float(e / total) for e in exps])
-            np.testing.assert_allclose(
-                choice_probs(p, h, x), expected, atol=1e-14)
+            np.testing.assert_allclose(choice_probs(p, x), expected, atol=1e-14)
+            np.testing.assert_allclose(np.exp(log_choice_probs(p, x)),
+                                       expected, atol=1e-14)
 
     def test_sums_to_one_many_draws(self, rng):
         for _ in range(1000):
             p = random_params(rng, int(rng.integers(2, 8)), 2, 2, scale=3.0)
-            probs = choice_probs(p, rng.random(2), rng.normal(0, 1, 2))
+            probs = choice_probs(p, rng.normal(0, 1, 2))
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs > 0)
 
@@ -176,26 +196,32 @@ class TestChoiceProbs:
         logits = p.choice_bias + p.choice_context_w @ x
         expected = np.exp(logits - logits.max())
         expected /= expected.sum()
-        np.testing.assert_allclose(
-            choice_probs(p, np.zeros(0), x), expected, atol=1e-14)
+        np.testing.assert_allclose(choice_probs(p, x), expected, atol=1e-14)
 
 
-class TestMeanFieldForwardPass:
-    def test_context_hidden_ignores_the_choice_weights(self, rng):
+class TestForwardPass:
+    def test_hidden_given_choice_adds_the_choice_weights(self, rng):
         p = random_params(rng, 4, 3, 2)
         x = rng.normal(0, 1, (7, 2))
-        np.testing.assert_array_equal(
-            context_hidden(p, x), sigmoid(p.hidden_bias + x @ p.hidden_context_w.T))
+        got = hidden_given_choice(p, x)
+        assert got.shape == (7, 4, 3)
+        for i in range(4):
+            np.testing.assert_array_equal(got[:, i], sigmoid(
+                (x @ p.hidden_context_w.T + p.hidden_bias) + p.choice_hidden_w[i]))
 
     def test_choice_logits_add_the_three_drives(self, rng):
         p = random_params(rng, 4, 3, 2)
-        h, x = rng.random((5, 3)), rng.normal(0, 1, (5, 2))
+        x = rng.normal(0, 1, (5, 2))
+        hidden = p.hidden_bias + x @ p.hidden_context_w.T
+        softplus = np.logaddexp(0.0, hidden[:, None, :] + p.choice_hidden_w)
         np.testing.assert_allclose(
-            choice_logits(p, h, x),
-            p.choice_bias + x @ p.choice_context_w.T + h @ p.choice_hidden_w.T,
+            choice_logits(p, x),
+            p.choice_bias + x @ p.choice_context_w.T + softplus.sum(axis=2),
             atol=1e-14)
-        with pytest.raises(ValueError, match="hidden vector length"):
-            choice_logits(p, np.zeros(2), x[0])
+        np.testing.assert_array_equal(choice_logits(p, x[0]),
+                                      choice_logits(p, x[:1])[0])
+        with pytest.raises(ValueError, match="context vector length"):
+            choice_logits(p, np.zeros(3))
 
     def test_log_softmax_is_log_of_softmax(self, rng):
         logits = rng.normal(0, 30, (50, 6))
@@ -212,8 +238,7 @@ class TestMeanFieldForwardPass:
 class TestSampling:
     def test_choice_frequencies_within_three_sigma(self, rng):
         p = random_params(rng, 4, 2, 2, scale=0.8)
-        h, x = np.array([1.0, 0.0]), rng.normal(0, 1, 2)
-        probs = choice_probs(p, h, x)
+        probs = choice_probs(p, rng.normal(0, 1, 2))
         n = 100_000
         idx = sample_categorical(np.tile(probs, (n, 1)), rng)
         assert idx.shape == (n,) and idx.min() >= 0 and idx.max() < 4

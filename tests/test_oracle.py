@@ -3,20 +3,8 @@ import pytest
 
 from choicerbm import oracle
 from choicerbm.dataset import from_arrays
-from choicerbm.model import CrbmParams
+from choicerbm.model import CrbmParams, log_choice_probs
 from conftest import random_params
-
-
-def context_free_energy_distribution(p, x):
-    """Independent evaluation path: conditional free energy in closed form."""
-    n_alt = p.n_alternatives
-    logits = np.array([
-        (p.choice_bias + p.choice_context_w @ x)[i]
-        + np.logaddexp(0.0, p.hidden_bias + p.choice_hidden_w[i]
-                       + p.hidden_context_w @ x).sum()
-        for i in range(n_alt)])
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
 
 
 class TestExactChoiceDistribution:
@@ -40,15 +28,17 @@ class TestExactChoiceDistribution:
             oracle.exact_choice_distribution(p, x), expected, atol=1e-14)
 
     def test_agrees_with_free_energy_path(self, rng):
+        # The package's closed form, hidden units summed out, against
+        # enumeration of every hidden state: J from 0 to 4, with context.
         for _ in range(50):
             p = random_params(rng, int(rng.integers(2, 6)),
                               int(rng.integers(0, 5)), int(rng.integers(1, 4)),
                               scale=1.2)
-            x = rng.normal(0, 1, p.n_features)
+            x = rng.normal(0, 1, (3, p.n_features))
             got = oracle.exact_choice_distribution(p, x)
-            want = context_free_energy_distribution(p, x)
+            want = np.exp(log_choice_probs(p, x))
             np.testing.assert_allclose(got, want, atol=1e-10)
-            assert abs(got.sum() - 1.0) < 1e-12
+            np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
 
     def test_hidden_cap_enforced(self, rng):
         p = random_params(rng, 2, 13, 1)

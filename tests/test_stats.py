@@ -4,8 +4,8 @@ from scipy.special import expit
 
 from choicerbm import oracle
 from choicerbm.dataset import from_arrays
-from choicerbm.model import CrbmParams
-from choicerbm.stats import (bic, evaluate, log_likelihood,
+from choicerbm.model import CrbmParams, log_choice_probs, param_count
+from choicerbm.stats import (_prediction_scores, bic, evaluate, log_likelihood,
                              mean_true_probability, pinv_standard_errors,
                              report_table_rows, rho_squared, t_statistics,
                              validation_error)
@@ -47,7 +47,6 @@ class TestLogLikelihood:
             oracle.exact_conditional_loglik(p, ds), abs=1e-10)
 
     def test_matches_enumeration_with_inactive_hidden(self, rng):
-        # choice-hidden weights of zero make the mean-field path exact
         p = random_params(rng, 3, 2, 2, scale=0.8)
         p = CrbmParams(
             choice_hidden_w=np.zeros((3, 2)),
@@ -58,6 +57,14 @@ class TestLogLikelihood:
         ds = from_arrays(rng.normal(0, 1, (25, 2)), rng.integers(0, 3, 25))
         assert log_likelihood(p, ds) == pytest.approx(
             oracle.exact_conditional_loglik(p, ds), abs=1e-10)
+
+    def test_matches_enumeration_with_active_hidden(self, rng):
+        for n_hidden in (1, 2, 4):
+            p = random_params(rng, 4, n_hidden, 3, scale=1.5)
+            ds = from_arrays(rng.normal(0, 1, (40, 3)), rng.integers(0, 4, 40),
+                             n_alternatives=4)
+            assert log_likelihood(p, ds) == pytest.approx(
+                oracle.exact_conditional_loglik(p, ds), abs=1e-10)
 
     def test_never_minus_infinity(self, rng):
         p = CrbmParams(
@@ -146,6 +153,19 @@ class TestValidationError:
 
 
 class TestStandardErrors:
+    @pytest.mark.parametrize("n_hidden", [0, 1, 3])
+    def test_scores_sum_to_the_exact_gradient(self, rng, n_hidden):
+        p = random_params(rng, 4, n_hidden, 3, scale=1.2)
+        ds = from_arrays(rng.normal(0, 1, (30, 3)), rng.integers(0, 4, 30),
+                         n_alternatives=4)
+        scores = _prediction_scores(p, ds, log_choice_probs(p, ds.x))
+        assert scores.shape == (30, param_count(4, n_hidden, 3))
+        exact = oracle.exact_loglik_gradient(p, ds)
+        np.testing.assert_allclose(
+            scores.sum(axis=0),
+            np.concatenate([g.ravel() for _, g in exact.blocks()]),
+            rtol=0, atol=1e-12)
+
     def test_opg_matches_analytic_fisher_one_param_logistic(self, rng):
         n, beta = 20_000, 0.7
         x = rng.normal(0, 1, n)
@@ -238,8 +258,8 @@ class TestEvaluate:
                                                rng.integers(0, 4, 120))
         p = random_params(rng, 4, 2, 3, scale=0.4)
         calls = []
-        forward = stats.context_hidden
-        monkeypatch.setattr(stats, "context_hidden",
+        forward = stats.log_choice_probs
+        monkeypatch.setattr(stats, "log_choice_probs",
                             lambda *args: calls.append(1) or forward(*args))
         with pytest.warns(UserWarning, match="singular"):
             rep = evaluate(p, tr, va)

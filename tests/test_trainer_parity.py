@@ -39,20 +39,26 @@ def _softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _mean_field_logits(b, x):
-    h_bar = sigmoid(b["hidden_bias"] + x @ b["hidden_context_w"].T)
-    return b["choice_bias"] + x @ b["choice_context_w"].T + h_bar @ b["choice_hidden_w"].T
+def _log_probs(b, x):
+    """log p(y | x), the hidden units summed out, in the package's order of
+    operations: the softplus of each hidden unit's drive joins the logits
+    one unit at a time."""
+    logits = x @ b["choice_context_w"].T + b["choice_bias"]
+    hidden = x @ b["hidden_context_w"].T + b["hidden_bias"]
+    for j in range(hidden.shape[1]):
+        u = hidden[:, j, None] + b["choice_hidden_w"][:, j]
+        logits = logits + (np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def _mean_nll(b, ds):
-    logits = _mean_field_logits(b, ds.x)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = _log_probs(b, ds.x)
     return float(-log_probs[np.arange(ds.n_rows), ds.choice_indices()].mean())
 
 
 def _error_rate(b, ds):
-    predicted = _mean_field_logits(b, ds.x).argmax(axis=1)
+    predicted = _log_probs(b, ds.x).argmax(axis=1)
     return float(np.mean(predicted != ds.choice_indices()))
 
 
