@@ -23,7 +23,7 @@ from .sensitivity import SensitivityReport, rank_agreement, sensitivity_run
 from .stats import (FitReport, bic, evaluate, log_likelihood, rho_squared,
                     t_statistics, validation_error)
 from .trainer import (TrainConfig, TrainTrace, TrainingDivergedError, cd_step,
-                      train_crbm, train_mnl)
+                      train_crbm)
 
 __all__ = [
     "ChoiceDataset", "NormStats", "SplitSpec", "from_arrays", "load_csv",
@@ -36,7 +36,7 @@ __all__ = [
     "FitReport", "bic", "evaluate", "log_likelihood", "rho_squared",
     "t_statistics", "validation_error",
     "TrainConfig", "TrainTrace", "TrainingDivergedError", "cd_step",
-    "train_crbm", "train_mnl",
+    "train_crbm",
 ]
 
 __version__ = "0.1.0"

@@ -297,8 +297,11 @@ def run(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, RuntimeError, csv.Error) as exc:
-        sys.stderr.write("error: " + " ".join(str(exc).splitlines()) + "\n")
+    except (OSError, ValueError, RuntimeError, MemoryError, csv.Error) as exc:
+        text = " ".join(str(exc).splitlines())
+        if isinstance(exc, MemoryError):
+            text = "out of memory" + (f" ({text})" if text else "")
+        sys.stderr.write(f"error: {text}\n")
         return 2 if isinstance(exc, (UsageError, FileNotFoundError)) else 1
 
 

@@ -179,11 +179,9 @@ def from_arrays(x_raw, choice_idx, n_alternatives=None, feature_names=None,
         n_alternatives = int(choice_idx.max()) + 1
     if choice_idx.min() < 0 or choice_idx.max() >= n_alternatives:
         raise ChoiceDomainError("choice index outside 0..I-1")
-    k = x_raw.shape[1]
-    stats = NormStats.fit(x_raw) if k else NormStats(
-        means=np.zeros(0), stds=np.ones(0), constant=np.zeros(0, dtype=bool))
+    stats = NormStats.fit(x_raw)
     if feature_names is None:
-        feature_names = tuple(f"f{j + 1}" for j in range(k))
+        feature_names = tuple(f"f{j + 1}" for j in range(x_raw.shape[1]))
     if alternative_names is None:
         alternative_names = tuple(f"alt{i + 1}" for i in range(n_alternatives))
     return ChoiceDataset(
@@ -204,7 +202,8 @@ def _row_error(ridx, row, n_cells, choice_pos, feature_columns, feat_pos):
     if len(row) != n_cells:
         return RowParseError(f"row {ridx}: expected {n_cells} cells, got {len(row)}")
     try:
-        int(row[choice_pos])
+        if choice_pos is not None:
+            int(row[choice_pos])
     except ValueError:
         return RowParseError(
             f"row {ridx}: choice cell {row[choice_pos]!r} is not an integer")
@@ -270,18 +269,21 @@ def _c_rows(path, n_cells, feat_pos, choice_pos=None):
 
 
 def _exact_rows(reader, n_cells, choice_pos, feature_columns, feat_pos):
-    """(choices, raw feature matrix) of `load_csv`, one Python call per cell.
+    """(choices, raw feature matrix) of the data rows, one Python call per
+    cell; choices are None where `choice_pos` is None.
 
-    This loop alone defines which files `load_csv` accepts and the message
+    This loop alone defines which files the loaders accept and the message
     of every row error.  A row failing any check is checked again cell by
     cell to name the first bad cell.  One flat list spares the collector a
     list per row.
     """
     features = _cells(feat_pos)
+    choice = (lambda row: 0) if choice_pos is None else operator.itemgetter(
+        choice_pos)
     values, choices = [], []
     for ridx, row in enumerate(reader, start=1):
         try:
-            c = int(row[choice_pos])
+            c = int(choice(row))
             vals = list(map(float, features(row)))
             ok = len(row) == n_cells and all(map(math.isfinite, vals))
         except (ValueError, IndexError):
@@ -297,24 +299,44 @@ def _exact_rows(reader, n_cells, choice_pos, feature_columns, feat_pos):
         bad = next(c for c in choices if not -2 ** 63 <= c < 2 ** 63)
         raise ChoiceDomainError(
             f"choice value {bad} is beyond the 64-bit integer range") from None
-    return choices, np.asarray(values, dtype=np.float64).reshape(
+    x_raw = np.asarray(values, dtype=np.float64).reshape(
         len(choices), len(feat_pos))
+    return (None if choice_pos is None else choices), x_raw
 
 
-def _exact_feature_rows(reader, feat_pos):
-    """Raw feature matrix of `load_features_csv`, one Python call per cell;
-    like `_exact_rows`, it alone defines what is accepted."""
-    features = _cells(feat_pos)
-    values, ridx = [], 0
-    for ridx, row in enumerate(reader, start=1):
+def _read_rows(path, choice_column, feature_columns):
+    """(choices, raw feature matrix, feature columns) of a UTF-8 CSV file
+    with a header row, the one reader of both loaders.
+
+    With `choice_column` None no choice is read and the choices are None,
+    and an empty feature list is allowed (a bias-only model's input).
+    `feature_columns` None means every column but the choice.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
         try:
-            vals = list(map(float, features(row)))
-        except (ValueError, IndexError):
-            raise RowParseError(f"row {ridx}: non-numeric feature cell") from None
-        if not all(map(math.isfinite, vals)):
-            raise RowParseError(f"row {ridx}: missing or non-finite value")
-        values += vals
-    return np.asarray(values, dtype=np.float64).reshape(ridx, len(feat_pos))
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, no header row") from None
+        if choice_column is not None and choice_column not in header:
+            raise SchemaError(f"missing choice column {choice_column!r}")
+        if feature_columns is None:
+            feature_columns = [h for h in header if h != choice_column]
+        for col in feature_columns:
+            if col not in header:
+                raise SchemaError(f"missing feature column {col!r}")
+        if choice_column is not None and not feature_columns:
+            raise SchemaError("no feature columns")
+        choice_pos = (None if choice_column is None
+                      else header.index(choice_column))
+        feat_pos = [header.index(c) for c in feature_columns]
+        choices, x_raw = (
+            _c_rows(path, len(header), feat_pos, choice_pos)
+            or _exact_rows(reader, len(header), choice_pos, feature_columns,
+                           feat_pos))
+    if not len(x_raw):
+        raise SchemaError(f"{path}: no data rows")
+    return choices, x_raw, feature_columns
 
 
 def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None,
@@ -324,33 +346,11 @@ def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None
     The choice column holds 1-based integer alternative indices; every other
     requested column must be numeric.  Features are z-scored with the file's
     own statistics unless `norm_stats` (e.g. from a saved model) is given.
-    Rows with missing or non-numeric cells are rejected with the row index.
+    Rows with missing or non-numeric cells, or with the wrong number of
+    cells, are rejected with the row index.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, no header row") from None
-        header = [h.strip() for h in header]
-        if choice_column not in header:
-            raise SchemaError(f"missing choice column {choice_column!r}")
-        if feature_columns is None:
-            feature_columns = [h for h in header if h != choice_column]
-        for col in feature_columns:
-            if col not in header:
-                raise SchemaError(f"missing feature column {col!r}")
-        if not feature_columns:
-            raise SchemaError("no feature columns")
-        choice_pos = header.index(choice_column)
-        feat_pos = [header.index(c) for c in feature_columns]
-        choices, x_raw = (
-            _c_rows(path, len(header), feat_pos, choice_pos)
-            or _exact_rows(reader, len(header), choice_pos, feature_columns,
-                           feat_pos))
-
-    if not len(choices):
-        raise SchemaError(f"{path}: no data rows")
+    choices, x_raw, feature_columns = _read_rows(path, choice_column,
+                                                 feature_columns)
     if n_alternatives is None:
         n_alternatives = int(choices.max())
         # One-hot coding allocates rows x I cells; a file cannot name more
@@ -375,23 +375,10 @@ def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None
 def load_features_csv(path, feature_names, norm_stats: NormStats) -> np.ndarray:
     """Load only the named feature columns, scaled with the given statistics.
 
-    Used at prediction time, where a choice column may be absent.
+    Used at prediction time: the rows obey `load_csv`'s rules, but no
+    choice column is read, so it may be absent.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, no header row") from None
-        for col in feature_names:
-            if col not in header:
-                raise SchemaError(f"missing feature column {col!r}")
-        feat_pos = [header.index(c) for c in feature_names]
-        parsed = _c_rows(path, len(header), feat_pos)
-        x_raw = parsed[1] if parsed else _exact_feature_rows(reader, feat_pos)
-    if not len(x_raw):
-        raise SchemaError(f"{path}: no data rows")
-    x = norm_stats.apply(x_raw)
+    x = norm_stats.apply(_read_rows(path, None, list(feature_names))[1])
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite feature values")
     return x
@@ -422,7 +409,7 @@ def refit_normalization(train: ChoiceDataset, valid: ChoiceDataset):
     """
     raw_train = train.norm_stats.invert(train.x)
     raw_valid = valid.norm_stats.invert(valid.x)
-    stats = NormStats.fit(raw_train) if train.n_features else train.norm_stats
+    stats = NormStats.fit(raw_train)
     rebuilt = []
     for ds, raw in ((train, raw_train), (valid, raw_valid)):
         rebuilt.append(ChoiceDataset(

@@ -1,9 +1,11 @@
 """Brute-force reference computations and synthetic data generation.
 
 The reference computations enumerate the hidden state space explicitly,
-so they are only usable for small models (I <= 16, J <= 12).  Of the rest
-of the package only the `generate` command calls into this module; tests
-use it as an independent check.
+so they are only usable for small models (I <= 16, J <= 12), and they
+alone carry that cap.  Generation draws from the model's own closed-form
+p(y | x), `model.choice_probs`, so a planted model of any size can be
+sampled.  Of the rest of the package only the `generate` command calls
+into this module; tests use it as an independent check.
 """
 
 import json
@@ -14,7 +16,7 @@ from scipy.special import logsumexp
 
 from .dataset import ChoiceDataset, from_arrays
 from .model import (BLOCK_NAMES, CrbmParams, ParamBlocks, _checked,
-                    sample_categorical)
+                    choice_probs, sample_categorical)
 
 MAX_HIDDEN = 12
 MAX_ALTERNATIVES = 16
@@ -157,7 +159,6 @@ class PlantedModel:
         self.validate()
 
     def validate(self):
-        _check_enumerable(self.params)
         if len(self.context) != self.params.n_features:
             raise ValueError("one context spec per feature required")
         for spec in self.context:
@@ -180,8 +181,7 @@ def draw_rows(pm: PlantedModel):
     """(raw context matrix, 0-based choice indices) drawn from the planted model."""
     rng = np.random.default_rng(pm.seed)
     x_raw = draw_context(pm, rng)
-    return x_raw, sample_categorical(
-        exact_choice_distribution(pm.params, x_raw), rng)
+    return x_raw, sample_categorical(choice_probs(pm.params, x_raw), rng)
 
 
 def generate(pm: PlantedModel) -> ChoiceDataset:

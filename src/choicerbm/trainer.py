@@ -4,11 +4,10 @@ One loop drives both estimators.  With hidden units the per-batch gradient
 is the CD estimate: hidden activation probabilities at the data against a
 sampled reconstruction chain.  Without hidden units the reconstruction
 chain mixes in a single step, so its expectation is available in closed
-form and the loop becomes exact multinomial-logit gradient ascent; `train_mnl` is that
-same loop pinned to zero hidden units, which keeps the two estimators
-bit-identical under a shared seed.  Each epoch scores both splits with
-`model.log_choice_probs`, the rule that `stats` reports, and early stopping
-keeps the snapshot of lowest validation error.
+form and the loop becomes exact multinomial-logit gradient ascent: the MNL
+baseline is `train_crbm` with zero hidden units.  Each epoch scores both
+splits with `model.log_choice_probs`, the rule that `stats` reports, and
+early stopping keeps the snapshot of lowest validation error.
 """
 
 from dataclasses import dataclass, field
@@ -290,8 +289,3 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
             for t, trace in zip(best_theta, traces)]
     return fits if stacked else fits[0]
 
-
-def train_mnl(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, cfg: TrainConfig,
-              epoch_hook=None):
-    """Multinomial-logit baseline: the same schedule with zero hidden units."""
-    return train_crbm(ds_train, ds_valid, 0, cfg, epoch_hook)

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from choicerbm import cli, oracle
 from choicerbm.dataset import SplitSpec, from_arrays, refit_normalization, split
@@ -17,7 +18,7 @@ from choicerbm.oracle import energy
 from choicerbm.report import hinton_svg
 from choicerbm.sensitivity import rank_agreement, sensitivity_run
 from choicerbm.stats import bic, log_likelihood, rho_squared, validation_error
-from choicerbm.trainer import TrainConfig, train_crbm, train_mnl
+from choicerbm.trainer import TrainConfig, train_crbm
 from conftest import random_params
 
 pytestmark = [pytest.mark.filterwarnings("ignore:information matrix"),
@@ -84,20 +85,27 @@ def test_criterion_2_gradient_correctness():
 
 
 def test_criterion_3_mnl_reduction():
+    # With no hidden units the model is the MNL, p(i | x) = softmax(c + B x):
+    # every epoch's snapshot and score must be the MNL's closed form.
     rng = np.random.default_rng(303)
     ds = from_arrays(rng.normal(0, 1, (600, 3)), rng.integers(0, 4, 600))
     tr, va = refit_normalization(*split(ds, SplitSpec(seed=1)))
     cfg = TrainConfig(batch_size=64, epochs=25, learning_rate=0.02, seed=7)
-    p_crbm, t_crbm = train_crbm(tr, va, 0, cfg)
-    p_mnl, t_mnl = train_mnl(tr, va, cfg)
-    for (name, a), (_, b) in zip(p_crbm.blocks(), p_mnl.blocks()):
-        assert np.array_equal(a, b), name
-    assert t_crbm.train_nll == t_mnl.train_nll
-    assert t_crbm.valid_error == t_mnl.valid_error
-    ll_gap = abs(log_likelihood(p_crbm, tr) - log_likelihood(p_mnl, tr))
+    snapshots = []
+    p, trace = train_crbm(tr, va, 0, cfg,
+                          epoch_hook=lambda _epoch, s: snapshots.append(s))
+    ll_gap = 0.0
+    for snap, nll in zip(snapshots, trace.train_nll, strict=True):
+        logits = snap.choice_bias + tr.x @ snap.choice_context_w.T
+        mnl_ll = (tr.y * (logits - logsumexp(logits, axis=1,
+                                             keepdims=True))).sum()
+        ll_gap = max(ll_gap, abs(log_likelihood(snap, tr) - mnl_ll))
+        assert nll == pytest.approx(-mnl_ll / tr.n_rows, rel=1e-12)
     assert ll_gap < 1e-9
-    report(f"criterion 3 PASS: zero-hidden training bit-equal to the MNL "
-           f"estimator, log-likelihood gap {ll_gap:.2e}")
+    assert p.n_hidden == 0
+    assert trace.valid_error[trace.best_epoch] == validation_error(p, va)
+    report(f"criterion 3 PASS: zero-hidden training is the MNL at all "
+           f"{len(snapshots)} epochs, log-likelihood gap {ll_gap:.2e}")
 
 
 def test_criterion_4_statistics_reproduction():
@@ -120,7 +128,7 @@ def test_criterion_5_planted_model_recovery():
     tr, va = refit_normalization(*split(ds, SplitSpec(0.70, seed=5)))
     cfg = TrainConfig(**BAND_CONFIG)
 
-    mnl, _ = train_mnl(tr, va, cfg)
+    mnl, _ = train_crbm(tr, va, 0, cfg)
     err_mnl = validation_error(mnl, va)
 
     kl_x = np.random.default_rng(123).normal(0, 1, (512, 6))
@@ -154,7 +162,7 @@ def test_criterion_6_full_scale_reproduction():
     ds = load_csv(os.environ["CHOICERBM_FULL_DATA"], "choice")
     tr, va = refit_normalization(*split(ds, SplitSpec(0.70, seed=0)))
     cfg = TrainConfig(seed=0)
-    mnl, _ = train_mnl(tr, va, cfg)
+    mnl, _ = train_crbm(tr, va, 0, cfg)
     crbm, _ = train_crbm(tr, va, 2, cfg)
     err_mnl = validation_error(mnl, va)
     err_crbm = validation_error(crbm, va)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choicerbm import cli, oracle
+from choicerbm import cli, dataset, oracle
 from choicerbm.dataset import NormStats
 from choicerbm.model import CrbmParams
 from choicerbm.report import load_model, save_model
@@ -169,6 +169,24 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == "error: non-finite feature values\n"
+        assert not out.exists()
+
+    def test_row_with_the_wrong_cell_count_fails_in_one_line(self, tmp_path,
+                                                             capsys):
+        # The model reads only f1 and f2, but a row must still have one
+        # cell per header column, as for `train` and `evaluate`.
+        model = tmp_path / "m.model"
+        save_model(random_params(np.random.default_rng(0), 3, 2, 2), model,
+                   norm_stats=NormStats(means=np.zeros(2), stds=np.ones(2),
+                                        constant=np.zeros(2, dtype=bool)),
+                   feature_names=("f1", "f2"))
+        data = tmp_path / "d.csv"
+        data.write_text("f1,f2,f3\n0.5,1.0,2.0\n0.1,0.2\n0.3,0.4,0.5,0.6,0.7\n")
+        out = tmp_path / "preds.csv"
+        rc = cli.run(["predict", "--model", str(model), "--data", str(data),
+                      "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: row 2: expected 3 cells, got 2\n"
         assert not out.exists()
 
 
@@ -354,6 +372,41 @@ class TestExitCodes:
                       "--n", "50", "--seed", "3", "--out", str(out)])
         assert rc == 0
         assert len(out.read_text().strip().split("\n")) == 51
+
+    def test_generate_beyond_the_enumeration_cap(self, planted_file, tmp_path):
+        # Generation draws from the closed-form p(y | x), so J = 13 is
+        # sampled although the enumeration references stop at 12.
+        doc = json.loads(planted_file.read_text())
+        doc["params"] = {name: arr.tolist() for name, arr in random_params(
+            np.random.default_rng(1), 5, 13, 6).blocks()}
+        planted = tmp_path / "j13.json"
+        planted.write_text(json.dumps(doc))
+        out = tmp_path / "gen.csv"
+        assert cli.run(["generate", "--planted", str(planted), "--n", "40",
+                        "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 41
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 378. GiB for an array with shape (253803, 200000)"
+         " and data type float64",
+         "error: out of memory (Unable to allocate 378. GiB for an array with"
+         " shape (253803, 200000) and data type float64)\n"),
+        ("", "error: out of memory\n")], ids=["numpy", "bare"])
+    def test_failed_allocation_fails_in_one_line(self, data_file, tmp_path,
+                                                 capsys, monkeypatch, message,
+                                                 line):
+        # One-hot coding asks for rows x I cells; a failed allocation is
+        # simulated rather than made, as an overcommitting host would grant it.
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(dataset, "one_hot", no_memory)
+        out = tmp_path / "m.model"
+        rc = cli.run(["train", "--data", str(data_file), "--epochs", "1",
+                      "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == line
+        assert not out.exists()
 
     def test_constant_column_trains_saves_and_evaluates(self, tmp_path, capsys):
         # A constant feature leaves parameters with se = 0; their t values

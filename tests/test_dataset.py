@@ -162,9 +162,9 @@ class TestParser:
         assert np.array_equal(ds.y, [[1, 0], [0, 1]])
 
     @pytest.mark.parametrize("bad_row, message", [
-        ("nan,oops", "row 2: non-numeric feature cell"),
-        ("1.0", "row 2: non-numeric feature cell"),
-        ("1.0,-inf", "row 2: missing or non-finite value"),
+        ("nan,oops", "row 2: missing or non-finite value in column 'a'"),
+        ("1.0", "row 2: expected 2 cells, got 1"),
+        ("1.0,-inf", "row 2: missing or non-finite value in column 'b'"),
     ])
     def test_feature_reader_messages(self, tmp_path, bad_row, message):
         path = tmp_path / "d.csv"

@@ -4,9 +4,8 @@ import pytest
 from choicerbm import oracle
 from choicerbm.dataset import ChoiceDataset, NormStats, from_arrays, one_hot
 from choicerbm.model import CrbmParams
-from choicerbm.stats import log_likelihood
 from choicerbm.trainer import (TrainConfig, TrainingDivergedError, cd_step,
-                               train_crbm, train_mnl)
+                               train_crbm)
 from conftest import random_params
 
 
@@ -98,7 +97,7 @@ class TestMnlAnalyticCases:
         ds = from_arrays(np.zeros((n, 0)), idx, n_alternatives=3)
         cfg = TrainConfig(batch_size=n, epochs=60, learning_rate=0.1, seed=1,
                           early_stop_patience=60)
-        params, _ = train_mnl(ds, ds, cfg)
+        params, _ = train_crbm(ds, ds, 0, cfg)
         probs = np.exp(params.choice_bias)
         probs /= probs.sum()
         np.testing.assert_allclose(probs, ds.y.mean(axis=0), atol=1e-6)
@@ -111,7 +110,7 @@ class TestMnlAnalyticCases:
         ds = from_arrays(np.zeros((n, 0)), idx, n_alternatives=3)
         cfg = TrainConfig(batch_size=n, epochs=80, learning_rate=0.2, seed=0,
                           early_stop_patience=80)
-        _, trace = train_mnl(ds, ds, cfg)
+        _, trace = train_crbm(ds, ds, 0, cfg)
         diffs = np.diff(trace.train_nll[1:])
         assert np.all(diffs <= 1e-8)
 
@@ -121,7 +120,7 @@ class TestMnlAnalyticCases:
         ds = from_arrays(x[:, None], idx, n_alternatives=2)
         cfg = TrainConfig(batch_size=120, epochs=300, learning_rate=0.5,
                           seed=0, early_stop_patience=300)
-        _, trace = train_mnl(ds, ds, cfg)
+        _, trace = train_crbm(ds, ds, 0, cfg)
         assert min(trace.valid_error) == 0.0
 
 
@@ -160,16 +159,6 @@ class TestDeterminismAndReduction:
         for a, b in zip(snapshots[:half], snapshots[half:]):
             for (_, u), (_, v) in zip(a.blocks(), b.blocks()):
                 np.testing.assert_array_equal(u, v)
-
-    def test_zero_hidden_equals_mnl(self, rng):
-        ds = from_arrays(rng.normal(0, 1, (400, 2)), rng.integers(0, 3, 400))
-        cfg = TrainConfig(batch_size=64, epochs=20, learning_rate=0.02, seed=5)
-        p_crbm, t_crbm = train_crbm(ds, ds, 0, cfg)
-        p_mnl, t_mnl = train_mnl(ds, ds, cfg)
-        for (_, x), (_, y) in zip(p_crbm.blocks(), p_mnl.blocks()):
-            np.testing.assert_array_equal(x, y)
-        assert abs(log_likelihood(p_crbm, ds) - log_likelihood(p_mnl, ds)) < 1e-9
-        assert t_crbm.train_nll == t_mnl.train_nll
 
 
 class TestEarlyStopping:
@@ -217,7 +206,7 @@ class TestDivergence:
                                  constant=np.zeros(1, dtype=bool)))
         cfg = TrainConfig(batch_size=4, epochs=5, learning_rate=1e3, seed=0)
         with pytest.raises(TrainingDivergedError, match="epoch"):
-            train_mnl(ds, ds, cfg)
+            train_crbm(ds, ds, 0, cfg)
 
 
 class TestGradientCheck:

@@ -14,8 +14,7 @@ import pytest
 from choicerbm import oracle
 from choicerbm.dataset import from_arrays
 from choicerbm.model import BLOCK_NAMES, sigmoid
-from choicerbm.trainer import (TrainConfig, TrainTrace, cd_step, train_crbm,
-                               train_mnl)
+from choicerbm.trainer import TrainConfig, TrainTrace, cd_step, train_crbm
 from conftest import random_params
 
 WEIGHT_BLOCKS = {"choice_hidden_w", "choice_context_w", "hidden_context_w"}
@@ -190,7 +189,7 @@ def test_early_stop_matches_reference(band_split):
 def test_mnl_matches_reference(band_split):
     train, valid = band_split
     cfg = TrainConfig(epochs=5, learning_rate=0.05, seed=6)
-    params, trace = train_mnl(train, valid, cfg)
+    params, trace = train_crbm(train, valid, 0, cfg)
     assert_same_fit(params, trace, *reference_fit(train, valid, 0, cfg))
 
 
