@@ -4,16 +4,18 @@ Subcommands: train, evaluate, predict, sensitivity, hinton, generate.
 Training defaults mirror the reference configuration (batch 64, 400
 epochs, learning rate 1e-3, CD-1), so `train` with no tuning flags runs
 the standard recipe.  Exit codes: 0 success, 2 usage error, 1 runtime
-failure with a one-line diagnostic.
+failure with a one-line diagnostic.  As a program, each warning prints
+as one `warning: <message>` line.
 """
 
 import argparse
 import csv
 import sys
+import warnings
 
 import numpy as np
 
-from . import dataset, report, sensitivity, stats, trainer
+from . import dataset, model, report, sensitivity, stats, trainer
 from .inference import predict_batch, write_predictions_csv
 
 
@@ -142,6 +144,7 @@ def _cmd_train(args) -> int:
         raise UsageError("--hidden must be >= 0")
     train_ds, valid_ds = _load_split(args)
     params, trace = trainer.train_crbm(train_ds, valid_ds, args.hidden, cfg)
+    params = model.canonical(params)
     rep = stats.evaluate(params, train_ds, valid_ds)
     report.save_model(
         params, args.out, norm_stats=train_ds.norm_stats,
@@ -161,7 +164,8 @@ def _cmd_train(args) -> int:
             "split_seed": args.seed,
         },
         std_errs=rep.std_errs, tstats=rep.tstats,
-        choice_column=args.choice_col)
+        choice_column=args.choice_col,
+        reference_alternative=model.REFERENCE_ALTERNATIVE)
     label = "MNL" if args.hidden == 0 else f"CRBM-J{args.hidden}"
     sys.stdout.write(stats.report_table_rows([(label, rep)]))
     return 0
@@ -231,9 +235,12 @@ def _cmd_sensitivity(args) -> int:
         for j in hidden_sizes
     ]
     table = sensitivity.sensitivity_table_csv(reports)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with report.atomic_open(args.out) as fh:
         fh.write(table)
     sys.stdout.write(table)
+    for rep in reports:
+        rho = sensitivity.rank_agreement(rep.full_rank, rep.sub_rank)
+        sys.stdout.write(f"J{rep.n_hidden}_spearman_rho,{rho:.6f}\n")
     return 0
 
 
@@ -263,7 +270,7 @@ def _cmd_hinton(args) -> int:
                              col_labels=col_labels, tstats=t,
                              threshold=args.threshold)
     svg = report.hinton_svg(spec)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with report.atomic_open(args.out) as fh:
         fh.write(svg)
     return 0
 
@@ -305,7 +312,14 @@ def run(argv) -> int:
         return 2 if isinstance(exc, (UsageError, FileNotFoundError)) else 1
 
 
+def _one_line_warning(message, category, filename, lineno, line=None):
+    return f"warning: {' '.join(str(message).splitlines())}\n"
+
+
 def main():
+    # Warnings print like every other diagnostic: one line, no source.
+    # Set here, not in `run`, because the format is the whole process's.
+    warnings.formatwarning = _one_line_warning
     sys.exit(run(sys.argv[1:]))
 
 

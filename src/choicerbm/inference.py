@@ -6,6 +6,7 @@ E[h_j | x] = sum_i p(i | x) p(h_j = 1 | i, x).
 """
 
 from .model import CrbmParams, choice_probs, hidden_given_choice
+from .report import atomic_open
 
 
 def predict_batch(p: CrbmParams, x):
@@ -22,12 +23,13 @@ def predict_batch(p: CrbmParams, x):
 
 def write_predictions_csv(path, probs, h_act, alternative_names):
     """Export batch predictions: row id, per-alternative probs, predicted
-    choice (1-based), hidden activations."""
+    choice (1-based), hidden activations.  A failed write leaves `path`
+    as it was (`report.atomic_open`)."""
     header = (["row"]
               + [f"p_{name}" for name in alternative_names]
               + ["predicted"]
               + [f"h{j + 1}" for j in range(h_act.shape[1])])
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for r, predicted in enumerate(probs.argmax(axis=1).tolist()):
             fh.write(",".join([str(r + 1), *map(repr, probs[r].tolist()),

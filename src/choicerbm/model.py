@@ -24,6 +24,10 @@ import numpy as np
 BLOCK_NAMES = ("choice_hidden_w", "choice_context_w", "hidden_context_w",
                "choice_bias", "hidden_bias")
 
+# The alternative whose c, B and D entries `canonical` fixes at zero,
+# 1-based as in choice columns and model files.
+REFERENCE_ALTERNATIVE = 1
+
 
 def block_shapes(i: int, j: int, k: int) -> tuple:
     """Shapes of the blocks in BLOCK_NAMES order: D (I, J), B (I, K),
@@ -195,6 +199,23 @@ def sample_categorical(probs, rng: np.random.Generator):
     The draws are shared by all leading indices."""
     u = rng.random(probs.shape[-2])
     return (probs.cumsum(axis=-1) > u[:, None]).argmax(axis=-1)
+
+
+def canonical(p: CrbmParams) -> CrbmParams:
+    """`p` in the reference-alternative gauge: the reference alternative's
+    entries of c, B and D (row r) are subtracted from every alternative, and
+    D_rj is added to d_j.  p(y | x) is unchanged up to rounding, because the
+    logits shift by one amount per row and every softplus(d_j + A_j x +
+    D_ij) keeps its argument; the likelihood's K + 1 + J exact null
+    directions are zeroed.
+    """
+    r = REFERENCE_ALTERNATIVE - 1
+    return CrbmParams(
+        choice_hidden_w=p.choice_hidden_w - p.choice_hidden_w[r],
+        choice_context_w=p.choice_context_w - p.choice_context_w[r],
+        hidden_context_w=p.hidden_context_w,
+        choice_bias=p.choice_bias - p.choice_bias[r],
+        hidden_bias=p.hidden_bias + p.choice_hidden_w[r])
 
 
 def param_count(n_alternatives: int, n_hidden: int, n_features: int) -> int:

@@ -17,6 +17,7 @@ from scipy.special import logsumexp
 from .dataset import ChoiceDataset, from_arrays
 from .model import (BLOCK_NAMES, CrbmParams, ParamBlocks, _checked,
                     choice_probs, sample_categorical)
+from .report import atomic_open
 
 MAX_HIDDEN = 12
 MAX_ALTERNATIVES = 16
@@ -191,10 +192,11 @@ def generate(pm: PlantedModel) -> ChoiceDataset:
 
 
 def write_dataset_csv(pm: PlantedModel, path, choice_column: str = "choice"):
-    """Write raw draws as a standard dataset CSV (1-based choice column)."""
+    """Write raw draws as a standard dataset CSV (1-based choice column).
+    A failed write leaves `path` as it was (`report.atomic_open`)."""
     x_raw, idx = draw_rows(pm)
     names = [f"f{j + 1}" for j in range(pm.params.n_features)]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join([choice_column] + names) + "\n")
         for c, row in zip(idx.tolist(), x_raw):
             fh.write(",".join([str(c + 1), *map(repr, row.tolist())]) + "\n")

@@ -1,4 +1,5 @@
-"""Model persistence and Hinton-diagram rendering.
+"""Model persistence, Hinton-diagram rendering, and `atomic_open`, through
+which every output file of the command line is written.
 
 Model files are canonical JSON: a format/version header, the five
 parameter blocks at full precision, normalization statistics, column
@@ -12,6 +13,7 @@ for negative entries, and a blue outline wherever the aligned t value
 clears the significance threshold.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -32,15 +34,33 @@ class ModelFileError(ValueError):
     """Model file is unreadable, of the wrong version, or inconsistent."""
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """A text file to write in place of `path`: it is written beside `path`
+    and renamed over it when the block ends, so a failed write leaves
+    neither a partial file nor a changed one."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_model(p: CrbmParams, path, norm_stats: NormStats = None,
                feature_names=None, alternative_names=None,
                train_config: TrainConfig = None, metrics: dict = None,
                std_errs: ParamBlocks = None, tstats: ParamBlocks = None,
-               choice_column: str = None):
+               choice_column: str = None, reference_alternative: int = None):
     """Write a model file; every numeric value survives a round trip exactly.
 
-    The file is written beside `path` and renamed over it, so a failed save
-    leaves neither a partial file nor a changed one.
+    `reference_alternative` (1-based) records that `p` is in that
+    alternative's gauge (`model.canonical`).  The file is written through
+    `atomic_open`, so a failed save leaves neither a partial file nor a
+    changed one.
     """
     doc = {
         "format": MODEL_FORMAT,
@@ -52,6 +72,8 @@ def save_model(p: CrbmParams, path, norm_stats: NormStats = None,
     }
     if choice_column is not None:
         doc["choice_column"] = str(choice_column)
+    if reference_alternative is not None:
+        doc["reference_alternative"] = int(reference_alternative)
     if norm_stats is not None:
         doc["norm_stats"] = {
             "means": norm_stats.means.tolist(),
@@ -71,15 +93,8 @@ def save_model(p: CrbmParams, path, norm_stats: NormStats = None,
             doc[key] = {name: np.asarray(a).tolist() for name, a in blocks.blocks()}
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"),
                          allow_nan=False)
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(payload + "\n")
 
 
 def _names(raw, n):
@@ -111,6 +126,16 @@ def _metrics(raw):
         raise ValueError("expected finite values, with split_fraction and "
                          "split_seed together")
     return metrics
+
+
+def _reference_alternative(raw, p: CrbmParams):
+    """A 1-based alternative whose c, B and D entries in `p` are zero."""
+    if not (type(raw) is int and 1 <= raw <= p.n_alternatives):
+        raise ValueError(f"expected an alternative in 1..{p.n_alternatives}")
+    if (p.choice_bias[raw - 1] != 0.0 or p.choice_context_w[raw - 1].any()
+            or p.choice_hidden_w[raw - 1].any()):
+        raise ValueError(f"alternative {raw} has nonzero c, B or D entries")
+    return raw
 
 
 # Everything malformed metadata can raise while it is read.
@@ -158,6 +183,8 @@ def load_model(path):
         "train_config": _train_config,
         "metrics": _metrics,
         "choice_column": lambda raw: _names([raw], 1)[0],
+        "reference_alternative": lambda raw: _reference_alternative(raw,
+                                                                    params),
         "std_errs": lambda raw: ParamBlocks(**read_blocks(raw)),
         "tstats": lambda raw: ParamBlocks(**read_blocks(raw)),
     }

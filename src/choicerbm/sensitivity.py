@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset, stack
+from .model import REFERENCE_ALTERNATIVE
 from .stats import t_statistics
 from .trainer import TrainConfig, train_crbm
 
@@ -32,10 +33,12 @@ class SensitivityReport:
 
 
 def _variable_sensitivity(p, ds) -> np.ndarray:
-    """RMS standard error per explanatory variable, bias appended last."""
+    """RMS standard error per explanatory variable, bias appended last,
+    over the I - 1 alternatives left free by the reference gauge."""
     std_errs, _ = t_statistics(p, ds)
-    per_feature = np.sqrt((std_errs.choice_context_w ** 2).mean(axis=0))
-    bias = np.sqrt((std_errs.choice_bias ** 2).mean())
+    free = np.arange(p.n_alternatives) != REFERENCE_ALTERNATIVE - 1
+    per_feature = np.sqrt((std_errs.choice_context_w[free] ** 2).mean(axis=0))
+    bias = np.sqrt((std_errs.choice_bias[free] ** 2).mean())
     return np.append(per_feature, bias)
 
 

@@ -5,9 +5,10 @@ Every figure here scores the model's exact conditional p(y | x), with the
 hidden units summed out (`model.log_choice_probs`), so with zero hidden
 units everything reduces to exact multinomial-logit statistics.  Standard
 errors come from the outer product of per-row score vectors (the BHHH
-information estimator) over all parameter blocks at once; the softmax
-blocks are always rank-deficient by one per feature, so the information
-matrix is inverted on its identified subspace (minimum-norm gauge).
+information estimator) over all parameter blocks at once, in the
+reference-alternative gauge of `model.canonical`: the likelihood has
+K + 1 + J exact null directions, and fixing the reference alternative's
+entries of c, B and D removes them.
 """
 
 import warnings
@@ -16,8 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .model import (CrbmParams, ParamBlocks, hidden_given_choice,
-                    log_choice_probs, param_count)
+from .model import (REFERENCE_ALTERNATIVE, CrbmParams, ParamBlocks,
+                    canonical, hidden_given_choice, log_choice_probs,
+                    param_count)
+
+# Rows of scores held at once while the information matrix is summed.
+BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -89,18 +94,16 @@ def mean_true_probability(p: CrbmParams, ds: ChoiceDataset,
     return float(np.exp(_observed(p, ds, log_probs)).mean())
 
 
-def pinv_standard_errors(scores: np.ndarray) -> np.ndarray:
+def pinv_standard_errors(info: np.ndarray) -> np.ndarray:
     """Standard errors from an outer-product-of-scores information matrix.
 
-    `scores` is (rows, params).  The information matrix is inverted through
-    its eigendecomposition; directions with (numerically) zero information
-    are projected out rather than inverted, which is the minimum-norm gauge
-    for overparameterized softmax blocks.  Emits a warning when that
-    happens.  Parameters with no information at all get a zero standard
-    error, as do directions too weak for their inverse to be a finite float.
+    `info` is (params, params).  It is inverted through its
+    eigendecomposition; directions with (numerically) zero information are
+    projected out rather than inverted, and a warning names the rank left.
+    Parameters with no information at all get a zero standard error, as
+    do directions too weak for their inverse to be a finite float.
     """
-    n_params = scores.shape[1]
-    info = scores.T @ scores
+    n_params = len(info)
     # A zero score column is a zero row and column of `info`; leaving them
     # out of the decomposition keeps that parameter's se exactly zero.
     live = np.flatnonzero(np.diag(info) != 0.0)
@@ -114,23 +117,23 @@ def pinv_standard_errors(scores: np.ndarray) -> np.ndarray:
     std_errs[live] = np.sqrt(np.maximum((eigvecs ** 2 * inv).sum(axis=1), 0.0))
     if rank < n_params:
         warnings.warn(
-            f"information matrix is singular (rank {rank} of {n_params}); "
-            "standard errors use the identified subspace only")
+            f"information matrix is singular (rank {rank} of {n_params} free "
+            "parameters); standard errors use the identified subspace only")
     return std_errs
 
 
-def _prediction_scores(p: CrbmParams, ds: ChoiceDataset, log_probs):
+def _prediction_scores(p: CrbmParams, x, y, log_probs):
     """Per-row score vectors of log p(y_obs | x), (rows, param_count) in
-    the parameter layout, from `log_probs`, the forward pass over `ds`.
+    the parameter layout, for context rows `x`, one-hot choices `y` and
+    their forward pass `log_probs`.
 
     With r_i = y_i - p(i | x) and w_ij = r_i p(h_j = 1 | i, x), the score
     is w for D, r x for B, (sum_i w_ij) x for A, r for c and sum_i w_ij
     for d.
     """
     dims = (p.n_alternatives, p.n_hidden, p.n_features)
-    x = ds.x
-    resid = ds.y - np.exp(log_probs)                               # (n, I)
-    scores = np.empty((ds.n_rows, param_count(*dims)))
+    resid = y - np.exp(log_probs)                                  # (n, I)
+    scores = np.empty((len(x), param_count(*dims)))
     g = ParamBlocks.from_flat(scores, *dims)
     np.multiply(resid[:, :, None], hidden_given_choice(p, x),
                 out=g.choice_hidden_w)
@@ -142,20 +145,51 @@ def _prediction_scores(p: CrbmParams, ds: ChoiceDataset, log_probs):
     return scores
 
 
+def _free_columns(i: int, j: int, k: int) -> np.ndarray:
+    """Flat layout indices of the parameters the reference gauge leaves
+    free: all but the c, B and D entries of the reference alternative."""
+    free = np.ones(param_count(i, j, k), dtype=bool)
+    ref = ParamBlocks.from_flat(free, i, j, k)
+    for block in (ref.choice_hidden_w, ref.choice_context_w, ref.choice_bias):
+        block[REFERENCE_ALTERNATIVE - 1] = False
+    return np.flatnonzero(free)
+
+
+def _information(p: CrbmParams, ds: ChoiceDataset, log_probs, columns):
+    """BHHH information of the parameters at flat indices `columns`:
+    S_b' S_b summed in row order over blocks of BLOCK_ROWS rows, S_b one
+    block's scores.  At most one block of scores exists at a time, and
+    the fixed blocks fix the summation order."""
+    info = np.zeros((len(columns),) * 2)
+    for lo in range(0, ds.n_rows, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        s = _prediction_scores(p, ds.x[rows], ds.y[rows], log_probs[rows])
+        s = s.take(columns, axis=1)
+        info += s.T @ s
+    return info
+
+
 def t_statistics(p: CrbmParams, ds_train: ChoiceDataset, log_probs=None):
     """(standard errors, t values) in parameter-block layout, from one
-    information matrix over every block of the exact likelihood.
+    information matrix over every free parameter of the exact likelihood.
 
-    t is the parameter over its standard error, pinned to t = 0 where
-    either is zero: a parameter with no information is not significant.
-    `log_probs` is `log_choice_probs(p, ds_train.x)` when already computed.
+    The free parameters are those of the reference-alternative gauge
+    (`model.canonical`); the reference entries of c, B and D are fixed, so
+    they report se = 0 and t = 0.  Their scores are invariant under the
+    gauge shift, so any `p` with the same likelihood gives the same
+    standard errors.  t is the parameter of `canonical(p)` over its
+    standard error, pinned to t = 0 where either is zero: a parameter with
+    no information is not significant.  `log_probs` is
+    `log_choice_probs(p, ds_train.x)` when already computed.
     """
     dims = (p.n_alternatives, p.n_hidden, p.n_features)
     if ds_train.n_rows <= param_count(*dims):
         warnings.warn("fewer rows than parameters; standard errors are unreliable")
-    se = pinv_standard_errors(_prediction_scores(
-        p, ds_train, _log_probs(p, ds_train, log_probs)))
-    theta = np.concatenate([arr.ravel() for _, arr in p.blocks()])
+    free = _free_columns(*dims)
+    se = np.zeros(param_count(*dims))
+    se[free] = pinv_standard_errors(_information(
+        p, ds_train, _log_probs(p, ds_train, log_probs), free))
+    theta = np.concatenate([arr.ravel() for _, arr in canonical(p).blocks()])
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where((theta != 0.0) & (se != 0.0), theta / se, 0.0)
     return ParamBlocks.from_flat(se, *dims), ParamBlocks.from_flat(t, *dims)

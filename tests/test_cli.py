@@ -1,7 +1,9 @@
+import builtins
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choicerbm import cli, dataset, oracle
+from choicerbm import cli, dataset, oracle, sensitivity
 from choicerbm.dataset import NormStats
 from choicerbm.model import CrbmParams
 from choicerbm.report import load_model, save_model
@@ -221,6 +223,105 @@ class TestSensitivityCommand:
         assert lines[0].split(",")[0] == "variable"
         assert "J0_full_rank" in lines[0]
         assert len(lines) == 8  # six features plus bias plus header
+
+    def test_prints_the_rank_correlation_after_the_table(
+            self, data_file, tmp_path, capsys):
+        out = tmp_path / "sens.csv"
+        rc = cli.run(["sensitivity", "--data", str(data_file),
+                      "--hidden", "0,1", "--fraction", "0.5",
+                      "--replicates", "2", "--out", str(out),
+                      *TRAIN_FLAGS, "--epochs", "3"])
+        assert rc == 0
+        table = out.read_text()
+        stdout = capsys.readouterr().out
+        assert stdout.startswith(table)
+        rows = [line.split(",") for line in table.splitlines()[1:]]
+        tail = stdout[len(table):].splitlines()
+        assert [line.split(",")[0] for line in tail] == [
+            "J0_spearman_rho", "J1_spearman_rho"]
+        for group, line in enumerate(tail):
+            full = [int(r[1 + 3 * group]) for r in rows]
+            sub = [int(r[2 + 3 * group]) for r in rows]
+            assert line.split(",")[1] == (
+                f"{sensitivity.rank_agreement(full, sub):.6f}")
+
+
+class _FullDisk:
+    """A text file that fails with ENOSPC once `limit` characters have
+    been written through it."""
+
+    def __init__(self, fh, limit, log):
+        self.fh, self.room, self.log = fh, limit, log
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        if len(text) > self.room:
+            self.fh.write(text[:self.room])
+            self.log.append(self.fh.name)
+            raise OSError(28, "No space left on device")
+        self.room -= len(text)
+        return self.fh.write(text)
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("command", ["predict", "generate", "sensitivity",
+                                         "hinton"])
+    def test_failed_write_leaves_the_old_file(self, command, planted_file,
+                                              data_file, trained_model,
+                                              tmp_path, monkeypatch, capsys):
+        argv = {
+            "predict": ["predict", "--model", str(trained_model),
+                        "--data", str(data_file)],
+            "generate": ["generate", "--planted", str(planted_file),
+                         "--n", "50", "--seed", "1"],
+            "sensitivity": ["sensitivity", "--data", str(data_file),
+                            "--hidden", "0,1,2", "--fraction", "0.5",
+                            "--replicates", "1", "--epochs", "1"],
+            "hinton": ["hinton", "--model", str(trained_model),
+                       "--block", "B"],
+        }[command]
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"earlier output\n")
+        failed = []
+
+        real_open = builtins.open
+
+        def open_full(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return _FullDisk(fh, 300, failed) if "r" not in mode else fh
+
+        monkeypatch.setattr(builtins, "open", open_full)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.run([*argv, "--out", str(target)])
+        err = capsys.readouterr().err
+        assert failed, "the output was shorter than 300 bytes"
+        assert rc == 1
+        assert err == "error: [Errno 28] No space left on device\n"
+        assert target.read_bytes() == b"earlier output\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+class TestWarnings:
+    def test_short_fit_warns_in_one_line(self, data_file, tmp_path):
+        # Two epochs leave the hidden units barely used, so a direction of
+        # the reduced information matrix is numerically zero.
+        done = subprocess.run(
+            [sys.executable, "-m", "choicerbm.cli", "train",
+             "--data", str(data_file), "--hidden", "2", "--epochs", "2",
+             "--out", str(tmp_path / "m.model")],
+            env=_fresh_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert re.fullmatch(
+            r"warning: information matrix is singular \(rank \d+ of 50 free "
+            r"parameters\); standard errors use the identified subspace only",
+            lines[0]), lines[0]
 
 
 def test_import_leaves_scipy_unloaded():

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from choicerbm.model import (BLOCK_NAMES, CrbmParams, ParamBlocks,
-                             block_shapes, choice_logits, choice_probs,
-                             hidden_given_choice, log_choice_probs,
-                             log_softmax, param_count, sample_categorical,
-                             sigmoid, softmax)
-from choicerbm.oracle import energy
+                             block_shapes, canonical, choice_logits,
+                             choice_probs, hidden_given_choice,
+                             log_choice_probs, log_softmax, param_count,
+                             sample_categorical, sigmoid, softmax)
+from choicerbm.oracle import energy, exact_choice_distribution
 from conftest import random_params
 
 
@@ -331,3 +331,23 @@ class TestLayout:
         assert all(np.all(arr == -1.0) for _, arr in blocks.blocks())
         params = CrbmParams.from_flat(np.zeros(param_count(*dims)), *dims)
         assert params.n_hidden == dims[1]
+
+
+class TestCanonical:
+    @pytest.mark.parametrize("n_hidden", [0, 1, 2, 4])
+    def test_keeps_the_enumerated_choice_probabilities(self, rng, n_hidden):
+        p = random_params(rng, 5, n_hidden, 3, scale=1.5)
+        x = rng.normal(0, 1, (40, 3))
+        c = canonical(p)
+        for block in (c.choice_bias, c.choice_context_w, c.choice_hidden_w):
+            np.testing.assert_array_equal(block[0], 0.0)
+        np.testing.assert_allclose(np.log(exact_choice_distribution(c, x)),
+                                   log_choice_probs(p, x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_choice_probs(c, x),
+                                   log_choice_probs(p, x), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_hidden", [0, 3])
+    def test_is_idempotent(self, rng, n_hidden):
+        c = canonical(random_params(rng, 4, n_hidden, 2, scale=2.0))
+        for (_, once), (_, twice) in zip(c.blocks(), canonical(c).blocks()):
+            np.testing.assert_array_equal(once, twice)

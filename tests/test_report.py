@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from choicerbm import cli, oracle, report
 from choicerbm.dataset import NormStats
-from choicerbm.model import ParamBlocks
+from choicerbm.model import ParamBlocks, canonical
 from choicerbm.report import (HintonSpec, ModelFileError, hinton_svg,
                               load_model, save_model)
 from choicerbm.trainer import TrainConfig
@@ -69,6 +69,16 @@ class TestModelFile:
         assert loaded.choice_hidden_w.shape == (3, 0)
         np.testing.assert_array_equal(loaded.choice_context_w,
                                       p.choice_context_w)
+
+    def test_reference_alternative_round_trip(self, rng, tmp_path):
+        p = canonical(random_params(rng, 3, 1, 2))
+        save_model(p, tmp_path / "m.model", reference_alternative=1)
+        _, meta = load_model(tmp_path / "m.model")
+        assert meta["reference_alternative"] == 1
+        # A file without the key, as older models are, loads without it.
+        save_model(p, tmp_path / "old.model")
+        assert "reference_alternative" not in load_model(
+            tmp_path / "old.model")[1]
 
     def test_stat_blocks_round_trip(self, rng, tmp_path):
         p = random_params(rng, 3, 1, 2)
@@ -173,7 +183,9 @@ def trained(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["train", "--data", str(data), "--hidden", "1",
                         "--epochs", "2", "--out", str(model)]) == 0
-    return json.loads(model.read_text()), data, root
+    doc = json.loads(model.read_text())
+    assert doc["reference_alternative"] == 1
+    return doc, data, root
 
 
 _DROP = object()
@@ -207,6 +219,12 @@ MALFORMED = {
     "2-d choice_bias": (("params", "choice_bias"), [[0.0] * 5] * 2),
     "short norm_stats means": (("norm_stats", "means"), [0.0]),
     "choice_column not a string": (("choice_column",), ["choice"]),
+    "reference_alternative zero": (("reference_alternative",), 0),
+    "reference_alternative past the last": (("reference_alternative",), 6),
+    "reference_alternative a float": (("reference_alternative",), 1.0),
+    "reference_alternative a boolean": (("reference_alternative",), True),
+    "reference alternative with a nonzero bias": (
+        ("params", "choice_bias", 0), 0.25),
 }
 
 
@@ -237,8 +255,12 @@ class TestMalformedModelFile:
         # model's document, or replace the whole document.
         doc, csv_path, root = trained
         doc = copy.deepcopy(doc)
-        if data.draw(st.integers(0, 9)) == 0:
+        branch = data.draw(st.integers(0, 9))
+        if branch == 0:
             doc = data.draw(JSON_VALUES)
+        elif branch == 1:
+            doc["reference_alternative"] = data.draw(
+                st.integers(-1, 7) | JSON_VALUES)
         else:
             parent, node, key = None, doc, None
             while isinstance(node, (dict, list)) and node and (

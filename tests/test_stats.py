@@ -1,14 +1,20 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from choicerbm import oracle
-from choicerbm.dataset import from_arrays
-from choicerbm.model import CrbmParams, log_choice_probs, param_count
-from choicerbm.stats import (_prediction_scores, bic, evaluate, log_likelihood,
-                             mean_true_probability, pinv_standard_errors,
-                             report_table_rows, rho_squared, t_statistics,
-                             validation_error)
+from choicerbm.dataset import (SplitSpec, from_arrays, refit_normalization,
+                               split)
+from choicerbm.model import (CrbmParams, ParamBlocks, canonical,
+                             log_choice_probs, param_count)
+from choicerbm.stats import (BLOCK_ROWS, _prediction_scores, bic, evaluate,
+                             log_likelihood, mean_true_probability,
+                             pinv_standard_errors, report_table_rows,
+                             rho_squared, t_statistics, validation_error)
+from choicerbm.trainer import TrainConfig, train_crbm
 from conftest import random_params
 
 FULL_TRAIN_ROWS = 177_662
@@ -158,7 +164,7 @@ class TestStandardErrors:
         p = random_params(rng, 4, n_hidden, 3, scale=1.2)
         ds = from_arrays(rng.normal(0, 1, (30, 3)), rng.integers(0, 4, 30),
                          n_alternatives=4)
-        scores = _prediction_scores(p, ds, log_choice_probs(p, ds.x))
+        scores = _prediction_scores(p, ds.x, ds.y, log_choice_probs(p, ds.x))
         assert scores.shape == (30, param_count(4, n_hidden, 3))
         exact = oracle.exact_loglik_gradient(p, ds)
         np.testing.assert_allclose(
@@ -172,14 +178,15 @@ class TestStandardErrors:
         prob = expit(beta * x)
         y = (rng.random(n) < prob).astype(float)
         scores = ((y - prob) * x)[:, None]
-        se = pinv_standard_errors(scores)[0]
+        se = pinv_standard_errors(scores.T @ scores)[0]
         fisher_se = 1.0 / np.sqrt((x ** 2 * prob * (1 - prob)).sum())
         assert se == pytest.approx(fisher_se, rel=0.05)
 
     def test_zero_parameter_gives_zero_t(self, rng):
         ds = from_arrays(rng.normal(0, 1, (300, 2)), rng.integers(0, 3, 300))
         p = zero_params(3, 0, 2)
-        with pytest.warns(UserWarning, match="singular"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # identified: no warning
             _, tstats = t_statistics(p, ds)
         assert np.all(tstats.choice_context_w == 0.0)
         assert np.all(tstats.choice_bias == 0.0)
@@ -196,7 +203,8 @@ class TestStandardErrors:
             std_errs, tstats = t_statistics(p, ds)
         assert np.any(std_errs.choice_context_w[:, 1] == 0.0)
         for (_, se), (_, t), (_, theta) in zip(std_errs.blocks(),
-                                               tstats.blocks(), p.blocks()):
+                                               tstats.blocks(),
+                                               canonical(p).blocks()):
             assert np.all(np.isfinite(t))
             np.testing.assert_array_equal(t[se == 0.0], 0.0)
             np.testing.assert_array_equal(t[se != 0.0], (theta / np.where(
@@ -216,15 +224,20 @@ class TestStandardErrors:
         for block in ("choice_context_w", "hidden_context_w"):
             np.testing.assert_array_equal(getattr(std_errs, block)[:, 1], 0.0)
             np.testing.assert_array_equal(getattr(tstats, block)[:, 1], 0.0)
-            assert np.all(getattr(std_errs, block)[:, 0] > 0.0)
+        # The reference alternative's row of B is fixed; every other entry
+        # of the informative column has information.
+        assert np.all(std_errs.choice_context_w[1:, 0] > 0.0)
+        assert np.all(std_errs.hidden_context_w[:, 0] > 0.0)
 
     def test_t_sign_follows_parameter_sign(self, rng):
         p = random_params(rng, 3, 1, 2, scale=0.6)
         ds = from_arrays(rng.normal(0, 1, (500, 2)), rng.integers(0, 3, 500))
-        with pytest.warns(UserWarning, match="singular"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # identified: no warning
             std_errs, tstats = t_statistics(p, ds)
         for (_, se), (_, t), (_, theta) in zip(std_errs.blocks(),
-                                               tstats.blocks(), p.blocks()):
+                                               tstats.blocks(),
+                                               canonical(p).blocks()):
             mask = (se > 0) & (theta != 0)
             assert np.all(np.sign(t[mask]) == np.sign(theta[mask]))
 
@@ -240,7 +253,8 @@ class TestEvaluate:
         tr = from_arrays(rng.normal(0, 1, (400, 3)), rng.integers(0, 4, 400))
         va = from_arrays(rng.normal(0, 1, (150, 3)), rng.integers(0, 4, 150))
         p = random_params(rng, 4, 2, 3, scale=0.4)
-        with pytest.warns(UserWarning, match="singular"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # identified: no warning
             rep = evaluate(p, tr, va)
         assert rep.rho2 <= 1.0
         assert np.isfinite(rep.bic)
@@ -261,7 +275,8 @@ class TestEvaluate:
         forward = stats.log_choice_probs
         monkeypatch.setattr(stats, "log_choice_probs",
                             lambda *args: calls.append(1) or forward(*args))
-        with pytest.warns(UserWarning, match="singular"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # identified: no warning
             rep = evaluate(p, tr, va)
         assert len(calls) == (1 if same_split else 2)
         # The derived figures equal the ones computed one by one.
@@ -272,8 +287,7 @@ class TestEvaluate:
         assert rep.mean_true_prob == mean_true_probability(p, va)
         assert np.trace(rep.confusion) == round(
             (1 - rep.validation_error) * va.n_rows)
-        with pytest.warns(UserWarning, match="singular"):
-            std_errs, tstats = t_statistics(p, tr)
+        std_errs, tstats = t_statistics(p, tr)
         for (_, a), (_, b) in zip(rep.tstats.blocks(), tstats.blocks()):
             np.testing.assert_array_equal(a, b)
 
@@ -286,10 +300,91 @@ class TestEvaluate:
     def test_table_rows_format(self, rng):
         tr = from_arrays(rng.normal(0, 1, (200, 2)), rng.integers(0, 3, 200))
         p = zero_params(3, 0, 2)
-        with pytest.warns(UserWarning, match="singular"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # identified: no warning
             rep = evaluate(p, tr, tr)
         text = report_table_rows([("MNL", rep)])
         lines = text.strip().split("\n")
         assert lines[0].startswith("model,validation_error,log_likelihood")
         assert lines[1].startswith("MNL,")
         assert len(lines[1].split(",")) == 6
+
+
+def dense_standard_errors(p, ds):
+    """Reference: every score row in one matrix, the reference
+    alternative's c, B and D columns dropped, and the information matrix
+    inverted directly; zeros at the dropped entries."""
+    scores = _prediction_scores(p, ds.x, ds.y, log_choice_probs(p, ds.x))
+    fixed = ParamBlocks.from_flat(np.zeros(scores.shape[1], dtype=bool),
+                                  p.n_alternatives, p.n_hidden, p.n_features)
+    for block in (fixed.choice_hidden_w, fixed.choice_context_w,
+                  fixed.choice_bias):
+        block[0] = True
+    free = np.flatnonzero(~np.concatenate(
+        [arr.ravel() for _, arr in fixed.blocks()]))
+    se = np.zeros(scores.shape[1])
+    s = scores[:, free]
+    se[free] = np.sqrt(np.diag(np.linalg.inv(s.T @ s)))
+    return se
+
+
+@pytest.fixture(scope="module")
+def band_fits():
+    """The band fits: J = 0 and J = 2 on 14,000 training rows, each larger
+    than one block of the information sum."""
+    pm = oracle.band_planted_model(20_000, seed=11)
+    tr, va = refit_normalization(*split(oracle.generate(pm),
+                                        SplitSpec(0.70, seed=5)))
+    cfg = TrainConfig(batch_size=256, epochs=80, learning_rate=0.05, cd_k=3,
+                      seed=0, early_stop_patience=40, weight_init_scale=1.0)
+    return tr, {j: train_crbm(tr, va, j, cfg)[0] for j in (0, 2)}
+
+
+class TestReferenceGauge:
+    @pytest.mark.parametrize("n_hidden,rtol", [(0, 1e-12), (2, 1e-9)])
+    def test_blocked_sum_matches_the_dense_reference(self, band_fits,
+                                                     n_hidden, rtol):
+        tr, fits = band_fits
+        assert tr.n_rows > 10 * BLOCK_ROWS
+        p = fits[n_hidden]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # identified: no warning
+            std_errs, tstats = t_statistics(p, tr)
+        se = np.concatenate([arr.ravel() for _, arr in std_errs.blocks()])
+        np.testing.assert_allclose(se, dense_standard_errors(p, tr),
+                                   rtol=rtol, atol=0)
+        for block in (tstats.choice_hidden_w, tstats.choice_context_w,
+                      tstats.choice_bias):
+            np.testing.assert_array_equal(block[0], 0.0)
+
+    def test_standard_errors_do_not_depend_on_the_gauge(self, rng):
+        p = random_params(rng, 4, 2, 3, scale=0.8)
+        ds = from_arrays(rng.normal(0, 1, (3000, 3)), rng.integers(0, 4, 3000),
+                         n_alternatives=4)
+        for (_, a), (_, b) in zip(t_statistics(p, ds)[0].blocks(),
+                                  t_statistics(canonical(p), ds)[0].blocks()):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=0)
+
+    def test_duplicated_feature_column_still_warns(self, rng):
+        x = rng.normal(0, 1, (400, 2))
+        x[:, 1] = x[:, 0]
+        ds = from_arrays(x, rng.integers(0, 3, 400))
+        # Six free parameters (B and c of alternatives 2 and 3); each free
+        # alternative's two B entries share one direction.
+        with pytest.warns(UserWarning, match=r"singular \(rank 4 of 6 free "
+                                             r"parameters\)"):
+            std_errs, _ = t_statistics(random_params(rng, 3, 0, 2), ds)
+        assert np.all(std_errs.choice_context_w[1:] > 0.0)
+
+    def test_peak_memory_is_a_fraction_of_the_score_matrix(self, rng):
+        n, dims = 20_000, (13, 2, 20)
+        p = random_params(rng, *dims, scale=0.3)
+        ds = from_arrays(rng.normal(0, 1, (n, 20)), rng.integers(0, 13, n),
+                         n_alternatives=13)
+        tracemalloc.start()
+        try:
+            t_statistics(p, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * param_count(*dims) * 8 / 4, peak
