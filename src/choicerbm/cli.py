@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from . import dataset, model, report, sensitivity, stats, trainer
+from . import dataset, report, sensitivity, stats, trainer
 from .inference import predict_batch, write_predictions_csv
 
 
@@ -144,7 +144,6 @@ def _cmd_train(args) -> int:
         raise UsageError("--hidden must be >= 0")
     train_ds, valid_ds = _load_split(args)
     params, trace = trainer.train_crbm(train_ds, valid_ds, args.hidden, cfg)
-    params = model.canonical(params)
     rep = stats.evaluate(params, train_ds, valid_ds)
     report.save_model(
         params, args.out, norm_stats=train_ds.norm_stats,
@@ -164,8 +163,7 @@ def _cmd_train(args) -> int:
             "split_seed": args.seed,
         },
         std_errs=rep.std_errs, tstats=rep.tstats,
-        choice_column=args.choice_col,
-        reference_alternative=model.REFERENCE_ALTERNATIVE)
+        choice_column=args.choice_col)
     label = "MNL" if args.hidden == 0 else f"CRBM-J{args.hidden}"
     sys.stdout.write(stats.report_table_rows([(label, rep)]))
     return 0

@@ -8,7 +8,6 @@ identical scaling to new data.
 
 import csv
 import math
-import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -165,11 +164,11 @@ def one_hot(indices: np.ndarray, n_alternatives: int) -> np.ndarray:
 
 
 def from_arrays(x_raw, choice_idx, n_alternatives=None, feature_names=None,
-                alternative_names=None) -> ChoiceDataset:
+                *, norm_stats: NormStats | None = None) -> ChoiceDataset:
     """Build a dataset from a raw feature matrix and 0-based choice indices.
 
-    Features are z-scored with their own statistics.  Unlike the CSV path,
-    zero feature columns are allowed (bias-only models).
+    Features are z-scored with their own statistics unless `norm_stats` is
+    given.  Unlike the CSV path, zero feature columns are allowed.
     """
     x_raw = np.asarray(x_raw, dtype=np.float64)
     choice_idx = np.asarray(choice_idx, dtype=np.int64)
@@ -179,43 +178,39 @@ def from_arrays(x_raw, choice_idx, n_alternatives=None, feature_names=None,
         n_alternatives = int(choice_idx.max()) + 1
     if choice_idx.min() < 0 or choice_idx.max() >= n_alternatives:
         raise ChoiceDomainError("choice index outside 0..I-1")
-    stats = NormStats.fit(x_raw)
+    stats = norm_stats if norm_stats is not None else NormStats.fit(x_raw)
     if feature_names is None:
         feature_names = tuple(f"f{j + 1}" for j in range(x_raw.shape[1]))
-    if alternative_names is None:
-        alternative_names = tuple(f"alt{i + 1}" for i in range(n_alternatives))
     return ChoiceDataset(
         x=stats.apply(x_raw), y=one_hot(choice_idx, n_alternatives),
-        feature_names=feature_names, alternative_names=alternative_names,
+        feature_names=feature_names,
+        alternative_names=tuple(f"alt{i + 1}" for i in range(n_alternatives)),
         norm_stats=stats)
 
 
-def _cells(positions):
-    """Getter for the cells at `positions` of a row, always as a tuple."""
-    if len(positions) == 1:
-        return lambda row: (row[positions[0]],)
-    return operator.itemgetter(*positions) if positions else lambda row: ()
-
-
-def _row_error(ridx, row, n_cells, choice_pos, feature_columns, feat_pos):
-    """The RowParseError for the first bad cell of `row`, in column order."""
+def _parsed_row(ridx, row, n_cells, choice_pos, feature_columns, feat_pos):
+    """(choice, feature values) of data row `ridx`, the choice 0 where
+    `choice_pos` is None, or the RowParseError of its first bad cell in
+    column order: the one statement of the row rules of both loaders."""
     if len(row) != n_cells:
-        return RowParseError(f"row {ridx}: expected {n_cells} cells, got {len(row)}")
+        raise RowParseError(f"row {ridx}: expected {n_cells} cells, got {len(row)}")
     try:
-        if choice_pos is not None:
-            int(row[choice_pos])
+        choice = 0 if choice_pos is None else int(row[choice_pos])
     except ValueError:
-        return RowParseError(
-            f"row {ridx}: choice cell {row[choice_pos]!r} is not an integer")
+        raise RowParseError(f"row {ridx}: choice cell {row[choice_pos]!r} "
+                            "is not an integer") from None
+    values = []
     for col, pos in zip(feature_columns, feat_pos):
         try:
             v = float(row[pos])
         except ValueError:
-            return RowParseError(
-                f"row {ridx}: cell {row[pos]!r} in column {col!r} is not numeric")
+            raise RowParseError(f"row {ridx}: cell {row[pos]!r} in column "
+                                f"{col!r} is not numeric") from None
         if not math.isfinite(v):
-            return RowParseError(
+            raise RowParseError(
                 f"row {ridx}: missing or non-finite value in column {col!r}")
+        values.append(v)
+    return choice, values
 
 
 def _c_rows(path, n_cells, feat_pos, choice_pos=None):
@@ -269,30 +264,18 @@ def _c_rows(path, n_cells, feat_pos, choice_pos=None):
 
 
 def _exact_rows(reader, n_cells, choice_pos, feature_columns, feat_pos):
-    """(choices, raw feature matrix) of the data rows, one Python call per
-    cell; choices are None where `choice_pos` is None.
+    """(choices, raw feature matrix) of the data rows, each parsed by
+    `_parsed_row`; choices are None where `choice_pos` is None.
 
-    This loop alone defines which files the loaders accept and the message
-    of every row error.  A row failing any check is checked again cell by
-    cell to name the first bad cell.  One flat list spares the collector a
-    list per row.
+    Only this loop rejects a data row, so it defines which files the
+    loaders accept.  One flat list spares the collector a list per row.
     """
-    features = _cells(feat_pos)
-    choice = (lambda row: 0) if choice_pos is None else operator.itemgetter(
-        choice_pos)
     values, choices = [], []
     for ridx, row in enumerate(reader, start=1):
-        try:
-            c = int(choice(row))
-            vals = list(map(float, features(row)))
-            ok = len(row) == n_cells and all(map(math.isfinite, vals))
-        except (ValueError, IndexError):
-            ok = False
-        if not ok:
-            raise _row_error(ridx, row, n_cells, choice_pos, feature_columns,
-                             feat_pos)
+        choice, vals = _parsed_row(ridx, row, n_cells, choice_pos,
+                                   feature_columns, feat_pos)
         values += vals
-        choices.append(c)
+        choices.append(choice)
     try:
         choices = np.asarray(choices, dtype=np.int64)
     except OverflowError:
@@ -322,9 +305,12 @@ def _read_rows(path, choice_column, feature_columns):
             raise SchemaError(f"missing choice column {choice_column!r}")
         if feature_columns is None:
             feature_columns = [h for h in header if h != choice_column]
-        for col in feature_columns:
+        for n, col in enumerate(feature_columns):
             if col not in header:
                 raise SchemaError(f"missing feature column {col!r}")
+            if col == choice_column or col in feature_columns[:n]:
+                raise SchemaError(f"feature column {col!r} is the choice "
+                                  "column or named twice")
         if choice_column is not None and not feature_columns:
             raise SchemaError("no feature columns")
         choice_pos = (None if choice_column is None
@@ -364,12 +350,8 @@ def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None
         bad = choices.min() if choices.min() < 1 else choices.max()
         raise ChoiceDomainError(
             f"choice value {bad} outside 1..{n_alternatives}")
-    stats = norm_stats if norm_stats is not None else NormStats.fit(x_raw)
-    return ChoiceDataset(
-        x=stats.apply(x_raw), y=one_hot(choices - 1, n_alternatives),
-        feature_names=tuple(feature_columns),
-        alternative_names=tuple(f"alt{i + 1}" for i in range(n_alternatives)),
-        norm_stats=stats)
+    return from_arrays(x_raw, choices - 1, n_alternatives,
+                       tuple(feature_columns), norm_stats=norm_stats)
 
 
 def load_features_csv(path, feature_names, norm_stats: NormStats) -> np.ndarray:

@@ -218,6 +218,14 @@ def canonical(p: CrbmParams) -> CrbmParams:
         hidden_bias=p.hidden_bias + p.choice_hidden_w[r])
 
 
+def in_reference_gauge(p: CrbmParams) -> bool:
+    """Whether the reference alternative's entries of c, B and D are zero,
+    as `canonical` leaves them."""
+    r = REFERENCE_ALTERNATIVE - 1
+    return not (p.choice_bias[r] or p.choice_context_w[r].any()
+                or p.choice_hidden_w[r].any())
+
+
 def param_count(n_alternatives: int, n_hidden: int, n_features: int) -> int:
     """Total estimated parameters: three weight blocks plus both bias vectors."""
     i, j, k = n_alternatives, n_hidden, n_features

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import NormStats
-from .model import BLOCK_NAMES, CrbmParams, ParamBlocks, block_shapes
+from .model import (BLOCK_NAMES, REFERENCE_ALTERNATIVE, CrbmParams,
+                    ParamBlocks, block_shapes, in_reference_gauge)
 from .trainer import TrainConfig
 
 MODEL_FORMAT = "choicerbm-model"
@@ -54,13 +55,13 @@ def save_model(p: CrbmParams, path, norm_stats: NormStats = None,
                feature_names=None, alternative_names=None,
                train_config: TrainConfig = None, metrics: dict = None,
                std_errs: ParamBlocks = None, tstats: ParamBlocks = None,
-               choice_column: str = None, reference_alternative: int = None):
+               choice_column: str = None):
     """Write a model file; every numeric value survives a round trip exactly.
 
-    `reference_alternative` (1-based) records that `p` is in that
-    alternative's gauge (`model.canonical`).  The file is written through
-    `atomic_open`, so a failed save leaves neither a partial file nor a
-    changed one.
+    The file records `reference_alternative` exactly when `p` is in the
+    reference-alternative gauge (`model.in_reference_gauge`).  It is
+    written through `atomic_open`, so a failed save leaves neither a
+    partial file nor a changed one.
     """
     doc = {
         "format": MODEL_FORMAT,
@@ -72,8 +73,8 @@ def save_model(p: CrbmParams, path, norm_stats: NormStats = None,
     }
     if choice_column is not None:
         doc["choice_column"] = str(choice_column)
-    if reference_alternative is not None:
-        doc["reference_alternative"] = int(reference_alternative)
+    if in_reference_gauge(p):
+        doc["reference_alternative"] = REFERENCE_ALTERNATIVE
     if norm_stats is not None:
         doc["norm_stats"] = {
             "means": norm_stats.means.tolist(),
@@ -129,11 +130,11 @@ def _metrics(raw):
 
 
 def _reference_alternative(raw, p: CrbmParams):
-    """A 1-based alternative whose c, B and D entries in `p` are zero."""
-    if not (type(raw) is int and 1 <= raw <= p.n_alternatives):
-        raise ValueError(f"expected an alternative in 1..{p.n_alternatives}")
-    if (p.choice_bias[raw - 1] != 0.0 or p.choice_context_w[raw - 1].any()
-            or p.choice_hidden_w[raw - 1].any()):
+    """The reference alternative, which `save_model` writes only for
+    parameters in its gauge."""
+    if not (type(raw) is int and raw == REFERENCE_ALTERNATIVE):
+        raise ValueError(f"expected {REFERENCE_ALTERNATIVE}")
+    if not in_reference_gauge(p):
         raise ValueError(f"alternative {raw} has nonzero c, B or D entries")
     return raw
 

@@ -7,6 +7,7 @@ fits, plus the relative change in standard errors, measures how sensitive
 the estimates are to input variability.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,16 @@ class SensitivityReport:
     n_hidden: int
 
 
-def _variable_sensitivity(p, ds) -> np.ndarray:
+def _variable_sensitivity(p, ds, fit: str) -> np.ndarray:
     """RMS standard error per explanatory variable, bias appended last,
-    over the I - 1 alternatives left free by the reference gauge."""
-    std_errs, _ = t_statistics(p, ds)
+    over the I - 1 alternatives left free by the reference gauge.  Each
+    warning of `t_statistics` is issued again with the `fit` appended, so
+    that every fit's warning is distinct."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        std_errs, _ = t_statistics(p, ds)
+    for w in caught:
+        warnings.warn(f"{w.message} ({fit})", w.category)
     free = np.arange(p.n_alternatives) != REFERENCE_ALTERNATIVE - 1
     per_feature = np.sqrt((std_errs.choice_context_w[free] ** 2).mean(axis=0))
     bias = np.sqrt((std_errs.choice_bias[free] ** 2).mean())
@@ -71,7 +78,7 @@ def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
     # Early stopping validates on the fitted rows themselves; the point here
     # is a deterministic refit, not generalization measurement.
     params, _ = train_crbm(ds, ds, n_hidden, cfg)
-    full_sens = _variable_sensitivity(params, ds)
+    full_sens = _variable_sensitivity(params, ds, f"J{n_hidden}, full sample")
 
     subsets = []
     for ss in np.random.SeedSequence(seed).spawn(replicates):
@@ -81,9 +88,9 @@ def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
     # One stacked fit gives each subset the parameters of a fit of it alone.
     refits = stack(subsets)
     sub_sens = np.stack([   # (R, K+1)
-        _variable_sensitivity(p, sub)
-        for (p, _), sub in zip(train_crbm(refits, refits, n_hidden, cfg),
-                               subsets)])
+        _variable_sensitivity(p, sub, f"J{n_hidden}, replicate {r}")
+        for r, ((p, _), sub) in enumerate(
+            zip(train_crbm(refits, refits, n_hidden, cfg), subsets), start=1)])
 
     # Zero full-sample sensitivity only happens for parameters with no
     # information at all; report the absolute change there.

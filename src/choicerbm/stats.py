@@ -39,10 +39,19 @@ class FitReport:
     tstats: ParamBlocks
 
 
+OVERFLOW = "log-likelihood overflows: the parameters are too large"
+
+
 def _log_probs(p: CrbmParams, ds: ChoiceDataset, log_probs=None):
     """`log_choice_probs` over every row of `ds`, unless already computed
-    and passed in as `log_probs`."""
-    return log_choice_probs(p, ds.x) if log_probs is None else log_probs
+    and passed in as `log_probs`.  Finite parameters whose logits overflow
+    float64 raise ValueError."""
+    if log_probs is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_probs = log_choice_probs(p, ds.x)
+        if not np.isfinite(log_probs).all():
+            raise ValueError(OVERFLOW)
+    return log_probs
 
 
 def _observed(p, ds, log_probs):
@@ -55,10 +64,16 @@ def log_likelihood(p: CrbmParams, ds: ChoiceDataset, log_probs=None) -> float:
     """Total log p(y_obs | x).
 
     Computed in log space end to end, so finite parameters can never
-    produce -inf.  `log_probs` is `log_choice_probs(p, ds.x)` when already
+    produce -inf; logits or a sum that overflow float64 all the same
+    raise ValueError.  `log_probs` is `log_choice_probs(p, ds.x)` when already
     computed.
     """
-    return float(_observed(p, ds, log_probs).sum())
+    observed = _observed(p, ds, log_probs)
+    with np.errstate(over="ignore"):
+        total = float(observed.sum())
+    if not np.isfinite(total):
+        raise ValueError(OVERFLOW)
+    return total
 
 
 def rho_squared(loglik: float, n: int, n_alternatives: int) -> float:
@@ -183,9 +198,9 @@ def t_statistics(p: CrbmParams, ds_train: ChoiceDataset, log_probs=None):
     `log_choice_probs(p, ds_train.x)` when already computed.
     """
     dims = (p.n_alternatives, p.n_hidden, p.n_features)
-    if ds_train.n_rows <= param_count(*dims):
-        warnings.warn("fewer rows than parameters; standard errors are unreliable")
     free = _free_columns(*dims)
+    if ds_train.n_rows <= len(free):
+        warnings.warn("fewer rows than parameters; standard errors are unreliable")
     se = np.zeros(param_count(*dims))
     se[free] = pinv_standard_errors(_information(
         p, ds_train, _log_probs(p, ds_train, log_probs), free))
@@ -206,8 +221,8 @@ def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
              ds_valid: ChoiceDataset) -> FitReport:
     """Assemble the full statistical report for a fitted model, from one
     forward pass per split (one in all when `ds_valid is ds_train`)."""
-    train = log_choice_probs(p, ds_train.x)
-    valid = train if ds_valid is ds_train else log_choice_probs(p, ds_valid.x)
+    train = _log_probs(p, ds_train)
+    valid = train if ds_valid is ds_train else _log_probs(p, ds_valid)
     ll_train = log_likelihood(p, ds_train, train)
     ll_valid = log_likelihood(p, ds_valid, valid)
     n_params = param_count(p.n_alternatives, p.n_hidden, p.n_features)

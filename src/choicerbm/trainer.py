@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .model import (CrbmParams, ParamBlocks, log_choice_probs, param_count,
-                    sample_categorical, sigmoid, softmax)
+from .model import (CrbmParams, ParamBlocks, canonical, log_choice_probs,
+                    param_count, sample_categorical, sigmoid, softmax)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -161,11 +161,12 @@ def cd_step(p: CrbmParams, batch, cfg: TrainConfig, rng: np.random.Generator):
 @np.errstate(over="ignore", invalid="ignore")
 def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
                cfg: TrainConfig, epoch_hook=None):
-    """Estimate a conditional RBM; returns the best-validation snapshot and trace.
+    """Estimate a conditional RBM; returns the best-validation snapshot, in
+    the reference-alternative gauge (`model.canonical`), and the trace.
 
     `n_hidden=0` degenerates to the multinomial-logit estimator.  The
-    optional `epoch_hook(epoch, params)` observes the end-of-epoch snapshot
-    and must not touch any random state.
+    optional `epoch_hook(epoch, params)` observes the end-of-epoch iterate,
+    before any gauge shift, and must not touch any random state.
 
     `ds_train` may also be a stack of equal-size datasets (`dataset.stack`)
     validated on itself.  The fits then run together, as matrix products
@@ -285,7 +286,7 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
 
     if diverged:
         raise TrainingDivergedError(diverged[min(diverged)])
-    fits = [(CrbmParams.from_flat(t, *dims), trace)
+    fits = [(canonical(CrbmParams.from_flat(t, *dims)), trace)
             for t, trace in zip(best_theta, traces)]
     return fits if stacked else fits[0]
 

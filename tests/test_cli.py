@@ -444,6 +444,29 @@ class TestValuesAtTheFloatLimit:
             1, "error: non-finite feature values\n")
 
 
+class TestFeatureList:
+    @pytest.mark.parametrize("features", ["choice,f1", "f1,f1,f2"])
+    def test_choice_or_repeated_column_fails_in_one_line(
+            self, tmp_path, capsys, features):
+        data = tmp_path / "d.csv"
+        data.write_text("choice,f1,f2\n" + "".join(
+            f"{r % 3 + 1},{r * 0.37 % 1:.3f},{r % 5}\n" for r in range(30)))
+        rc = cli.run(["train", "--data", str(data), "--features", features,
+                      "--epochs", "1", "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and features.split(",")[0] in err, err
+        assert not (tmp_path / "m").exists()
+
+    def test_repeated_column_fails_at_prediction(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("f1,f2\n0.5,1.0\n0.1,2.0\n")
+        with pytest.raises(dataset.SchemaError, match="'f1'"):
+            dataset.load_features_csv(
+                data, ["f1", "f1"],
+                NormStats(np.zeros(2), np.ones(2), np.zeros(2, bool)))
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert cli.run(["train", "--data", "d", "--out", "m", "--bogus"]) == 2
@@ -540,6 +563,20 @@ class TestExitCodes:
         assert rc == 2
         assert err.count("\n") == 1 and "finite" in err, err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_log_likelihood_fails_in_one_line(
+            self, data_file, tmp_path, capsys):
+        # finite weights so large that the summed log-likelihood overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.run(["train", "--data", str(data_file), "--epochs", "1",
+                          "--init-scale=3.5e305", "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == ("error: log-likelihood overflows: "
+                       "the parameters are too large\n"), err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "m").exists()
 
     def test_choice_beyond_int64_fails_in_one_line(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

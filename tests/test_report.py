@@ -71,12 +71,13 @@ class TestModelFile:
                                       p.choice_context_w)
 
     def test_reference_alternative_round_trip(self, rng, tmp_path):
-        p = canonical(random_params(rng, 3, 1, 2))
-        save_model(p, tmp_path / "m.model", reference_alternative=1)
+        raw = random_params(rng, 3, 1, 2)
+        save_model(canonical(raw), tmp_path / "m.model")
         _, meta = load_model(tmp_path / "m.model")
         assert meta["reference_alternative"] == 1
-        # A file without the key, as older models are, loads without it.
-        save_model(p, tmp_path / "old.model")
+        # Parameters outside the gauge, as older models' are, save and
+        # load without the key.
+        save_model(raw, tmp_path / "old.model")
         assert "reference_alternative" not in load_model(
             tmp_path / "old.model")[1]
 

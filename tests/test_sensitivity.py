@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -161,3 +166,25 @@ class TestTableCsv:
         assert header[0] == "variable"
         assert "J0_full_rank" in header and "J1_stderr_diff_pct" in header
         assert len(lines) == 1 + len(reps[0].variables)
+
+
+def test_each_rank_deficient_fit_warns_once_by_name(tmp_path):
+    # Two epochs leave the hidden units barely used, so every J = 2 fit's
+    # information matrix is singular: the full fit and three replicates.
+    data = tmp_path / "band.csv"
+    oracle.write_dataset_csv(oracle.band_planted_model(n_rows=600, seed=5),
+                             data)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "choicerbm.cli", "sensitivity",
+         "--data", str(data), "--hidden", "2", "--fraction", "0.5",
+         "--replicates", "3", "--epochs", "2", "--out", str(tmp_path / "s.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    assert all(line.startswith("warning: information matrix is singular")
+               for line in lines), done.stderr
+    assert sorted(line[line.rindex("("):] for line in lines) == [
+        "(J2, full sample)", "(J2, replicate 1)", "(J2, replicate 2)",
+        "(J2, replicate 3)"]

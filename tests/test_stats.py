@@ -84,6 +84,39 @@ class TestLogLikelihood:
         val = log_likelihood(p, ds)
         assert np.isfinite(val)
 
+    def test_overflowing_sum_raises(self):
+        # each row's log-probability is finite, their sum is not
+        p = CrbmParams(
+            choice_hidden_w=np.zeros((2, 0)),
+            choice_context_w=np.array([[1e307], [-1e307]]),
+            hidden_context_w=np.zeros((0, 1)),
+            choice_bias=np.zeros(2),
+            hidden_bias=np.zeros(0))
+        x = np.tile([1.0, -1.0], 20)[:, None]   # z-scores to itself
+        ds = from_arrays(x, (x[:, 0] > 0).astype(np.int64), n_alternatives=2)
+        assert np.isfinite(log_choice_probs(p, ds.x)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                log_likelihood(p, ds)
+
+    def test_overflowing_logits_raise(self):
+        p = CrbmParams(
+            choice_hidden_w=np.zeros((2, 0)),
+            choice_context_w=np.array([[1.5e308], [0.0]]),
+            hidden_context_w=np.zeros((0, 1)),
+            choice_bias=np.array([1.5e308, 0.0]),
+            hidden_bias=np.zeros(0))
+        ds = from_arrays(np.tile([1.0, -1.0], 20)[:, None],
+                         np.zeros(40, dtype=np.int64), n_alternatives=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for score in (log_likelihood, validation_error, t_statistics):
+                with pytest.raises(ValueError, match="overflows"):
+                    score(p, ds)
+            with pytest.raises(ValueError, match="overflows"):
+                evaluate(p, ds, ds)
+
 
 class TestRhoSquared:
     def test_null_model_gives_zero(self):
@@ -245,6 +278,15 @@ class TestStandardErrors:
         p = random_params(rng, 3, 2, 4, scale=0.3)
         ds = from_arrays(rng.normal(0, 1, (10, 4)), rng.integers(0, 3, 10))
         with pytest.warns(UserWarning, match="fewer rows"):
+            t_statistics(p, ds)
+
+    def test_more_rows_than_free_parameters_do_not_warn(self, rng):
+        # I = 3, J = 2, K = 4 has 31 parameters, 24 of them free; 28 rows
+        # give their information matrix full rank.
+        p = random_params(rng, 3, 2, 4, scale=0.3)
+        ds = from_arrays(rng.normal(0, 1, (28, 4)), rng.integers(0, 3, 28))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             t_statistics(p, ds)
 
 
