@@ -18,7 +18,7 @@ import numpy as np
 
 from choicerbm import oracle
 from choicerbm.dataset import SplitSpec, refit_normalization, split
-from choicerbm.report import HintonSpec, hinton_svg, save_model
+from choicerbm.report import hinton_svg, save_model
 from choicerbm.stats import evaluate, report_table_rows
 from choicerbm.trainer import TrainConfig, train_crbm
 
@@ -80,10 +80,8 @@ def main():
             ("A", params.hidden_context_w, rep.tstats.hidden_context_w,
              tuple(f"h{j + 1}" for j in range(best_j)), train_ds.feature_names),
         ):
-            spec = HintonSpec(values=values, row_labels=rows_lab,
-                              col_labels=cols_lab, tstats=tvals)
             path = out_dir / f"hinton_{block}_J{best_j}.svg"
-            path.write_text(hinton_svg(spec))
+            path.write_text(hinton_svg(values, rows_lab, cols_lab, tvals))
             print(f"wrote {path}")
 
 

@@ -18,7 +18,7 @@ from .inference import predict_batch
 from .model import (BLOCK_NAMES, CrbmParams, ParamBlocks, block_shapes,
                     choice_probs, log_choice_probs, param_count,
                     sample_categorical)
-from .report import HintonSpec, hinton_svg, load_model, save_model
+from .report import hinton_svg, load_model, save_model
 from .sensitivity import SensitivityReport, rank_agreement, sensitivity_run
 from .stats import (FitReport, bic, evaluate, log_likelihood, rho_squared,
                     t_statistics, validation_error)
@@ -31,7 +31,7 @@ __all__ = [
     "predict_batch",
     "BLOCK_NAMES", "CrbmParams", "ParamBlocks", "block_shapes", "choice_probs",
     "log_choice_probs", "param_count", "sample_categorical",
-    "HintonSpec", "hinton_svg", "load_model", "save_model",
+    "hinton_svg", "load_model", "save_model",
     "SensitivityReport", "rank_agreement", "sensitivity_run",
     "FitReport", "bic", "evaluate", "log_likelihood", "rho_squared",
     "t_statistics", "validation_error",

@@ -219,8 +219,9 @@ def _cmd_sensitivity(args) -> int:
         hidden_sizes = [int(tok) for tok in args.hidden.split(",") if tok != ""]
     except ValueError:
         hidden_sizes = []
-    if not hidden_sizes or any(j < 0 for j in hidden_sizes):
-        raise UsageError("--hidden must list non-negative integers")
+    if (not hidden_sizes or any(j < 0 for j in hidden_sizes)
+            or len(set(hidden_sizes)) < len(hidden_sizes)):
+        raise UsageError("--hidden must list distinct non-negative integers")
     if not 0.0 < args.fraction <= 1.0:
         raise UsageError("--fraction must lie in (0, 1]")
     if args.replicates < 1:
@@ -264,10 +265,8 @@ def _cmd_hinton(args) -> int:
                   if row_key else tuple(f"h{j + 1}" for j in range(rows)))
     col_labels = (meta.get(col_key, tuple(f"f{k + 1}" for k in range(cols)))
                   if col_key else tuple(f"h{j + 1}" for j in range(cols)))
-    spec = report.HintonSpec(values=values, row_labels=row_labels,
-                             col_labels=col_labels, tstats=t,
-                             threshold=args.threshold)
-    svg = report.hinton_svg(spec)
+    svg = report.hinton_svg(values, row_labels, col_labels, t,
+                            args.threshold)
     with report.atomic_open(args.out) as fh:
         fh.write(svg)
     return 0

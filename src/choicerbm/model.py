@@ -207,15 +207,18 @@ def canonical(p: CrbmParams) -> CrbmParams:
     D_rj is added to d_j.  p(y | x) is unchanged up to rounding, because the
     logits shift by one amount per row and every softplus(d_j + A_j x +
     D_ij) keeps its argument; the likelihood's K + 1 + J exact null
-    directions are zeroed.
+    directions are zeroed.  A shift that overflows float64 raises ValueError.
     """
     r = REFERENCE_ALTERNATIVE - 1
-    return CrbmParams(
-        choice_hidden_w=p.choice_hidden_w - p.choice_hidden_w[r],
-        choice_context_w=p.choice_context_w - p.choice_context_w[r],
-        hidden_context_w=p.hidden_context_w,
-        choice_bias=p.choice_bias - p.choice_bias[r],
-        hidden_bias=p.hidden_bias + p.choice_hidden_w[r])
+    with np.errstate(over="ignore"):
+        blocks = (p.choice_hidden_w - p.choice_hidden_w[r],
+                  p.choice_context_w - p.choice_context_w[r],
+                  p.hidden_context_w, p.choice_bias - p.choice_bias[r],
+                  p.hidden_bias + p.choice_hidden_w[r])
+    if not all(np.isfinite(arr).all() for arr in blocks):
+        raise ValueError("reference-gauge shift overflows: the parameters are "
+                         "too large")
+    return CrbmParams(*blocks)
 
 
 def in_reference_gauge(p: CrbmParams) -> bool:

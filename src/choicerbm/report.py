@@ -18,7 +18,6 @@ import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,48 +198,39 @@ def load_model(path):
     return params, meta
 
 
-@dataclass(frozen=True)
-class HintonSpec:
-    values: np.ndarray        # matrix to draw
-    row_labels: tuple
-    col_labels: tuple
-    tstats: np.ndarray        # aligned with values
-    threshold: float = 1.96
-    cell_px: int = 24
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "tstats",
-                           np.asarray(self.tstats, dtype=np.float64))
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
-        if self.values.ndim != 2:
-            raise ValueError("values must be a matrix")
-        if self.tstats.shape != self.values.shape:
-            raise ValueError("tstats shape does not match values")
-        if len(self.row_labels) != self.values.shape[0]:
-            raise ValueError("row label count does not match")
-        if len(self.col_labels) != self.values.shape[1]:
-            raise ValueError("column label count does not match")
+# Side of one Hinton-diagram cell, in SVG pixels.
+HINTON_CELL_PX = 24
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
-def hinton_svg(spec: HintonSpec) -> str:
-    """Render a Hinton diagram as a deterministic SVG document.
+def hinton_svg(values, row_labels, col_labels, tstats,
+               threshold: float = 1.96) -> str:
+    """Render a Hinton diagram of the matrix `values` as a deterministic SVG
+    document, outlining each entry whose aligned t value in `tstats` has
+    magnitude at least `threshold`.
 
     Patch side length scales with sqrt(|value| / max|value|), so the area
     tracks the magnitude.  Zero entries produce zero-area patches.
     """
-    rows, cols = spec.values.shape
-    cell = spec.cell_px
+    values = np.asarray(values, dtype=np.float64)
+    tstats = np.asarray(tstats, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError("values must be a matrix")
+    if tstats.shape != values.shape:
+        raise ValueError("tstats shape does not match values")
+    rows, cols = values.shape
+    if len(row_labels) != rows:
+        raise ValueError("row label count does not match")
+    if len(col_labels) != cols:
+        raise ValueError("column label count does not match")
+    cell = HINTON_CELL_PX
     margin_left, margin_top, margin_bottom = 8 * cell, cell, 5 * cell
     width = margin_left + cols * cell + cell
     height = margin_top + rows * cell + margin_bottom
-    vmax = float(np.abs(spec.values).max())
+    vmax = float(np.abs(values).max())
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -253,25 +243,25 @@ def hinton_svg(spec: HintonSpec) -> str:
         f'height="{rows * cell}" fill="#b0b0b0"/>')
     for r in range(rows):
         for c in range(cols):
-            v = spec.values[r, c]
+            v = values[r, c]
             side = cell * np.sqrt(abs(v) / vmax) if vmax > 0 else 0.0
             cx = margin_left + c * cell + cell / 2
             cy = margin_top + r * cell + cell / 2
             fill = "#ffffff" if v > 0 else "#000000"
             stroke = ('stroke="#0050ff" stroke-width="2"'
-                      if abs(spec.tstats[r, c]) >= spec.threshold
+                      if abs(tstats[r, c]) >= threshold
                       else 'stroke="none"')
             out.append(
                 f'<rect x="{_fmt(cx - side / 2)}" y="{_fmt(cy - side / 2)}" '
                 f'width="{_fmt(side)}" height="{_fmt(side)}" '
                 f'fill="{fill}" {stroke}/>')
-    for r, label in enumerate(spec.row_labels):
+    for r, label in enumerate(row_labels):
         y = margin_top + r * cell + cell / 2
         out.append(
             f'<text x="{margin_left - 6}" y="{_fmt(y + 4)}" '
             f'text-anchor="end" font-family="monospace" '
             f'font-size="{cell // 2}">{_escape(label)}</text>')
-    for c, label in enumerate(spec.col_labels):
+    for c, label in enumerate(col_labels):
         x = margin_left + c * cell + cell / 2
         y = margin_top + rows * cell + 10
         out.append(

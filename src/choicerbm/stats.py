@@ -86,10 +86,14 @@ def rho_squared(loglik: float, n: int, n_alternatives: int) -> float:
 
 
 def bic(loglik: float, n_params: int, n: int) -> float:
-    """Bayesian information criterion: -2 LL + n_params ln(n)."""
+    """Bayesian information criterion: -2 LL + n_params ln(n); a value that
+    overflows float64 raises ValueError."""
     if n <= 0:
         raise ValueError("n must be positive")
-    return -2.0 * loglik + n_params * np.log(n)
+    value = -2.0 * float(loglik) + n_params * np.log(n)
+    if not np.isfinite(value):
+        raise ValueError("BIC overflows: the log-likelihood is too large")
+    return value
 
 
 def validation_error(p: CrbmParams, ds: ChoiceDataset, log_probs=None) -> float:

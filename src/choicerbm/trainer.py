@@ -94,53 +94,51 @@ def _split_scores(b, x, choices):
             np.mean(log_probs.argmax(axis=-1) != choices, axis=-1))
 
 
-def _cd_grads(b, xb, yb, cd_k, rng, eye, out: ParamBlocks):
-    """CD-k gradient estimate for one minibatch, written into `out`.
+def _cd_grads(b, xb, yb, cb, cd_k, rng, eye, out: ParamBlocks):
+    """One minibatch gradient, written into `out`; returns the share of
+    rows whose reconstruction is not the observed choice `cb`.
 
-    Positive phase: hidden activation probabilities at the data.  Negative
-    phase: alternate hidden/choice sampling for cd_k steps from the data,
-    keeping the final sampled pair.  Context stays clamped throughout.
-    Returns the sampled choice indices of the reconstruction.  Every
-    array may carry a leading stack axis; `out` holds batched blocks.
+    CD-k: hidden probabilities at the data against the final sampled pair
+    of a cd_k-step hidden/choice chain started at the data, with the
+    context clamped.  Without hidden units the chain mixes in one step, so
+    its expectation `softmax(c + B x)` replaces the sample: the exact MNL
+    gradient and the expected mismatch.  Arrays may carry a leading stack
+    axis; `out` holds batched blocks.
     """
     n = xb.shape[-2]
-    hidden_drive = xb @ b.hidden_context_w.mT + b.hidden_bias
     choice_drive = xb @ b.choice_context_w.mT + b.choice_bias
-
-    h_pos = h_probs = sigmoid(hidden_drive + yb @ b.choice_hidden_w)
-    for step in range(cd_k):
-        if step:   # step 0 starts the chain at the data, where it is h_pos
-            h_probs = sigmoid(hidden_drive + y_neg @ b.choice_hidden_w)
-        h_neg = (rng.random(h_probs.shape[-2:]) < h_probs).astype(np.float64)
-        idx = sample_categorical(
-            softmax(choice_drive + h_neg @ b.choice_hidden_w.mT), rng)
-        y_neg = eye[idx]
-
-    dy, dh = yb - y_neg, h_pos - h_neg
-    np.divide(yb.mT @ h_pos - y_neg.mT @ h_neg, n, out=out.choice_hidden_w)
+    if b.hidden_bias.shape[-1]:
+        hidden_drive = xb @ b.hidden_context_w.mT + b.hidden_bias
+        h_pos = h_probs = sigmoid(hidden_drive + yb @ b.choice_hidden_w)
+        for step in range(cd_k):
+            if step:   # step 0 starts the chain at the data, where it is h_pos
+                h_probs = sigmoid(hidden_drive + y_neg @ b.choice_hidden_w)
+            h_neg = (rng.random(h_probs.shape[-2:]) < h_probs).astype(np.float64)
+            idx = sample_categorical(
+                softmax(choice_drive + h_neg @ b.choice_hidden_w.mT), rng)
+            y_neg = eye[idx]
+        dh = h_pos - h_neg
+        np.divide(yb.mT @ h_pos - y_neg.mT @ h_neg, n, out=out.choice_hidden_w)
+        np.divide(dh.mT @ xb, n, out=out.hidden_context_w)
+        np.divide(dh.sum(axis=-2, keepdims=True), n, out=out.hidden_bias)
+        mismatch = (idx != cb).sum(axis=-1) / cb.shape[-1]
+    else:
+        y_neg = softmax(choice_drive)
+        picked = y_neg.reshape(-1, y_neg.shape[-1])[np.arange(cb.size),
+                                                    cb.ravel()]
+        mismatch = 1.0 - picked.reshape(cb.shape).sum(axis=-1) / cb.shape[-1]
+    dy = yb - y_neg
     np.divide(dy.mT @ xb, n, out=out.choice_context_w)
-    np.divide(dh.mT @ xb, n, out=out.hidden_context_w)
     np.divide(dy.sum(axis=-2, keepdims=True), n, out=out.choice_bias)
-    np.divide(dh.sum(axis=-2, keepdims=True), n, out=out.hidden_bias)
-    return idx
-
-
-def _mnl_grads(b, xb, yb, out: ParamBlocks):
-    """Exact multinomial-logit gradient for one minibatch (no hidden units),
-    written into the batched blocks `out`; returns the choice probabilities."""
-    probs = softmax(xb @ b.choice_context_w.mT + b.choice_bias)
-    resid = yb - probs
-    np.divide(resid.mT @ xb, xb.shape[-2], out=out.choice_context_w)
-    np.divide(resid.sum(axis=-2, keepdims=True), xb.shape[-2],
-              out=out.choice_bias)
-    return probs
+    return mismatch
 
 
 def cd_step(p: CrbmParams, batch, cfg: TrainConfig, rng: np.random.Generator):
-    """One CD gradient evaluation on (x rows, y rows); returns block gradients.
+    """One gradient evaluation on (x rows, y rows); returns block gradients.
 
-    The returned values are ascent directions on the conditional
-    log-likelihood, before any learning rate or momentum is applied.
+    The CD-k estimate, or without hidden units the exact MNL gradient: ascent
+    directions on the conditional log-likelihood, before any learning rate
+    or momentum is applied.
     """
     xb, yb = (np.asarray(a, dtype=np.float64) for a in batch)
     if xb.ndim != 2 or yb.ndim != 2 or xb.shape[0] != yb.shape[0]:
@@ -151,7 +149,7 @@ def cd_step(p: CrbmParams, batch, cfg: TrainConfig, rng: np.random.Generator):
         raise ValueError("batch dimensions do not match the parameters")
     dims = (p.n_alternatives, p.n_hidden, p.n_features)
     flat = np.empty(param_count(*dims))
-    _cd_grads(p, xb, yb, cfg.cd_k, rng, np.eye(p.n_alternatives),
+    _cd_grads(p, xb, yb, yb.argmax(-1), cfg.cd_k, rng, np.eye(dims[0]),
               ParamBlocks.from_flat(flat, *dims, batched=True))
     return ParamBlocks.from_flat(flat, *dims)
 
@@ -222,15 +220,8 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
             xb, yb = x[..., start:stop, :], y[..., start:stop, :]
-            cb = choices[..., start:stop]
-            if n_hidden > 0:
-                idx = _cd_grads(b, xb, yb, cfg.cd_k, rng, eye, g)
-                mismatch_sum += (idx != cb).sum(axis=-1) / cb.shape[-1]
-            else:
-                probs = _mnl_grads(b, xb, yb, g)
-                picked = probs.reshape(-1, dims[0])[np.arange(cb.size),
-                                                    cb.ravel()].reshape(cb.shape)
-                mismatch_sum += 1.0 - picked.sum(axis=-1) / cb.shape[-1]
+            mismatch_sum += _cd_grads(b, xb, yb, choices[..., start:stop],
+                                      cfg.cd_k, rng, eye, g)
             if cfg.weight_decay:
                 grad[..., :n_weights] -= cfg.weight_decay * theta[..., :n_weights]
             vel *= momentum

@@ -205,11 +205,11 @@ def test_criterion_7_sensitivity_sanity(rng):
 def test_criterion_8_hinton_rendering():
     from test_report import GOLDEN, golden_spec, patch_rects
     spec = golden_spec()
-    svg_a, svg_b = hinton_svg(spec), hinton_svg(spec)
+    svg_a, svg_b = hinton_svg(**spec), hinton_svg(**spec)
     assert svg_a == svg_b
     assert svg_a == GOLDEN.read_text()
     strokes = np.array([r["stroked"] for r in patch_rects(svg_a)])
-    expected = (np.abs(spec.tstats) >= 1.96).ravel()
+    expected = (np.abs(spec["tstats"]) >= 1.96).ravel()
     np.testing.assert_array_equal(strokes, expected)
     report("criterion 8 PASS: golden SVG byte-identical, significance "
            "strokes exactly at |t| >= 1.96")

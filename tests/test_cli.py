@@ -578,6 +578,28 @@ class TestExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("hidden, scale, message", [
+        ("0", "2.2114850063329895e+305",
+         "BIC overflows: the log-likelihood is too large"),
+        ("1", "2.2114850063329895e+305",
+         "BIC overflows: the log-likelihood is too large"),
+        ("2", "7.408466239090805e+307",
+         "reference-gauge shift overflows: the parameters are too large")])
+    def test_overflowing_fit_figure_fails_in_one_line(
+            self, tmp_path, capsys, hidden, scale, message):
+        # A finite log-likelihood near -1.8e308 whose BIC overflows, and
+        # weights whose reference-gauge shift overflows.
+        data = tmp_path / "band.csv"
+        oracle.write_dataset_csv(
+            oracle.band_planted_model(n_rows=300, seed=3), data)
+        rc = cli.run(["train", "--data", str(data), "--epochs", "1",
+                      "--hidden", hidden, f"--init-scale={scale}",
+                      "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines()[-1] == f"error: {message}", err
+        assert not (tmp_path / "m").exists()
+
     def test_choice_beyond_int64_fails_in_one_line(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("choice,f1,f2\n1,0.5,1.0\n2,0.1,2.0\n"
@@ -604,7 +626,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--fraction", "2"), ("--fraction", "0"), ("--fraction", "nan"),
-        ("--replicates", "0"), ("--hidden", "2,a")])
+        ("--replicates", "0"), ("--hidden", "2,a"), ("--hidden", "2,2")])
     def test_sensitivity_range_is_usage_error_before_reading(
             self, tmp_path, capsys, flag, value):
         # The data file does not exist: only a check made before any read

@@ -351,3 +351,11 @@ class TestCanonical:
         c = canonical(random_params(rng, 4, n_hidden, 2, scale=2.0))
         for (_, once), (_, twice) in zip(c.blocks(), canonical(c).blocks()):
             np.testing.assert_array_equal(once, twice)
+
+    def test_overflowing_shift_raises(self, rng):
+        p = random_params(rng, 3, 2, 2)
+        b = p.choice_context_w.copy()
+        b[0, 0], b[1, 0] = 1e308, -1e308
+        with pytest.raises(ValueError, match="^reference-gauge shift overflows"):
+            canonical(CrbmParams(p.choice_hidden_w, b, p.hidden_context_w,
+                                 p.choice_bias, p.hidden_bias))

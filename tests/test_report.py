@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from choicerbm import cli, oracle, report
 from choicerbm.dataset import NormStats
 from choicerbm.model import ParamBlocks, canonical
-from choicerbm.report import (HintonSpec, ModelFileError, hinton_svg,
+from choicerbm.report import (HINTON_CELL_PX, ModelFileError, hinton_svg,
                               load_model, save_model)
 from choicerbm.trainer import TrainConfig
 from conftest import random_params
@@ -29,8 +29,8 @@ def golden_spec():
     tstats = np.array([[2.5, -2.1, 0.0],
                        [-4.0, 1.0, 1.96],
                        [0.3, -1.2, 8.0]])
-    return HintonSpec(values=values, row_labels=("alt1", "alt2", "alt3"),
-                      col_labels=("age", "income", "active"), tstats=tstats)
+    return dict(values=values, row_labels=("alt1", "alt2", "alt3"),
+                col_labels=("age", "income", "active"), tstats=tstats)
 
 
 class TestModelFile:
@@ -309,23 +309,23 @@ def patch_rects(svg: str):
 
 class TestHintonSvg:
     def test_byte_deterministic(self):
-        assert hinton_svg(golden_spec()) == hinton_svg(golden_spec())
+        assert hinton_svg(**golden_spec()) == hinton_svg(**golden_spec())
 
     def test_matches_golden_file(self):
-        assert hinton_svg(golden_spec()) == GOLDEN.read_text()
+        assert hinton_svg(**golden_spec()) == GOLDEN.read_text()
 
     def test_blue_stroke_exactly_at_threshold(self):
         spec = golden_spec()
-        svg = hinton_svg(spec)
+        svg = hinton_svg(**spec)
         rects = patch_rects(svg)
-        expected = (np.abs(spec.tstats) >= 1.96).ravel()
+        expected = (np.abs(spec["tstats"]) >= 1.96).ravel()
         got = np.array([r["stroked"] for r in rects])
         np.testing.assert_array_equal(got, expected)
 
     def test_fill_matches_sign(self):
         spec = golden_spec()
-        rects = patch_rects(hinton_svg(spec))
-        for value, rect in zip(spec.values.ravel(), rects):
+        rects = patch_rects(hinton_svg(**spec))
+        for value, rect in zip(spec["values"].ravel(), rects):
             if value > 0:
                 assert rect["fill"] == "#ffffff"
             elif value < 0:
@@ -335,33 +335,30 @@ class TestHintonSvg:
 
     def test_area_scaling(self):
         spec = golden_spec()
-        rects = patch_rects(hinton_svg(spec))
-        values = np.abs(spec.values).ravel()
+        rects = patch_rects(hinton_svg(**spec))
+        values = np.abs(spec["values"]).ravel()
         vmax = values.max()
         sides = np.array([r["w"] for r in rects])
         # max entry fills the cell; area is monotone in magnitude
-        assert sides[values.argmax()] == pytest.approx(spec.cell_px, abs=0.01)
+        assert sides[values.argmax()] == pytest.approx(HINTON_CELL_PX, abs=0.01)
         order = np.argsort(values)
         assert np.all(np.diff(sides[order]) >= -0.011)
-        expected = spec.cell_px * np.sqrt(values / vmax)
+        expected = HINTON_CELL_PX * np.sqrt(values / vmax)
         np.testing.assert_allclose(sides, expected, atol=0.01)
 
     def test_all_zero_matrix_is_legal(self):
-        spec = HintonSpec(values=np.zeros((2, 2)), row_labels=("a", "b"),
-                          col_labels=("c", "d"), tstats=np.zeros((2, 2)))
-        svg = hinton_svg(spec)
+        svg = hinton_svg(np.zeros((2, 2)), ("a", "b"), ("c", "d"),
+                         np.zeros((2, 2)))
         assert all(r["w"] == 0.0 for r in patch_rects(svg))
 
     def test_labels_present_and_escaped(self):
-        spec = HintonSpec(values=np.array([[1.0]]), row_labels=("a<b",),
-                          col_labels=("x&y",), tstats=np.array([[0.0]]))
-        svg = hinton_svg(spec)
+        svg = hinton_svg(np.array([[1.0]]), ("a<b",), ("x&y",),
+                         np.array([[0.0]]))
         assert "a&lt;b" in svg and "x&amp;y" in svg
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            HintonSpec(values=np.zeros((2, 2)), row_labels=("a",),
-                       col_labels=("c", "d"), tstats=np.zeros((2, 2)))
+            hinton_svg(np.zeros((2, 2)), ("a",), ("c", "d"), np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            HintonSpec(values=np.zeros((2, 2)), row_labels=("a", "b"),
-                       col_labels=("c", "d"), tstats=np.zeros((2, 3)))
+            hinton_svg(np.zeros((2, 2)), ("a", "b"), ("c", "d"),
+                       np.zeros((2, 3)))

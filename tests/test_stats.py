@@ -150,6 +150,10 @@ class TestBic:
         assert bic(-1000, 11, 100) == pytest.approx(base + np.log(100))
         assert bic(-999, 10, 100) < base
 
+    def test_overflowing_value_raises(self):
+        with pytest.raises(ValueError, match="^BIC overflows"):
+            bic(-1.7e308, 35, 210)
+
 
 class TestValidationError:
     def test_perfect_predictor(self, rng):

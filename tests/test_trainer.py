@@ -81,6 +81,21 @@ class TestCdStep:
             est = acc[name] / reps * ds.n_rows   # exact gradient sums rows
             assert np.abs(est - target).max() < 0.25
 
+    def test_without_hidden_units_is_the_exact_mnl_gradient(self, rng):
+        # J = 0: the chain's expectation replaces its sample, so the step
+        # draws nothing and equals the enumerated gradient per row
+        p = random_params(rng, 5, 0, 4)
+        ds = from_arrays(rng.normal(0, 1, (40, 4)), rng.integers(0, 5, 40),
+                         n_alternatives=5)
+        g1, g2 = (cd_step(p, (ds.x, ds.y), TrainConfig(),
+                          np.random.default_rng(seed)) for seed in (1, 2))
+        exact = oracle.exact_loglik_gradient(p, ds)
+        for (name, a), (_, b), (_, target) in zip(g1.blocks(), g2.blocks(),
+                                                  exact.blocks()):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+            np.testing.assert_allclose(a, target / 40, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
     def test_rejects_empty_or_mismatched_batches(self, rng):
         p = random_params(rng, 3, 1, 2)
         with pytest.raises(ValueError):
