@@ -18,7 +18,8 @@ import numpy as np
 
 from choicerbm import oracle
 from choicerbm.dataset import SplitSpec, refit_normalization, split
-from choicerbm.report import hinton_svg, save_model
+from choicerbm.report import (HINTON_BLOCKS, fit_metrics, hinton_block,
+                              hinton_svg, save_model)
 from choicerbm.stats import evaluate, report_table_rows
 from choicerbm.trainer import TrainConfig, train_crbm
 
@@ -39,8 +40,8 @@ def main():
 
     pm = oracle.band_planted_model(n_rows=args.rows, seed=args.seed)
     ds = oracle.generate(pm)
-    train_ds, valid_ds = refit_normalization(
-        *split(ds, SplitSpec(train_fraction=0.70, seed=5)))
+    spec = SplitSpec(train_fraction=0.70, seed=5)
+    train_ds, valid_ds = refit_normalization(*split(ds, spec))
     print(f"rows: {ds.n_rows} (train {train_ds.n_rows} / valid "
           f"{valid_ds.n_rows}), alternatives: {ds.n_alternatives}, "
           f"features: {ds.n_features}")
@@ -61,7 +62,9 @@ def main():
                    norm_stats=train_ds.norm_stats,
                    feature_names=train_ds.feature_names,
                    alternative_names=train_ds.alternative_names,
-                   train_config=cfg, std_errs=rep.std_errs, tstats=rep.tstats,
+                   train_config=cfg,
+                   metrics=fit_metrics(rep, trace.best_epoch, spec),
+                   std_errs=rep.std_errs, tstats=rep.tstats,
                    choice_column="choice")
 
     table = report_table_rows(rows)
@@ -71,17 +74,11 @@ def main():
     best_j = max(j for j in fits if j > 0) if any(j > 0 for j in fits) else None
     if best_j is not None:
         params, rep = fits[best_j]
-        for block, values, tvals, rows_lab, cols_lab in (
-            ("B", params.choice_context_w, rep.tstats.choice_context_w,
-             train_ds.alternative_names, train_ds.feature_names),
-            ("D", params.choice_hidden_w, rep.tstats.choice_hidden_w,
-             train_ds.alternative_names,
-             tuple(f"h{j + 1}" for j in range(best_j))),
-            ("A", params.hidden_context_w, rep.tstats.hidden_context_w,
-             tuple(f"h{j + 1}" for j in range(best_j)), train_ds.feature_names),
-        ):
+        for block in HINTON_BLOCKS:
             path = out_dir / f"hinton_{block}_J{best_j}.svg"
-            path.write_text(hinton_svg(values, rows_lab, cols_lab, tvals))
+            path.write_text(hinton_svg(*hinton_block(
+                block, params, rep.tstats, train_ds.alternative_names,
+                train_ds.feature_names)))
             print(f"wrote {path}")
 
 

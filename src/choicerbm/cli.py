@@ -10,6 +10,7 @@ as one `warning: <message>` line.
 
 import argparse
 import csv
+import os
 import sys
 import warnings
 
@@ -91,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hinton", help="render a weight block as an SVG diagram")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--block", required=True, choices=["B", "D", "A"],
+    sp.add_argument("--block", required=True, choices=report.HINTON_BLOCKS,
                     help="B: choice-context, D: choice-hidden, A: hidden-context")
     sp.add_argument("--out", required=True)
     sp.add_argument("--threshold", type=float, default=1.96)
@@ -150,18 +151,9 @@ def _cmd_train(args) -> int:
         feature_names=train_ds.feature_names,
         alternative_names=train_ds.alternative_names,
         train_config=cfg,
-        metrics={
-            "loglik_train": rep.loglik_train,
-            "loglik_valid": rep.loglik_valid,
-            "rho2": rep.rho2,
-            "bic": rep.bic,
-            "validation_error": rep.validation_error,
-            "mean_true_prob": rep.mean_true_prob,
-            "n_params": rep.n_params,
-            "best_epoch": trace.best_epoch,
-            "split_fraction": args.split,
-            "split_seed": args.seed,
-        },
+        metrics=report.fit_metrics(
+            rep, trace.best_epoch,
+            dataset.SplitSpec(train_fraction=args.split, seed=args.seed)),
         std_errs=rep.std_errs, tstats=rep.tstats,
         choice_column=args.choice_col)
     label = "MNL" if args.hidden == 0 else f"CRBM-J{args.hidden}"
@@ -171,27 +163,20 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     params, meta = report.load_model(args.model)
-    norm = meta.get("norm_stats")
-    feats = meta.get("feature_names")
-    if norm is None or feats is None:
-        raise UsageError("model file lacks normalization metadata")
-    choice_col = meta.get("choice_column", "choice")
-    metrics = meta.get("metrics", {})
-    if not args.whole_file and "split_fraction" in metrics:
+    read = dict(path=args.data, choice_column=meta["choice_column"],
+                feature_columns=list(meta["feature_names"]),
+                n_alternatives=params.n_alternatives)
+    if args.whole_file:
+        ds = dataset.load_csv(**read, norm_stats=meta["norm_stats"])
+        rep = stats.evaluate(params, ds, ds)
+    else:
         # Replay the exact split and scaling used when the model was
         # trained, so the printed metrics reproduce the training output.
-        ds = dataset.load_csv(args.data, choice_col, list(feats),
-                              n_alternatives=params.n_alternatives)
+        metrics = meta["metrics"]
         spec = dataset.SplitSpec(train_fraction=metrics["split_fraction"],
                                  seed=int(metrics["split_seed"]))
-        train_ds, valid_ds = dataset.refit_normalization(
-            *dataset.split(ds, spec))
-        rep = stats.evaluate(params, train_ds, valid_ds)
-    else:
-        ds = dataset.load_csv(args.data, choice_col, list(feats),
-                              n_alternatives=params.n_alternatives,
-                              norm_stats=norm)
-        rep = stats.evaluate(params, ds, ds)
+        rep = stats.evaluate(params, *dataset.refit_normalization(
+            *dataset.split(dataset.load_csv(**read), spec)))
     label = "MNL" if params.n_hidden == 0 else f"CRBM-J{params.n_hidden}"
     sys.stdout.write(stats.report_table_rows([(label, rep)]))
     sys.stdout.write(f"valid_loglik,{rep.loglik_valid:.6f}\n")
@@ -201,16 +186,10 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     params, meta = report.load_model(args.model)
-    norm = meta.get("norm_stats")
-    feats = meta.get("feature_names")
-    if norm is None or feats is None:
-        raise UsageError("model file lacks normalization metadata")
-    x = dataset.load_features_csv(args.data, list(feats), norm)
-    alt_names = meta.get("alternative_names",
-                         tuple(f"alt{i + 1}" for i in
-                               range(params.n_alternatives)))
+    x = dataset.load_features_csv(args.data, list(meta["feature_names"]),
+                                  meta["norm_stats"])
     probs, h_act = predict_batch(params, x)
-    write_predictions_csv(args.out, probs, h_act, alt_names)
+    write_predictions_csv(args.out, probs, h_act, meta["alternative_names"])
     return 0
 
 
@@ -243,30 +222,16 @@ def _cmd_sensitivity(args) -> int:
     return 0
 
 
-_BLOCKS = {
-    "B": ("choice_context_w", "alternative_names", "feature_names"),
-    "D": ("choice_hidden_w", "alternative_names", None),
-    "A": ("hidden_context_w", None, "feature_names"),
-}
-
-
 def _cmd_hinton(args) -> int:
     if not 0.0 <= args.threshold < np.inf:
         raise UsageError("--threshold must be a non-negative number")
     params, meta = report.load_model(args.model)
-    attr, row_key, col_key = _BLOCKS[args.block]
-    values = getattr(params, attr)
+    values, rows, cols, t = report.hinton_block(
+        args.block, params, meta["tstats"], meta["alternative_names"],
+        meta["feature_names"])
     if values.size == 0:
         raise UsageError(f"block {args.block} is empty for this model")
-    tstats = meta.get("tstats")
-    t = getattr(tstats, attr) if tstats is not None else np.zeros_like(values)
-    rows, cols = values.shape
-    row_labels = (meta.get(row_key, tuple(f"alt{i + 1}" for i in range(rows)))
-                  if row_key else tuple(f"h{j + 1}" for j in range(rows)))
-    col_labels = (meta.get(col_key, tuple(f"f{k + 1}" for k in range(cols)))
-                  if col_key else tuple(f"h{j + 1}" for j in range(cols)))
-    svg = report.hinton_svg(values, row_labels, col_labels, t,
-                            args.threshold)
+    svg = report.hinton_svg(values, rows, cols, t, args.threshold)
     with report.atomic_open(args.out) as fh:
         fh.write(svg)
     return 0
@@ -293,6 +258,16 @@ _COMMANDS = {
 }
 
 
+def _check_out(args):
+    """Refuse an `--out` that names the command's own input file."""
+    out = getattr(args, "out", "")      # `evaluate` writes no file
+    for flag in ("data", "model", "planted"):
+        source = getattr(args, flag, "")
+        if (os.path.exists(out) and os.path.exists(source)
+                and os.path.samefile(out, source)):
+            raise UsageError(f"--out names the same file as --{flag}")
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
@@ -300,6 +275,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_out(args)
         return _COMMANDS[args.command](args)
     except (OSError, ValueError, RuntimeError, MemoryError, csv.Error) as exc:
         text = " ".join(str(exc).splitlines())

@@ -3,7 +3,8 @@ which every output file of the command line is written.
 
 Model files are canonical JSON: a format/version header, the five
 parameter blocks at full precision, normalization statistics, column
-names, the training configuration and the headline fit metrics.  Writing
+names, the training configuration, the headline fit metrics with the
+split, and the standard errors and t statistics.  Writing
 is canonical (sorted keys, fixed separators), so write -> read -> write
 is byte-identical.
 
@@ -21,7 +22,7 @@ import os
 
 import numpy as np
 
-from .dataset import NormStats
+from .dataset import NormStats, SplitSpec
 from .model import (BLOCK_NAMES, REFERENCE_ALTERNATIVE, CrbmParams,
                     ParamBlocks, block_shapes, in_reference_gauge)
 from .trainer import TrainConfig
@@ -50,11 +51,9 @@ def atomic_open(path):
         raise
 
 
-def save_model(p: CrbmParams, path, norm_stats: NormStats = None,
-               feature_names=None, alternative_names=None,
-               train_config: TrainConfig = None, metrics: dict = None,
-               std_errs: ParamBlocks = None, tstats: ParamBlocks = None,
-               choice_column: str = None):
+def save_model(p: CrbmParams, path, *, norm_stats: NormStats, feature_names,
+               alternative_names, train_config: TrainConfig, metrics: dict,
+               std_errs: ParamBlocks, tstats: ParamBlocks, choice_column: str):
     """Write a model file; every numeric value survives a round trip exactly.
 
     The file records `reference_alternative` exactly when `p` is in the
@@ -69,32 +68,35 @@ def save_model(p: CrbmParams, path, norm_stats: NormStats = None,
         "n_hidden": p.n_hidden,
         "n_features": p.n_features,
         "params": {name: np.asarray(a).tolist() for name, a in p.blocks()},
-    }
-    if choice_column is not None:
-        doc["choice_column"] = str(choice_column)
-    if in_reference_gauge(p):
-        doc["reference_alternative"] = REFERENCE_ALTERNATIVE
-    if norm_stats is not None:
-        doc["norm_stats"] = {
+        "choice_column": str(choice_column),
+        "norm_stats": {
             "means": norm_stats.means.tolist(),
             "stds": norm_stats.stds.tolist(),
             "constant": [bool(v) for v in norm_stats.constant],
-        }
-    if feature_names is not None:
-        doc["feature_names"] = list(feature_names)
-    if alternative_names is not None:
-        doc["alternative_names"] = list(alternative_names)
-    if train_config is not None:
-        doc["train_config"] = dataclasses.asdict(train_config)
-    if metrics is not None:
-        doc["metrics"] = {k: float(v) for k, v in metrics.items()}
-    for key, blocks in (("std_errs", std_errs), ("tstats", tstats)):
-        if blocks is not None:
-            doc[key] = {name: np.asarray(a).tolist() for name, a in blocks.blocks()}
+        },
+        "feature_names": list(feature_names),
+        "alternative_names": list(alternative_names),
+        "train_config": dataclasses.asdict(train_config),
+        "metrics": {k: float(v) for k, v in metrics.items()},
+        **{key: {name: np.asarray(a).tolist() for name, a in blocks.blocks()}
+           for key, blocks in (("std_errs", std_errs), ("tstats", tstats))},
+    }
+    if in_reference_gauge(p):
+        doc["reference_alternative"] = REFERENCE_ALTERNATIVE
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"),
                          allow_nan=False)
     with atomic_open(path) as fh:
         fh.write(payload + "\n")
+
+
+def fit_metrics(rep, best_epoch: int, spec: SplitSpec) -> dict:
+    """The `metrics` record of a model file: the fit report's headline
+    figures, the best epoch and the split that `evaluate` replays."""
+    headline = ("loglik_train", "loglik_valid", "rho2", "bic",
+                "validation_error", "mean_true_prob", "n_params")
+    return {**{key: getattr(rep, key) for key in headline},
+            "best_epoch": best_epoch, "split_fraction": spec.train_fraction,
+            "split_seed": spec.seed}
 
 
 def _names(raw, n):
@@ -121,10 +123,11 @@ def _train_config(raw):
 
 def _metrics(raw):
     metrics = {k: float(v) for k, v in raw.items()}
-    if not (all(map(math.isfinite, metrics.values())) and
-            ("split_fraction" in metrics) == ("split_seed" in metrics)):
-        raise ValueError("expected finite values, with split_fraction and "
-                         "split_seed together")
+    for key in ("split_fraction", "split_seed"):
+        if key not in metrics:
+            raise ValueError(f"missing {key}")
+    if not all(map(math.isfinite, metrics.values())):
+        raise ValueError("expected finite values")
     return metrics
 
 
@@ -145,9 +148,9 @@ _BAD_VALUE = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 def load_model(path):
     """Read a model file back as (params, metadata dict).
 
-    Metadata keys mirror the optional save arguments; parameter and
-    dimension consistency is verified before anything is returned.  Any
-    malformed content raises ModelFileError with a one-line message.
+    Metadata keys mirror the save arguments plus `reference_alternative`,
+    the only optional one; dimension consistency is verified first.  A
+    missing or malformed field raises a one-line ModelFileError naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -195,11 +198,29 @@ def load_model(path):
                 meta[key] = read(doc[key])
             except _BAD_VALUE as exc:
                 raise ModelFileError(f"{path}: bad {key} ({exc})") from None
+        elif key != "reference_alternative":
+            raise ModelFileError(f"{path}: missing {key}")
     return params, meta
 
 
 # Side of one Hinton-diagram cell, in SVG pixels.
 HINTON_CELL_PX = 24
+
+# The Hinton diagrams of a model, in drawing order (see `hinton_block`).
+HINTON_BLOCKS = ("B", "D", "A")
+
+
+def hinton_block(block, p: CrbmParams, tstats: ParamBlocks,
+                 alternative_names, feature_names):
+    """`hinton_svg`'s values, row and column labels and t values for the
+    diagram `block`, with hidden units named h1..hJ."""
+    hidden = [f"h{j + 1}" for j in range(p.n_hidden)]
+    attr, rows, cols = {
+        "B": ("choice_context_w", alternative_names, feature_names),
+        "D": ("choice_hidden_w", alternative_names, hidden),
+        "A": ("hidden_context_w", hidden, feature_names),
+    }[block]
+    return getattr(p, attr), rows, cols, getattr(tstats, attr)
 
 
 def _fmt(v: float) -> str:

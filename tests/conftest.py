@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from choicerbm.model import CrbmParams
+from choicerbm.dataset import NormStats
+from choicerbm.model import CrbmParams, ParamBlocks
+from choicerbm.trainer import TrainConfig
 
 
 def random_params(rng, n_alternatives, n_hidden, n_features, scale=1.0):
@@ -11,6 +13,23 @@ def random_params(rng, n_alternatives, n_hidden, n_features, scale=1.0):
         hidden_context_w=rng.normal(0, scale, (n_hidden, n_features)),
         choice_bias=rng.normal(0, scale, n_alternatives),
         hidden_bias=rng.normal(0, scale, n_hidden))
+
+
+def model_record(p, **fields):
+    """`save_model`'s metadata arguments for `p`: a complete record of
+    placeholder values, with `fields` in place of the defaults."""
+    k = p.n_features
+    record = dict(
+        norm_stats=NormStats(means=np.zeros(k), stds=np.ones(k),
+                             constant=np.zeros(k, dtype=bool)),
+        feature_names=tuple(f"f{i + 1}" for i in range(k)),
+        alternative_names=tuple(f"alt{i + 1}"
+                                for i in range(p.n_alternatives)),
+        train_config=TrainConfig(),
+        metrics={"split_fraction": 0.7, "split_seed": 0},
+        std_errs=ParamBlocks.zeros_like(p), tstats=ParamBlocks.zeros_like(p),
+        choice_column="choice")
+    return {**record, **fields}
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from choicerbm import cli, dataset, oracle, sensitivity
 from choicerbm.dataset import NormStats
 from choicerbm.model import CrbmParams
 from choicerbm.report import load_model, save_model
-from conftest import random_params
+from conftest import model_record, random_params
 
 
 @pytest.fixture(scope="module")
@@ -111,10 +111,19 @@ class TestTrainCommand:
     def test_model_file_carries_metadata(self, trained_model):
         params, meta = load_model(trained_model)
         assert params.n_hidden == 2
-        assert "norm_stats" in meta and "feature_names" in meta
+        record = {"norm_stats", "feature_names", "alternative_names",
+                  "train_config", "metrics", "std_errs", "tstats",
+                  "choice_column", "reference_alternative"}
+        assert set(json.loads(trained_model.read_text())) == record | {
+            "format", "version", "n_alternatives", "n_hidden", "n_features",
+            "params"}
+        assert set(meta) == record
+        assert set(meta["metrics"]) == {
+            "loglik_train", "loglik_valid", "rho2", "bic", "validation_error",
+            "mean_true_prob", "n_params", "best_epoch", "split_fraction",
+            "split_seed"}
         assert meta["train_config"].cd_k == 3
         assert meta["choice_column"] == "choice"
-        assert "tstats" in meta
 
 
 class TestEvaluateCommand:
@@ -157,10 +166,11 @@ class TestPredictCommand:
             self, tmp_path, capsys):
         # 1e308 / 0.5 is inf: the prediction is refused, not written as NaN.
         model = tmp_path / "m.model"
-        save_model(random_params(np.random.default_rng(0), 3, 2, 2), model,
-                   norm_stats=NormStats(means=np.zeros(2), stds=np.full(2, 0.5),
-                                        constant=np.zeros(2, dtype=bool)),
-                   feature_names=("f1", "f2"))
+        p = random_params(np.random.default_rng(0), 3, 2, 2)
+        save_model(p, model, **model_record(
+            p, norm_stats=NormStats(means=np.zeros(2), stds=np.full(2, 0.5),
+                                    constant=np.zeros(2, dtype=bool)),
+            feature_names=("f1", "f2")))
         data = tmp_path / "d.csv"
         data.write_text("f1,f2\n0.5,1.0\n1e308,2.0\n")
         out = tmp_path / "preds.csv"
@@ -178,10 +188,11 @@ class TestPredictCommand:
         # The model reads only f1 and f2, but a row must still have one
         # cell per header column, as for `train` and `evaluate`.
         model = tmp_path / "m.model"
-        save_model(random_params(np.random.default_rng(0), 3, 2, 2), model,
-                   norm_stats=NormStats(means=np.zeros(2), stds=np.ones(2),
-                                        constant=np.zeros(2, dtype=bool)),
-                   feature_names=("f1", "f2"))
+        p = random_params(np.random.default_rng(0), 3, 2, 2)
+        save_model(p, model, **model_record(
+            p, norm_stats=NormStats(means=np.zeros(2), stds=np.ones(2),
+                                    constant=np.zeros(2, dtype=bool)),
+            feature_names=("f1", "f2")))
         data = tmp_path / "d.csv"
         data.write_text("f1,f2,f3\n0.5,1.0,2.0\n0.1,0.2\n0.3,0.4,0.5,0.6,0.7\n")
         out = tmp_path / "preds.csv"
@@ -418,12 +429,11 @@ class TestValuesAtTheFloatLimit:
                                       ["evaluate", "--whole-file"]],
                              ids=["predict", "evaluate-whole-file"])
     def test_scaled_value_overflows(self, tmp_path, argv):
-        save_model(random_params(np.random.default_rng(0), 3, 2, 2),
-                   tmp_path / "m.model",
-                   norm_stats=NormStats(means=np.zeros(2),
-                                        stds=np.full(2, 0.98),
-                                        constant=np.zeros(2, dtype=bool)),
-                   feature_names=("f1", "f2"))
+        p = random_params(np.random.default_rng(0), 3, 2, 2)
+        save_model(p, tmp_path / "m.model", **model_record(
+            p, norm_stats=NormStats(means=np.zeros(2), stds=np.full(2, 0.98),
+                                    constant=np.zeros(2, dtype=bool)),
+            feature_names=("f1", "f2")))
         (tmp_path / "d.csv").write_text(
             "choice,f1,f2\n1,0.5,1.0\n2,1.78e308,2.0\n3,0.1,0.3\n")
         assert self._run(tmp_path, *argv, "--model", "m.model",
@@ -653,6 +663,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and message in err, err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--data"), ("sensitivity", "--data"), ("predict", "--data"),
+        ("predict", "--model"), ("hinton", "--model"),
+        ("generate", "--planted")])
+    def test_out_naming_an_input_is_usage_error(
+            self, planted_file, data_file, trained_model, tmp_path, capsys,
+            command, flag):
+        # Copies, so that a failure cannot overwrite the shared fixtures.
+        inputs = {}
+        for name, source in (("--data", data_file), ("--model", trained_model),
+                             ("--planted", planted_file)):
+            inputs[name] = tmp_path / source.name
+            inputs[name].write_bytes(source.read_bytes())
+        data, model, planted = map(str, inputs.values())
+        argv = {"train": ["train", "--data", data, "--epochs", "1"],
+                "sensitivity": ["sensitivity", "--data", data,
+                                "--replicates", "1", "--epochs", "1"],
+                "predict": ["predict", "--model", model, "--data", data],
+                "hinton": ["hinton", "--model", model, "--block", "B"],
+                "generate": ["generate", "--planted", planted]}[command]
+        target = inputs[flag]
+        before = target.read_bytes()
+        # Another spelling of the same path: the check compares files.
+        rc = cli.run([*argv, "--out", f"{target.parent}/./{target.name}"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: --out names the same file as {flag}\n"
+        assert target.read_bytes() == before
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_hinton_threshold_must_be_finite_and_non_negative(

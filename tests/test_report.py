@@ -16,7 +16,7 @@ from choicerbm.model import ParamBlocks, canonical
 from choicerbm.report import (HINTON_CELL_PX, ModelFileError, hinton_svg,
                               load_model, save_model)
 from choicerbm.trainer import TrainConfig
-from conftest import random_params
+from conftest import model_record, random_params
 
 GOLDEN = Path(__file__).parent / "data" / "hinton_3x3.svg"
 
@@ -40,12 +40,13 @@ class TestModelFile:
                           stds=np.abs(rng.normal(1, 0.2, 5)),
                           constant=np.array([False] * 4 + [True]))
         path_a, path_b = tmp_path / "a.model", tmp_path / "b.model"
-        save_model(p, path_a, norm_stats=stats,
-                   feature_names=[f"f{i}" for i in range(5)],
-                   alternative_names=[f"alt{i}" for i in range(4)],
-                   train_config=TrainConfig(seed=7),
-                   metrics={"loglik_train": -123.456789012345},
-                   choice_column="choice")
+        save_model(p, path_a, **model_record(
+            p, norm_stats=stats, feature_names=[f"f{i}" for i in range(5)],
+            alternative_names=[f"alt{i}" for i in range(4)],
+            train_config=TrainConfig(seed=7),
+            metrics={"loglik_train": -123.456789012345,
+                     "split_fraction": 0.7, "split_seed": 3},
+            choice_column="choice"))
         loaded, meta = load_model(path_a)
         for (_, a), (_, b) in zip(p.blocks(), loaded.blocks()):
             np.testing.assert_array_equal(a, b)
@@ -57,13 +58,14 @@ class TestModelFile:
                    alternative_names=meta["alternative_names"],
                    train_config=meta["train_config"],
                    metrics=meta["metrics"],
+                   std_errs=meta["std_errs"], tstats=meta["tstats"],
                    choice_column=meta["choice_column"])
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_mnl_round_trip_with_empty_blocks(self, rng, tmp_path):
         p = random_params(rng, 3, 0, 2)
         path = tmp_path / "m.model"
-        save_model(p, path)
+        save_model(p, path, **model_record(p))
         loaded, _ = load_model(path)
         assert loaded.n_hidden == 0
         assert loaded.choice_hidden_w.shape == (3, 0)
@@ -72,12 +74,12 @@ class TestModelFile:
 
     def test_reference_alternative_round_trip(self, rng, tmp_path):
         raw = random_params(rng, 3, 1, 2)
-        save_model(canonical(raw), tmp_path / "m.model")
+        save_model(canonical(raw), tmp_path / "m.model", **model_record(raw))
         _, meta = load_model(tmp_path / "m.model")
         assert meta["reference_alternative"] == 1
         # Parameters outside the gauge, as older models' are, save and
         # load without the key.
-        save_model(raw, tmp_path / "old.model")
+        save_model(raw, tmp_path / "old.model", **model_record(raw))
         assert "reference_alternative" not in load_model(
             tmp_path / "old.model")[1]
 
@@ -86,7 +88,7 @@ class TestModelFile:
         se = ParamBlocks.zeros_like(p)
         se.choice_context_w = np.abs(rng.normal(0, 1, (3, 2)))
         path = tmp_path / "m.model"
-        save_model(p, path, std_errs=se, tstats=se)
+        save_model(p, path, **model_record(p, std_errs=se, tstats=se))
         _, meta = load_model(path)
         np.testing.assert_array_equal(meta["std_errs"].choice_context_w,
                                       se.choice_context_w)
@@ -94,7 +96,7 @@ class TestModelFile:
     def test_truncated_file_rejected(self, rng, tmp_path):
         p = random_params(rng, 3, 1, 2)
         path = tmp_path / "m.model"
-        save_model(p, path)
+        save_model(p, path, **model_record(p))
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(ModelFileError, match="truncated|malformed"):
@@ -104,7 +106,7 @@ class TestModelFile:
         import json
         p = random_params(rng, 3, 1, 2)
         path = tmp_path / "m.model"
-        save_model(p, path)
+        save_model(p, path, **model_record(p))
         doc = json.loads(path.read_text())
         doc["n_alternatives"] = 7
         path.write_text(json.dumps(doc))
@@ -115,7 +117,7 @@ class TestModelFile:
         import json
         p = random_params(rng, 3, 1, 2)
         path = tmp_path / "m.model"
-        save_model(p, path)
+        save_model(p, path, **model_record(p))
         doc = json.loads(path.read_text())
         doc["version"] = 99
         path.write_text(json.dumps(doc))
@@ -131,8 +133,9 @@ class TestModelFile:
     def test_directory_target_leaves_no_temp_file(self, rng, tmp_path):
         target = tmp_path / "models"
         target.mkdir()
+        p = random_params(rng, 3, 1, 2)
         with pytest.raises(OSError):
-            save_model(random_params(rng, 3, 1, 2), target)
+            save_model(p, target, **model_record(p))
         assert [p.name for p in tmp_path.iterdir()] == ["models"]
         assert list(target.iterdir()) == []
 
@@ -140,7 +143,8 @@ class TestModelFile:
     def test_failed_overwrite_keeps_old_model(self, rng, tmp_path, monkeypatch,
                                               fail):
         path = tmp_path / "m.model"
-        save_model(random_params(rng, 3, 1, 2), path)
+        p = random_params(rng, 3, 1, 2)
+        save_model(p, path, **model_record(p))
         before = path.read_bytes()
 
         class FullDisk:
@@ -166,8 +170,9 @@ class TestModelFile:
                                 raising=False)
         else:
             monkeypatch.setattr(report.os, "replace", refuse)
+        p = random_params(rng, 3, 1, 2)
         with pytest.raises(OSError):
-            save_model(random_params(rng, 3, 1, 2), path)
+            save_model(p, path, **model_record(p))
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.model"]
@@ -226,6 +231,10 @@ MALFORMED = {
     "reference_alternative a boolean": (("reference_alternative",), True),
     "reference alternative with a nonzero bias": (
         ("params", "choice_bias", 0), 0.25),
+    "without metrics.split_fraction": (("metrics", "split_fraction"), _DROP),
+    **{f"without {field}": ((field,), _DROP) for field in (
+        "norm_stats", "feature_names", "alternative_names", "train_config",
+        "metrics", "std_errs", "tstats", "choice_column")},
 }
 
 
@@ -236,11 +245,21 @@ class TestMalformedModelFile:
         path, value = MALFORMED[case]
         bad = tmp_path / "bad.model"
         bad.write_text(json.dumps(_set(copy.deepcopy(doc), path, value)))
-        with pytest.raises(ModelFileError):
+        with pytest.raises(ModelFileError) as caught:
             load_model(bad)
-        assert cli.run(["evaluate", "--model", str(bad), "--data", str(data)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        if value is _DROP:      # the message names the missing field
+            assert path[-1] in str(caught.value)
+        for argv in (["evaluate", "--data", str(data)],
+                     ["predict", "--data", str(data),
+                      "--out", str(tmp_path / "p.csv")],
+                     ["hinton", "--block", "B",
+                      "--out", str(tmp_path / "b.svg")]):
+            assert cli.run([argv[0], "--model", str(bad), *argv[1:]]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: "), argv
+            if value is _DROP:
+                assert path[-1] in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.model"]
 
     def test_top_level_list_rejected(self, tmp_path):
         bad = tmp_path / "bad.model"
