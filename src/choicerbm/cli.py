@@ -242,7 +242,7 @@ def _cmd_generate(args) -> int:
         raise UsageError("--n must be >= 1")
     if args.seed is not None and args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    from . import oracle    # imports scipy, which no other command needs
+    from . import oracle    # no other command needs it
     pm = oracle.load_planted(args.planted, n_rows=args.n, seed=args.seed)
     oracle.write_dataset_csv(pm, args.out)
     return 0

@@ -120,16 +120,13 @@ class ParamBlocks(_Blocks):
         return cls(*(np.zeros_like(arr) for _, arr in p.blocks()))
 
 
-def _checked(v, n: int, what: str, unit: str):
-    """`v` as float64, after checking that its last axis has length n."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != n:
-        raise ValueError(f"{what} vector length {v.shape[-1]} != {n} {unit}")
-    return v
-
-
 def _check_context_dim(p: CrbmParams, x):
-    return _checked(x, p.n_features, "context", "features")
+    """`x` as float64, after checking that its last axis has K entries."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != p.n_features:
+        raise ValueError(f"context vector length {x.shape[-1]} != "
+                         f"{p.n_features} features")
+    return x
 
 
 def sigmoid(x):

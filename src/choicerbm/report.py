@@ -122,12 +122,19 @@ def _train_config(raw):
 
 
 def _metrics(raw):
+    if not all(type(v) in (int, float) for v in raw.values()):
+        raise ValueError("expected numbers")    # float() takes "0.7" and true
     metrics = {k: float(v) for k, v in raw.items()}
     for key in ("split_fraction", "split_seed"):
         if key not in metrics:
             raise ValueError(f"missing {key}")
     if not all(map(math.isfinite, metrics.values())):
         raise ValueError("expected finite values")
+    fraction, seed = metrics["split_fraction"], metrics["split_seed"]
+    if not 0 < fraction < 1:
+        raise ValueError(f"split_fraction {fraction} not in (0, 1)")
+    if not (seed.is_integer() and 0 <= seed < 2 ** 53):   # TrainConfig.seed
+        raise ValueError(f"split_seed {seed} is not an integer in [0, 2**53)")
     return metrics
 
 

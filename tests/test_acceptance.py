@@ -14,12 +14,13 @@ from scipy.special import logsumexp
 from choicerbm import cli, oracle
 from choicerbm.dataset import SplitSpec, from_arrays, refit_normalization, split
 from choicerbm.model import CrbmParams, log_choice_probs
-from choicerbm.oracle import energy
 from choicerbm.report import hinton_svg
 from choicerbm.sensitivity import rank_agreement, sensitivity_run
 from choicerbm.stats import bic, log_likelihood, rho_squared, validation_error
 from choicerbm.trainer import TrainConfig, train_crbm
+import enumeration
 from conftest import random_params
+from enumeration import energy
 
 pytestmark = [pytest.mark.filterwarnings("ignore:information matrix"),
               pytest.mark.filterwarnings("ignore:fewer rows")]
@@ -69,8 +70,8 @@ def test_criterion_2_gradient_correctness():
         p = random_params(rng, n_alt, n_hid, n_feat, scale=0.6)
         ds = from_arrays(rng.normal(0, 1, (5, n_feat)),
                          rng.integers(0, n_alt, 5), n_alternatives=n_alt)
-        exact = oracle.exact_loglik_gradient(p, ds)
-        fd = oracle.finite_difference_gradient(p, ds, step=1e-5)
+        exact = enumeration.exact_loglik_gradient(p, ds)
+        fd = enumeration.finite_difference_gradient(p, ds, step=1e-5)
         for (_, ga), (_, fa) in zip(exact.blocks(), fd.blocks()):
             if ga.size == 0:
                 continue
@@ -135,8 +136,8 @@ def test_criterion_5_planted_model_recovery():
     kl_trace = []
 
     def track_kl(_epoch, snapshot):
-        raw = oracle.denormalized_params(snapshot, tr.norm_stats)
-        kl_trace.append(oracle.conditional_kl(pm.params, raw, kl_x))
+        raw = enumeration.denormalized_params(snapshot, tr.norm_stats)
+        kl_trace.append(enumeration.conditional_kl(pm.params, raw, kl_x))
 
     crbm, trace = train_crbm(tr, va, 2, cfg, epoch_hook=track_kl)
     err_crbm = validation_error(crbm, va)

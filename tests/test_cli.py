@@ -335,15 +335,25 @@ class TestWarnings:
             lines[0]), lines[0]
 
 
-def test_import_leaves_scipy_unloaded():
-    code = ("import sys, choicerbm.cli; "
+def _scipy_modules_after(statement):
+    """The scipy modules that a fresh interpreter holds after `statement`."""
+    code = (f"import sys; {statement}; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60,
-                          check=True)
-    assert done.stdout.strip() == "[]"
+    return _fresh_python(code, _fresh_env(drop=()))[0]
+
+
+def test_import_leaves_scipy_unloaded():
+    for module in ("choicerbm.cli", "choicerbm.oracle"):
+        assert _scipy_modules_after(f"import {module}") == "[]", module
+
+
+def test_generate_leaves_scipy_unloaded(planted_file, tmp_path):
+    out = tmp_path / "d.csv"
+    argv = ["generate", "--planted", str(planted_file), "--n", "50",
+            "--out", str(out)]
+    assert _scipy_modules_after(
+        f"from choicerbm import cli; assert cli.run({argv!r}) == 0") == "[]"
+    assert len(out.read_text().splitlines()) == 51
 
 
 def _fresh_env(drop=("OPENBLAS_NUM_THREADS",), **extra):
@@ -731,8 +741,12 @@ class TestExitCodes:
         (lambda doc: doc.pop("context"), "'context' must be"),
         (lambda doc: doc["context"].append([1]), "'context' must be"),
         (lambda doc: doc["context"][0].update(std="wide"), "'context' must be"),
+        (lambda doc: doc["context"][0].update(std=True), "'context' must be"),
         (lambda doc: doc.pop("n_rows"), "'n_rows' must be an integer"),
         (lambda doc: doc.update(seed=None), "'seed' must be an integer"),
+        (lambda doc: doc.update(n_rows=True),
+         "'n_rows' must be an integer, got True"),
+        (lambda doc: doc.update(seed=True), "'seed' must be an integer, got True"),
         (lambda doc: doc["params"].update(hidden_bias={"a": 1}),
          "parameter blocks must be numeric"),
         (None, "not a planted-model file"),     # the document in a list

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from choicerbm import oracle
 from choicerbm.dataset import from_arrays
 from choicerbm.inference import predict_batch, write_predictions_csv
 from choicerbm.model import CrbmParams
 from choicerbm.stats import confusion_matrix
+import enumeration
 from conftest import random_params
 
 
@@ -26,7 +26,7 @@ def enumerated_hidden_mean(p, x):
     for m in range(2 ** p.n_hidden):
         h = np.array([(m >> j) & 1 for j in range(p.n_hidden)], dtype=float)
         for i in range(p.n_alternatives):
-            weight = np.exp(-oracle.energy(p, eye[i], h)
+            weight = np.exp(-enumeration.energy(p, eye[i], h)
                             + p.choice_context_w[i] @ x
                             + h @ (p.hidden_context_w @ x))
             total += weight
@@ -69,7 +69,7 @@ class TestPredict:
             choice_bias=p.choice_bias,
             hidden_bias=p.hidden_bias)
         x = np.array([2.0, 0.1, -0.3])
-        truth = oracle.exact_choice_distribution(strong, x)
+        truth = enumeration.exact_choice_distribution(strong, x)
         assert truth[0] > 0.99
         assert predict_row(strong, x)[1] == 0
 

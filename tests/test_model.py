@@ -11,8 +11,8 @@ from choicerbm.model import (BLOCK_NAMES, CrbmParams, ParamBlocks,
                              choice_probs, hidden_given_choice,
                              log_choice_probs, log_softmax, param_count,
                              sample_categorical, sigmoid, softmax)
-from choicerbm.oracle import energy, exact_choice_distribution
 from conftest import random_params
+from enumeration import energy, exact_choice_distribution
 
 
 def zero_params(n_alt, n_hid, n_feat):

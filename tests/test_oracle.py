@@ -4,6 +4,7 @@ import pytest
 from choicerbm import oracle
 from choicerbm.dataset import from_arrays
 from choicerbm.model import CrbmParams, log_choice_probs
+import enumeration
 from conftest import random_params
 
 
@@ -15,7 +16,7 @@ class TestExactChoiceDistribution:
             hidden_context_w=np.zeros((3, 2)),
             choice_bias=np.zeros(6),
             hidden_bias=np.zeros(3))
-        probs = oracle.exact_choice_distribution(p, np.array([0.3, -1.2]))
+        probs = enumeration.exact_choice_distribution(p, np.array([0.3, -1.2]))
         np.testing.assert_allclose(probs, 1.0 / 6.0, atol=1e-14)
 
     def test_mnl_reduction(self, rng):
@@ -25,7 +26,7 @@ class TestExactChoiceDistribution:
         expected = np.exp(logits - logits.max())
         expected /= expected.sum()
         np.testing.assert_allclose(
-            oracle.exact_choice_distribution(p, x), expected, atol=1e-14)
+            enumeration.exact_choice_distribution(p, x), expected, atol=1e-14)
 
     def test_agrees_with_free_energy_path(self, rng):
         # The package's closed form, hidden units summed out, against
@@ -35,7 +36,7 @@ class TestExactChoiceDistribution:
                               int(rng.integers(0, 5)), int(rng.integers(1, 4)),
                               scale=1.2)
             x = rng.normal(0, 1, (3, p.n_features))
-            got = oracle.exact_choice_distribution(p, x)
+            got = enumeration.exact_choice_distribution(p, x)
             want = np.exp(log_choice_probs(p, x))
             np.testing.assert_allclose(got, want, atol=1e-10)
             np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
@@ -43,7 +44,7 @@ class TestExactChoiceDistribution:
     def test_hidden_cap_enforced(self, rng):
         p = random_params(rng, 2, 13, 1)
         with pytest.raises(ValueError, match="capped"):
-            oracle.exact_choice_distribution(p, np.zeros(1))
+            enumeration.exact_choice_distribution(p, np.zeros(1))
 
 
 class TestExactGradient:
@@ -60,7 +61,7 @@ class TestExactGradient:
             hidden_context_w=np.zeros((0, 0)),
             choice_bias=np.log(shares),
             hidden_bias=np.zeros(0))
-        g = oracle.exact_loglik_gradient(p, ds)
+        g = enumeration.exact_loglik_gradient(p, ds)
         np.testing.assert_allclose(g.choice_bias, 0.0, atol=1e-10)
 
     def test_matches_finite_differences(self, rng):
@@ -71,8 +72,8 @@ class TestExactGradient:
             p = random_params(rng, n_alt, n_hid, n_feat, scale=0.6)
             ds = from_arrays(rng.normal(0, 1, (6, n_feat)),
                              rng.integers(0, n_alt, 6), n_alternatives=n_alt)
-            exact = oracle.exact_loglik_gradient(p, ds)
-            fd = oracle.finite_difference_gradient(p, ds)
+            exact = enumeration.exact_loglik_gradient(p, ds)
+            fd = enumeration.finite_difference_gradient(p, ds)
             for (_, ga), (_, fa) in zip(exact.blocks(), fd.blocks()):
                 if ga.size == 0:
                     continue
@@ -85,7 +86,7 @@ class TestExactGradient:
         p = random_params(rng, 4, 0, 2, scale=0.7)
         ds = from_arrays(rng.normal(0, 1, (30, 2)), rng.integers(0, 4, 30),
                          n_alternatives=4)
-        g = oracle.exact_loglik_gradient(p, ds)
+        g = enumeration.exact_loglik_gradient(p, ds)
         logits = ds.x @ p.choice_context_w.T + p.choice_bias
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -150,13 +151,13 @@ class TestConditionalKl:
     def test_zero_for_identical_models(self, rng):
         p = random_params(rng, 4, 2, 3)
         xs = rng.normal(0, 1, (50, 3))
-        assert oracle.conditional_kl(p, p, xs) == pytest.approx(0.0, abs=1e-14)
+        assert enumeration.conditional_kl(p, p, xs) == pytest.approx(0.0, abs=1e-14)
 
     def test_positive_for_different_models(self, rng):
         p = random_params(rng, 4, 2, 3)
         q = random_params(rng, 4, 2, 3)
         xs = rng.normal(0, 1, (50, 3))
-        assert oracle.conditional_kl(p, q, xs) > 0
+        assert enumeration.conditional_kl(p, q, xs) > 0
 
 
 class TestPlantedIo:

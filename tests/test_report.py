@@ -222,6 +222,11 @@ MALFORMED = {
     "non-numeric split_fraction": (("metrics", "split_fraction"), "x"),
     "split_fraction without split_seed": (("metrics", "split_seed"), _DROP),
     "infinite split_seed": (("metrics", "split_seed"), float("inf")),
+    "fractional split_seed": (("metrics", "split_seed"), 0.5),
+    "negative split_seed": (("metrics", "split_seed"), -1),
+    "split_fraction past 1": (("metrics", "split_fraction"), 1.5),
+    "split_seed a boolean": (("metrics", "split_seed"), True),
+    "split_fraction a numeric string": (("metrics", "split_fraction"), "0.7"),
     "2-d choice_bias": (("params", "choice_bias"), [[0.0] * 5] * 2),
     "short norm_stats means": (("norm_stats", "means"), [0.0]),
     "choice_column not a string": (("choice_column",), ["choice"]),
