@@ -133,10 +133,11 @@ def _train_config(args) -> trainer.TrainConfig:
 def _load_split(args):
     if not 0.0 < args.split < 1.0:
         raise UsageError("--split must lie in (0, 1)")
-    ds = dataset.load_csv(args.data, args.choice_col, _feature_list(args.features))
-    spec = dataset.SplitSpec(train_fraction=args.split, seed=args.seed)
-    train_ds, valid_ds = dataset.split(ds, spec)
-    return dataset.refit_normalization(train_ds, valid_ds)
+    # No name holds the whole file's dataset while the split is rescaled.
+    return dataset.refit_normalization(*dataset.split(
+        dataset.load_csv(args.data, args.choice_col,
+                         _feature_list(args.features)),
+        dataset.SplitSpec(train_fraction=args.split, seed=args.seed)))
 
 
 def _cmd_train(args) -> int:

@@ -1,12 +1,15 @@
 """Choice data ingestion: CSV loading, z-scoring and splits.
 
-A dataset pairs a z-scored feature matrix with a one-hot choice matrix.
+A dataset pairs a z-scored feature matrix with the 0-based index of the
+alternative chosen in each row; one-hot rows are built only where a
+product needs them.
 Normalization statistics travel with the dataset so that the original
 values can always be recovered and so that a trained model can re-apply
 identical scaling to new data.
 """
 
 import csv
+import functools
 import math
 import os
 import warnings
@@ -68,17 +71,21 @@ class NormStats:
 
 @dataclass(frozen=True)
 class ChoiceDataset:
-    """N x K z-scored features plus N x I one-hot choices."""
+    """N x K z-scored features plus the N 0-based indices of the observed
+    choices among the I alternatives."""
 
     x: np.ndarray
-    y: np.ndarray
+    choices: np.ndarray
     feature_names: tuple
     alternative_names: tuple
     norm_stats: NormStats
 
     def __post_init__(self):
-        for name in ("x", "y"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+        choices = np.asarray(self.choices)
+        if choices.dtype.kind not in "iu":
+            raise ValueError("choices must be integer indices")
+        for name, arr in (("x", np.asarray(self.x, dtype=np.float64)),
+                          ("choices", choices.astype(np.int64, copy=False))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -95,35 +102,36 @@ class ChoiceDataset:
 
     @property
     def n_alternatives(self) -> int:
-        return self.y.shape[-1]
+        return len(self.alternative_names)
+
+    @functools.cached_property
+    def y(self) -> np.ndarray:
+        """The choices as read-only one-hot rows, (..., N, I), built on
+        first access and kept."""
+        y = one_hot(self.choices, self.n_alternatives)
+        y.flags.writeable = False
+        return y
 
     def validate(self):
-        if self.x.ndim not in (2, 3) or self.y.ndim != self.x.ndim:
-            raise ValueError("x and y must be 2-d, or 3-d stacks (see `stack`)")
+        if self.x.ndim not in (2, 3) or self.choices.shape != self.x.shape[:-1]:
+            raise ValueError("x must be 2-d, or a 3-d stack (see `stack`), "
+                             "with one choice per row")
         n, k = self.x.shape[-2:]
         if n < 1:
             raise ValueError("dataset has no rows")
         if self.n_alternatives < 2:
             raise ValueError("need at least 2 alternatives")
-        if self.y.shape[:-1] != self.x.shape[:-1]:
-            raise ValueError("x and y disagree on row count")
         if len(self.feature_names) != k:
             raise ValueError("feature name count != feature columns")
-        if len(self.alternative_names) != self.n_alternatives:
-            raise ValueError("alternative name count != choice columns")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("non-finite feature values")
-        ok = np.all((self.y == 0) | (self.y == 1)) and np.all(self.y.sum(axis=-1) == 1)
-        if not ok:
-            raise ValueError("y rows are not one-hot")
-
-    def choice_indices(self) -> np.ndarray:
-        """0-based chosen alternative per row."""
-        return self.y.argmax(axis=-1)
+        if self.choices.min() < 0 or self.choices.max() >= self.n_alternatives:
+            raise ChoiceDomainError(
+                f"choice index outside 0..{self.n_alternatives - 1}")
 
     def take(self, rows: np.ndarray) -> "ChoiceDataset":
         return ChoiceDataset(
-            x=self.x[rows], y=self.y[rows],
+            x=self.x[rows], choices=self.choices[rows],
             feature_names=self.feature_names,
             alternative_names=self.alternative_names,
             norm_stats=self.norm_stats)
@@ -131,7 +139,7 @@ class ChoiceDataset:
 
 def stack(datasets) -> ChoiceDataset:
     """Equal-size datasets over the same variables as one dataset with a
-    leading axis, x (R, N, K) and y (R, N, I), that `train_crbm` fits as R
+    leading axis, x (R, N, K) and choices (R, N), that `train_crbm` fits as R
     fits in one loop.  Its norm stats are those of the first dataset."""
     datasets = list(datasets)
     first = datasets[0]
@@ -141,7 +149,7 @@ def stack(datasets) -> ChoiceDataset:
             raise ValueError("stacked datasets disagree on their variables")
     return ChoiceDataset(
         x=np.stack([ds.x for ds in datasets]),
-        y=np.stack([ds.y for ds in datasets]),
+        choices=np.stack([ds.choices for ds in datasets]),
         feature_names=first.feature_names,
         alternative_names=first.alternative_names,
         norm_stats=first.norm_stats)
@@ -157,10 +165,9 @@ class SplitSpec:
             raise ValueError(f"train_fraction {self.train_fraction} not in (0, 1)")
 
 
-def one_hot(indices: np.ndarray, n_alternatives: int) -> np.ndarray:
-    out = np.zeros((len(indices), n_alternatives))
-    out[np.arange(len(indices)), indices] = 1.0
-    return out
+def one_hot(indices, n_alternatives: int) -> np.ndarray:
+    """Float rows, one per index of any shape, with a 1 at the index."""
+    return np.eye(n_alternatives)[np.asarray(indices)]
 
 
 def from_arrays(x_raw, choice_idx, n_alternatives=None, feature_names=None,
@@ -176,13 +183,11 @@ def from_arrays(x_raw, choice_idx, n_alternatives=None, feature_names=None,
         raise ValueError("x_raw must be 2-d with one row per choice")
     if n_alternatives is None:
         n_alternatives = int(choice_idx.max()) + 1
-    if choice_idx.min() < 0 or choice_idx.max() >= n_alternatives:
-        raise ChoiceDomainError("choice index outside 0..I-1")
     stats = norm_stats if norm_stats is not None else NormStats.fit(x_raw)
     if feature_names is None:
         feature_names = tuple(f"f{j + 1}" for j in range(x_raw.shape[1]))
     return ChoiceDataset(
-        x=stats.apply(x_raw), y=one_hot(choice_idx, n_alternatives),
+        x=stats.apply(x_raw), choices=choice_idx,
         feature_names=feature_names,
         alternative_names=tuple(f"alt{i + 1}" for i in range(n_alternatives)),
         norm_stats=stats)
@@ -339,8 +344,8 @@ def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None
                                                  feature_columns)
     if n_alternatives is None:
         n_alternatives = int(choices.max())
-        # One-hot coding allocates rows x I cells; a file cannot name more
-        # alternatives than it has rows.
+        # The names, the parameters and training's one-hot rows all grow
+        # with I; a file cannot name more alternatives than it has rows.
         if n_alternatives > len(choices):
             raise ChoiceDomainError(
                 f"choice value {n_alternatives} is more than the "
@@ -395,6 +400,7 @@ def refit_normalization(train: ChoiceDataset, valid: ChoiceDataset):
     rebuilt = []
     for ds, raw in ((train, raw_train), (valid, raw_valid)):
         rebuilt.append(ChoiceDataset(
-            x=stats.apply(raw), y=ds.y, feature_names=ds.feature_names,
+            x=stats.apply(raw), choices=ds.choices,
+            feature_names=ds.feature_names,
             alternative_names=ds.alternative_names, norm_stats=stats))
     return tuple(rebuilt)

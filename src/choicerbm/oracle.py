@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import ChoiceDataset, from_arrays
 from .model import BLOCK_NAMES, CrbmParams, choice_probs, sample_categorical
-from .report import atomic_open
+from .report import atomic_open, json_numbers
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,8 @@ def load_planted(path, n_rows=None, seed=None) -> PlantedModel:
         if type(value) is not int:
             raise ValueError(f"{path}: {key!r} must be an integer, got {value!r}")
     try:
-        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in blocks.items()}
-    except TypeError:
+        arrays = {k: json_numbers(v) for k, v in blocks.items()}
+    except (TypeError, OverflowError):
         raise ValueError(f"{path}: parameter blocks must be numeric arrays") from None
     context = tuple(
         ContextSpec(kind=c.get("kind"), mean=c.get("mean", 0.0),

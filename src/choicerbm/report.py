@@ -99,6 +99,20 @@ def fit_metrics(rep, best_epoch: int, spec: SplitSpec) -> dict:
             "split_seed": spec.seed}
 
 
+def json_numbers(raw) -> np.ndarray:
+    """A nest of JSON lists as a float64 array.  Each leaf must be an int
+    or a float: float64 conversion alone would read true as 1.0, "0.5" as
+    0.5 and null as NaN, so any other leaf raises TypeError."""
+    pending = [raw]
+    while pending:
+        leaf = pending.pop()
+        if isinstance(leaf, list):
+            pending += leaf
+        elif type(leaf) not in (int, float):
+            raise TypeError(f"expected numbers, got {leaf!r}")
+    return np.asarray(raw, dtype=np.float64)
+
+
 def _names(raw, n):
     if not (isinstance(raw, list) and len(raw) == n
             and all(isinstance(v, str) for v in raw)):
@@ -107,8 +121,10 @@ def _names(raw, n):
 
 
 def _norm_stats(raw, n):
-    ns = NormStats(*(np.asarray(raw[key], dtype=dtype) for key, dtype in (
-        ("means", np.float64), ("stds", np.float64), ("constant", bool))))
+    if not all(type(v) is bool for v in raw["constant"]):
+        raise ValueError("expected booleans in constant")
+    ns = NormStats(json_numbers(raw["means"]), json_numbers(raw["stds"]),
+                   np.asarray(raw["constant"], dtype=bool))
     if not (all(a.shape == (n,) for a in (ns.means, ns.stds, ns.constant))
             and np.isfinite([ns.means, ns.stds]).all()):
         raise ValueError(f"expected {n} finite entries per statistic")
@@ -176,15 +192,15 @@ def load_model(path):
     n_alt, _, n_feat = dims
 
     def read_blocks(raw):
-        return {name: np.asarray(raw[name], dtype=np.float64).reshape(shape)
+        return {name: json_numbers(raw[name]).reshape(shape)
                 for name, shape in zip(BLOCK_NAMES, block_shapes(*dims))}
 
     try:
         params = CrbmParams(**read_blocks(doc["params"]))
     except _BAD_VALUE as exc:
         raise ModelFileError(
-            f"{path}: parameter blocks do not match the declared dimensions "
-            f"({exc})") from None
+            f"{path}: parameter blocks are not numbers of the declared "
+            f"dimensions ({exc})") from None
 
     readers = {
         "norm_stats": lambda raw: _norm_stats(raw, n_feat),

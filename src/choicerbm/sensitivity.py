@@ -24,9 +24,7 @@ class SensitivityReport:
     full_rank: np.ndarray      # permutation of 1..K+1, descending sensitivity
     sub_rank: np.ndarray       # permutation of 1..K+1 from mean subsample sensitivity
     stderr_diff_pct: np.ndarray      # mean relative |difference| in percent
-    stderr_diff_pct_sd: np.ndarray   # spread across replicates
     full_sensitivity: np.ndarray
-    sub_sensitivity: np.ndarray      # mean across replicates
     fraction: float
     replicates: int
     seed: int
@@ -96,15 +94,12 @@ def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
     # information at all; report the absolute change there.
     denom = np.where(full_sens > 0, full_sens, 1.0)
     diffs = np.abs(sub_sens - full_sens) / denom * 100.0
-    mean_sub = sub_sens.mean(axis=0)
     return SensitivityReport(
         variables=tuple(ds.feature_names) + ("bias",),
         full_rank=_ranks_descending(full_sens),
-        sub_rank=_ranks_descending(mean_sub),
+        sub_rank=_ranks_descending(sub_sens.mean(axis=0)),
         stderr_diff_pct=diffs.mean(axis=0),
-        stderr_diff_pct_sd=diffs.std(axis=0),
         full_sensitivity=full_sens,
-        sub_sensitivity=mean_sub,
         fraction=fraction,
         replicates=replicates,
         seed=seed,

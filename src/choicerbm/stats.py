@@ -56,8 +56,7 @@ def _log_probs(p: CrbmParams, ds: ChoiceDataset, log_probs=None):
 
 def _observed(p, ds, log_probs):
     """log p(y_obs | x) per row of `ds`."""
-    return _log_probs(p, ds, log_probs)[np.arange(ds.n_rows),
-                                        ds.choice_indices()]
+    return _log_probs(p, ds, log_probs)[np.arange(ds.n_rows), ds.choices]
 
 
 def log_likelihood(p: CrbmParams, ds: ChoiceDataset, log_probs=None) -> float:
@@ -102,7 +101,7 @@ def validation_error(p: CrbmParams, ds: ChoiceDataset, log_probs=None) -> float:
     if ds.n_rows == 0:
         raise ValueError("empty dataset")
     predicted = _log_probs(p, ds, log_probs).argmax(axis=1)
-    return float(np.mean(predicted != ds.choice_indices()))
+    return float(np.mean(predicted != ds.choices))
 
 
 def mean_true_probability(p: CrbmParams, ds: ChoiceDataset,
@@ -177,12 +176,14 @@ def _free_columns(i: int, j: int, k: int) -> np.ndarray:
 def _information(p: CrbmParams, ds: ChoiceDataset, log_probs, columns):
     """BHHH information of the parameters at flat indices `columns`:
     S_b' S_b summed in row order over blocks of BLOCK_ROWS rows, S_b one
-    block's scores.  At most one block of scores exists at a time, and
-    the fixed blocks fix the summation order."""
+    block's scores.  At most one block of scores, and of one-hot choice
+    rows, exists at a time, and the fixed blocks fix the summation order."""
     info = np.zeros((len(columns),) * 2)
+    eye = np.eye(p.n_alternatives)
     for lo in range(0, ds.n_rows, BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        s = _prediction_scores(p, ds.x[rows], ds.y[rows], log_probs[rows])
+        s = _prediction_scores(p, ds.x[rows], eye[ds.choices[rows]],
+                               log_probs[rows])
         s = s.take(columns, axis=1)
         info += s.T @ s
     return info
@@ -239,7 +240,7 @@ def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
         validation_error=validation_error(p, ds_valid, valid),
         mean_true_prob=mean_true_probability(p, ds_valid, valid),
         n_params=n_params,
-        confusion=confusion_matrix(ds_valid.choice_indices(),
+        confusion=confusion_matrix(ds_valid.choices,
                                    valid.argmax(axis=1), p.n_alternatives),
         std_errs=std_errs,
         tstats=tstats,

@@ -189,15 +189,13 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
     rng = np.random.default_rng(cfg.seed)
     n = ds_train.n_rows
     dims = (ds_train.n_alternatives, n_hidden, ds_train.n_features)
-    x_all, y_all = ds_train.x, ds_train.y
-    train_choices = ds_train.choice_indices()
-    valid_choices = ds_valid.choice_indices()
+    x_all, train_choices = ds_train.x, ds_train.choices
+    eye = np.eye(dims[0])
     # Parameters, gradient and velocity share one flat layout, with one
     # row per fit of a stack.
-    theta = _init_params(*dims, y_all.sum(axis=-2), cfg.weight_init_scale,
-                         rng)
+    theta = _init_params(*dims, eye[train_choices].sum(axis=-2),
+                         cfg.weight_init_scale, rng)
     n_weights = theta.shape[-1] - dims[0] - n_hidden
-    eye = np.eye(dims[0])
 
     live = list(range(len(theta) if stacked else 1))   # fits in the stack
     traces = [TrainTrace() for _ in live]
@@ -212,10 +210,11 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
         lr = cfg.learning_rate / (1.0 + epoch) if cfg.lr_decay else cfg.learning_rate
 
         # `take` keeps each fit's rows contiguous, as matrix products need
-        # for the bits of a fit alone.
+        # for the bits of a fit alone; the one-hot rows live one epoch.
         perm = rng.permutation(n)
-        x, y = np.take(x_all, perm, axis=-2), np.take(y_all, perm, axis=-2)
+        x = np.take(x_all, perm, axis=-2)
         choices = np.take(train_choices, perm, axis=-1)
+        y = eye[choices]
         mismatch_sum, n_batches = 0.0, 0   # becomes one sum per fit
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
@@ -239,7 +238,7 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
         train_nll, train_error = _split_scores(b, x_all, train_choices)
         valid_nll, valid_error = (
             (train_nll, train_error) if ds_valid is ds_train
-            else _split_scores(b, ds_valid.x, valid_choices))
+            else _split_scores(b, ds_valid.x, ds_valid.choices))
         scores = [np.ravel(v) for v in (train_nll, valid_nll, valid_error,
                                         mismatch_sum / n_batches)]
         stay, snapshots = [], {}
@@ -270,8 +269,7 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
         if len(stay) < len(rows):
             theta, vel = theta[stay], vel[stay]
             grad = np.zeros_like(theta)
-            x_all, y_all = x_all[stay], y_all[stay]
-            train_choices = train_choices[stay]
+            x_all, train_choices = x_all[stay], train_choices[stay]
             b, g = (ParamBlocks.from_flat(a, *dims, batched=True)
                     for a in (theta, grad))
 

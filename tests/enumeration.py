@@ -79,7 +79,7 @@ def exact_choice_distribution(p: CrbmParams, x) -> np.ndarray:
 def exact_conditional_loglik(p: CrbmParams, ds: ChoiceDataset) -> float:
     """Sum over rows of log P(y_obs | x), hidden states enumerated."""
     probs = exact_choice_distribution(p, ds.x)
-    return float(np.log(probs[np.arange(ds.n_rows), ds.choice_indices()]).sum())
+    return float(np.log(probs[np.arange(ds.n_rows), ds.choices]).sum())
 
 
 def exact_loglik_gradient(p: CrbmParams, ds: ChoiceDataset) -> ParamBlocks:
@@ -92,7 +92,7 @@ def exact_loglik_gradient(p: CrbmParams, ds: ChoiceDataset) -> ParamBlocks:
     grads = ParamBlocks.zeros_like(p)
     h_tab = _hidden_table(p.n_hidden)
     eye = np.eye(p.n_alternatives)
-    obs_idx = ds.choice_indices()
+    obs_idx = ds.choices
     for row in range(ds.n_rows):
         x = ds.x[row]
         obs = int(obs_idx[row])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choicerbm import cli, dataset, oracle, sensitivity
+from choicerbm import cli, dataset, oracle, sensitivity, stats
 from choicerbm.dataset import NormStats
 from choicerbm.model import CrbmParams
 from choicerbm.report import load_model, save_model
@@ -539,12 +539,13 @@ class TestExitCodes:
     def test_failed_allocation_fails_in_one_line(self, data_file, tmp_path,
                                                  capsys, monkeypatch, message,
                                                  line):
-        # One-hot coding asks for rows x I cells; a failed allocation is
-        # simulated rather than made, as an overcommitting host would grant it.
+        # Each block of BHHH scores asks for rows x parameters cells; a failed
+        # allocation is simulated rather than made, as an overcommitting host
+        # would grant it.
         def no_memory(*args):
             raise MemoryError(message)
 
-        monkeypatch.setattr(dataset, "one_hot", no_memory)
+        monkeypatch.setattr(stats, "_prediction_scores", no_memory)
         out = tmp_path / "m.model"
         rc = cli.run(["train", "--data", str(data_file), "--epochs", "1",
                       "--out", str(out)])
@@ -749,6 +750,10 @@ class TestExitCodes:
         (lambda doc: doc.update(seed=True), "'seed' must be an integer, got True"),
         (lambda doc: doc["params"].update(hidden_bias={"a": 1}),
          "parameter blocks must be numeric"),
+        (lambda doc: doc["params"].update(hidden_bias=[True, False]),
+         "parameter blocks must be numeric arrays"),
+        (lambda doc: doc["params"].update(hidden_bias=[10 ** 400, 0]),
+         "blocks must be numeric arrays"),
         (None, "not a planted-model file"),     # the document in a list
     ])
     def test_malformed_planted_file_fails_in_one_line(self, planted_file,

@@ -1,16 +1,21 @@
 import csv
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import choicerbm
 from choicerbm import oracle
 from choicerbm.dataset import (ChoiceDataset, ChoiceDomainError, NormStats,
                                RowParseError, SchemaError, SplitSpec,
                                from_arrays, load_csv, load_features_csv,
                                one_hot, refit_normalization, split)
+
+
+SRC = Path(choicerbm.__file__).parent
 
 
 def write_csv(path, header, rows):
@@ -260,14 +265,63 @@ class TestNormalization:
         assert np.all(np.abs(ds.x.std(axis=0)[live] - 1.0) < 1e-6)
 
 
+def indexed(choices, x_shape=None):
+    """A two-alternative dataset over one zero feature with the given
+    choices, one row of x per choice unless `x_shape` says otherwise."""
+    choices = np.asarray(choices)
+    return ChoiceDataset(
+        x=np.zeros(choices.shape + (1,) if x_shape is None else x_shape),
+        choices=choices, feature_names=("a",),
+        alternative_names=("alt1", "alt2"),
+        norm_stats=NormStats(means=np.zeros(1), stds=np.ones(1),
+                             constant=np.zeros(1, dtype=bool)))
+
+
 class TestValidation:
-    def test_rejects_non_one_hot(self, rng):
-        with pytest.raises(ValueError, match="one-hot"):
-            ChoiceDataset(
-                x=np.zeros((2, 1)), y=np.array([[1.0, 1.0], [0.0, 1.0]]),
-                feature_names=("a",), alternative_names=("alt1", "alt2"),
-                norm_stats=NormStats(means=np.zeros(1), stds=np.ones(1),
-                                     constant=np.zeros(1, dtype=bool)))
+    def test_rejects_out_of_range_index(self):
+        for bad in (-1, 2):
+            with pytest.raises(ChoiceDomainError, match=r"outside 0\.\.1"):
+                indexed([0, bad])
+
+    @pytest.mark.parametrize("choices", [[0.0, 1.0], [True, False], ["0", "1"]],
+                             ids=["float", "bool", "str"])
+    def test_rejects_non_integer_indices(self, choices):
+        with pytest.raises(ValueError, match="integer indices"):
+            indexed(choices, x_shape=(2, 1))
+
+    @pytest.mark.parametrize("choices_shape, x_shape", [
+        ((3,), (2, 1)), ((1,), (2, 1)), ((2, 2), (2, 1)), ((3,), (2, 3, 1)),
+        ((2, 3, 1), (2, 3, 1))])
+    def test_rejects_choices_not_one_per_row(self, choices_shape, x_shape):
+        # Neither truncated nor broadcast against the rows of x.
+        with pytest.raises(ValueError, match="one choice per row"):
+            indexed(np.zeros(choices_shape, dtype=np.int64), x_shape)
+
+    def test_accepts_a_stack_of_choices(self):
+        ds = indexed([[0, 1, 1], [1, 0, 0]])
+        assert (ds.n_rows, ds.n_alternatives) == (3, 2)
+        np.testing.assert_array_equal(ds.y, one_hot(ds.choices, 2))
+        assert ds.y.shape == (2, 3, 2)
+
+    def test_one_hot_rows_are_cached_and_read_only(self):
+        ds = indexed([0, 1, 1])
+        y = ds.y
+        np.testing.assert_array_equal(y, one_hot(ds.choices, 2))
+        np.testing.assert_array_equal(y, [[1, 0], [0, 1], [0, 1]])
+        assert ds.y is y
+        assert ds.choices.dtype == np.int64
+        for arr in (y, ds.choices):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_no_module_reads_the_one_hot_rows(self):
+        # The package builds one-hot rows only where a product needs them;
+        # `ChoiceDataset.y` is for callers outside it.
+        readers = [f"{path.name}:{n}"
+                   for path in sorted(SRC.glob("*.py"))
+                   for n, line in enumerate(path.read_text().splitlines(), 1)
+                   if re.search(r"\.y\b", line)]
+        assert readers == []
 
     def test_rejects_single_alternative(self):
         with pytest.raises(ValueError):

@@ -119,7 +119,7 @@ class TestPredict:
 def predicted_confusion(p, ds):
     """Confusion counts of `predict_batch`'s argmax against `ds`'s choices."""
     probs, _ = predict_batch(p, ds.x)
-    return confusion_matrix(ds.choice_indices(), probs.argmax(axis=1),
+    return confusion_matrix(ds.choices, probs.argmax(axis=1),
                             p.n_alternatives)
 
 
@@ -170,7 +170,7 @@ class TestPredictBatch:
             predicted.append(row_predicted)
         np.testing.assert_array_equal(probs.argmax(axis=1), predicted)
         expected = np.zeros((4, 4), dtype=np.int64)
-        np.add.at(expected, (ds.choice_indices(), predicted), 1)
+        np.add.at(expected, (ds.choices, predicted), 1)
         np.testing.assert_array_equal(predicted_confusion(p, ds), expected)
 
     def test_feature_mismatch_rejected(self, rng):

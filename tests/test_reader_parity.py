@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from choicerbm import cli, dataset, oracle
 from choicerbm.dataset import (ChoiceDataset, ChoiceDomainError, NormStats,
                                RowParseError, SchemaError, load_csv,
-                               load_features_csv, one_hot)
+                               load_features_csv)
 
 
 def _cells(positions):
@@ -110,7 +110,7 @@ def reference_load_csv(path, choice_column, feature_columns=None,
     x_raw = np.asarray(values, dtype=np.float64).reshape(len(choices), -1)
     stats = norm_stats if norm_stats is not None else NormStats.fit(x_raw)
     return ChoiceDataset(
-        x=stats.apply(x_raw), y=one_hot(choices - 1, n_alternatives),
+        x=stats.apply(x_raw), choices=choices - 1,
         feature_names=tuple(feature_columns),
         alternative_names=tuple(f"alt{i + 1}" for i in range(n_alternatives)),
         norm_stats=stats)

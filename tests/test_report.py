@@ -228,6 +228,11 @@ MALFORMED = {
     "split_seed a boolean": (("metrics", "split_seed"), True),
     "split_fraction a numeric string": (("metrics", "split_fraction"), "0.7"),
     "2-d choice_bias": (("params", "choice_bias"), [[0.0] * 5] * 2),
+    "boolean in params": (("params", "hidden_bias", 0), True),
+    "numeric string in std_errs": (("std_errs", "choice_bias", 1), "0.5"),
+    "null in tstats": (("tstats", "choice_context_w", 1, 0), None),
+    "boolean in norm_stats stds": (("norm_stats", "stds", 0), True),
+    "string in norm_stats constant": (("norm_stats", "constant", 0), "no"),
     "short norm_stats means": (("norm_stats", "means"), [0.0]),
     "choice_column not a string": (("choice_column",), ["choice"]),
     "reference_alternative zero": (("reference_alternative",), 0),

@@ -216,7 +216,7 @@ class TestDivergence:
         # parameters within a couple of updates
         x = np.array([[1e200], [1e200], [-1e200], [-1e200]])
         ds = ChoiceDataset(
-            x=x, y=one_hot(np.array([0, 1, 0, 1]), 2),
+            x=x, choices=np.array([0, 1, 0, 1]),
             feature_names=("a",), alternative_names=("alt1", "alt2"),
             norm_stats=NormStats(means=np.zeros(1), stds=np.ones(1),
                                  constant=np.zeros(1, dtype=bool)))

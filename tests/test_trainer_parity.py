@@ -53,12 +53,12 @@ def _log_probs(b, x):
 
 def _mean_nll(b, ds):
     log_probs = _log_probs(b, ds.x)
-    return float(-log_probs[np.arange(ds.n_rows), ds.choice_indices()].mean())
+    return float(-log_probs[np.arange(ds.n_rows), ds.choices].mean())
 
 
 def _error_rate(b, ds):
     predicted = _log_probs(b, ds.x).argmax(axis=1)
-    return float(np.mean(predicted != ds.choice_indices()))
+    return float(np.mean(predicted != ds.choices))
 
 
 def _cd_batch_grads(b, xb, yb, cd_k, rng):

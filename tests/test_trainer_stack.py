@@ -105,7 +105,7 @@ def raw_dataset(x, idx):
     """A dataset whose features are used as given, not z-scored."""
     k = x.shape[1]
     return ChoiceDataset(
-        x=x, y=np.eye(2)[idx], feature_names=tuple(f"f{j}" for j in range(k)),
+        x=x, choices=idx, feature_names=tuple(f"f{j}" for j in range(k)),
         alternative_names=("alt1", "alt2"),
         norm_stats=NormStats(means=np.zeros(k), stds=np.ones(k),
                              constant=np.zeros(k, dtype=bool)))
@@ -150,7 +150,7 @@ def test_a_stack_is_validated_on_itself():
 
 def test_stack_rejects_datasets_over_other_variables():
     a = band_data(1, n_alt=3)
-    b = from_arrays(a.x, a.choice_indices(), n_alternatives=3,
+    b = from_arrays(a.x, a.choices, n_alternatives=3,
                     feature_names=("p", "q", "r"))
     with pytest.raises(ValueError, match="variables"):
         stack([a, b])
