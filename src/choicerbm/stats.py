@@ -8,7 +8,8 @@ errors come from the outer product of per-row score vectors (the BHHH
 information estimator) over all parameter blocks at once, in the
 reference-alternative gauge of `model.canonical`: the likelihood has
 K + 1 + J exact null directions, and fixing the reference alternative's
-entries of c, B and D removes them.
+entries of c, B and D removes them.  The free parameters are scored in
+their own layout, that of I - 1 alternatives.
 """
 
 import warnings
@@ -140,53 +141,36 @@ def pinv_standard_errors(info: np.ndarray) -> np.ndarray:
     return std_errs
 
 
-def _prediction_scores(p: CrbmParams, x, y, log_probs):
-    """Per-row score vectors of log p(y_obs | x), (rows, param_count) in
-    the parameter layout, for context rows `x`, one-hot choices `y` and
-    their forward pass `log_probs`.
+def free_param_count(i: int, j: int, k: int) -> int:
+    """Parameters the reference gauge leaves free: all but K + 1 + J."""
+    return param_count(i, j, k) - (1 + k + j)
+
+
+def _prediction_scores(p: CrbmParams, x, choices, log_probs):
+    """Per-row score vectors of log p(y_obs | x) for context rows `x`,
+    0-based `choices` and their forward pass `log_probs`: (rows,
+    free_param_count), laid out as `ParamBlocks.from_flat(scores, I - 1, J,
+    K)` over the alternatives but REFERENCE_ALTERNATIVE.
 
     With r_i = y_i - p(i | x) and w_ij = r_i p(h_j = 1 | i, x), the score
     is w for D, r x for B, (sum_i w_ij) x for A, r for c and sum_i w_ij
-    for d.
+    for d; the sums run over every alternative, the reference included.
     """
-    dims = (p.n_alternatives, p.n_hidden, p.n_features)
-    resid = y - np.exp(log_probs)                                  # (n, I)
-    scores = np.empty((len(x), param_count(*dims)))
-    g = ParamBlocks.from_flat(scores, *dims)
-    np.multiply(resid[:, :, None], hidden_given_choice(p, x),
-                out=g.choice_hidden_w)
-    np.multiply(resid[:, :, None], x[:, None, :], out=g.choice_context_w)
-    g.choice_hidden_w.sum(axis=1, out=g.hidden_bias)
+    i, j, k = p.n_alternatives, p.n_hidden, p.n_features
+    free = np.arange(i) != REFERENCE_ALTERNATIVE - 1
+    resid = -np.exp(log_probs)                                     # (n, I)
+    resid[np.arange(len(x)), choices] += 1.0
+    w = hidden_given_choice(p, x)                                  # (n, I, J)
+    w *= resid[:, :, None]
+    scores = np.empty((len(x), free_param_count(i, j, k)))
+    g = ParamBlocks.from_flat(scores, i - 1, j, k)
+    g.choice_hidden_w[...] = w[:, free]
+    np.multiply(resid[:, free, None], x[:, None, :], out=g.choice_context_w)
+    w.sum(axis=1, out=g.hidden_bias)
     np.multiply(g.hidden_bias[:, :, None], x[:, None, :],
                 out=g.hidden_context_w)
-    g.choice_bias[...] = resid
+    g.choice_bias[...] = resid[:, free]
     return scores
-
-
-def _free_columns(i: int, j: int, k: int) -> np.ndarray:
-    """Flat layout indices of the parameters the reference gauge leaves
-    free: all but the c, B and D entries of the reference alternative."""
-    free = np.ones(param_count(i, j, k), dtype=bool)
-    ref = ParamBlocks.from_flat(free, i, j, k)
-    for block in (ref.choice_hidden_w, ref.choice_context_w, ref.choice_bias):
-        block[REFERENCE_ALTERNATIVE - 1] = False
-    return np.flatnonzero(free)
-
-
-def _information(p: CrbmParams, ds: ChoiceDataset, log_probs, columns):
-    """BHHH information of the parameters at flat indices `columns`:
-    S_b' S_b summed in row order over blocks of BLOCK_ROWS rows, S_b one
-    block's scores.  At most one block of scores, and of one-hot choice
-    rows, exists at a time, and the fixed blocks fix the summation order."""
-    info = np.zeros((len(columns),) * 2)
-    eye = np.eye(p.n_alternatives)
-    for lo in range(0, ds.n_rows, BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        s = _prediction_scores(p, ds.x[rows], eye[ds.choices[rows]],
-                               log_probs[rows])
-        s = s.take(columns, axis=1)
-        info += s.T @ s
-    return info
 
 
 def t_statistics(p: CrbmParams, ds_train: ChoiceDataset, log_probs=None):
@@ -200,15 +184,29 @@ def t_statistics(p: CrbmParams, ds_train: ChoiceDataset, log_probs=None):
     standard errors.  t is the parameter of `canonical(p)` over its
     standard error, pinned to t = 0 where either is zero: a parameter with
     no information is not significant.  `log_probs` is
-    `log_choice_probs(p, ds_train.x)` when already computed.
+    `log_choice_probs(p, ds_train.x)` when already computed.  The
+    information is S_b' S_b summed in row order over blocks S_b of
+    BLOCK_ROWS rows of scores, one at a time; the fixed blocks fix the
+    summation order.
     """
     dims = (p.n_alternatives, p.n_hidden, p.n_features)
-    free = _free_columns(*dims)
-    if ds_train.n_rows <= len(free):
+    n_free = free_param_count(*dims)
+    if ds_train.n_rows <= n_free:
         warnings.warn("fewer rows than parameters; standard errors are unreliable")
+    log_probs = _log_probs(p, ds_train, log_probs)
+    info = np.zeros((n_free, n_free))
+    for lo in range(0, ds_train.n_rows, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        s = _prediction_scores(p, ds_train.x[rows], ds_train.choices[rows],
+                               log_probs[rows])
+        info += s.T @ s
+    free_se = ParamBlocks.from_flat(pinv_standard_errors(info),
+                                    dims[0] - 1, *dims[1:])
     se = np.zeros(param_count(*dims))
-    se[free] = pinv_standard_errors(_information(
-        p, ds_train, _log_probs(p, ds_train, log_probs), free))
+    free = np.arange(dims[0]) != REFERENCE_ALTERNATIVE - 1
+    for (_, full), (_, part) in zip(ParamBlocks.from_flat(se, *dims).blocks(),
+                                    free_se.blocks()):
+        full[free if len(part) < len(full) else slice(None)] = part
     theta = np.concatenate([arr.ravel() for _, arr in canonical(p).blocks()])
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where((theta != 0.0) & (se != 0.0), theta / se, 0.0)

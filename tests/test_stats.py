@@ -11,7 +11,7 @@ from choicerbm.dataset import (SplitSpec, from_arrays, refit_normalization,
 from choicerbm.model import (CrbmParams, ParamBlocks, canonical,
                              log_choice_probs, param_count)
 from choicerbm.stats import (BLOCK_ROWS, _prediction_scores, bic, evaluate,
-                             log_likelihood, mean_true_probability,
+                             free_param_count, log_likelihood, mean_true_probability,
                              pinv_standard_errors, report_table_rows,
                              rho_squared, t_statistics, validation_error)
 from choicerbm.trainer import TrainConfig, train_crbm
@@ -202,12 +202,15 @@ class TestStandardErrors:
         p = random_params(rng, 4, n_hidden, 3, scale=1.2)
         ds = from_arrays(rng.normal(0, 1, (30, 3)), rng.integers(0, 4, 30),
                          n_alternatives=4)
-        scores = _prediction_scores(p, ds.x, ds.y, log_choice_probs(p, ds.x))
-        assert scores.shape == (30, param_count(4, n_hidden, 3))
+        scores = _prediction_scores(p, ds.x, ds.choices,
+                                    log_choice_probs(p, ds.x))
+        free = ~reference_entries(p)
+        assert scores.shape == (30, free.sum()) == (
+            30, free_param_count(4, n_hidden, 3))
         exact = enumeration.exact_loglik_gradient(p, ds)
         np.testing.assert_allclose(
             scores.sum(axis=0),
-            np.concatenate([g.ravel() for _, g in exact.blocks()]),
+            np.concatenate([g.ravel() for _, g in exact.blocks()])[free],
             rtol=0, atol=1e-12)
 
     def test_opg_matches_analytic_fisher_one_param_logistic(self, rng):
@@ -357,20 +360,25 @@ class TestEvaluate:
         assert len(lines[1].split(",")) == 6
 
 
-def dense_standard_errors(p, ds):
-    """Reference: every score row in one matrix, the reference
-    alternative's c, B and D columns dropped, and the information matrix
-    inverted directly; zeros at the dropped entries."""
-    scores = _prediction_scores(p, ds.x, ds.y, log_choice_probs(p, ds.x))
-    fixed = ParamBlocks.from_flat(np.zeros(scores.shape[1], dtype=bool),
-                                  p.n_alternatives, p.n_hidden, p.n_features)
-    for block in (fixed.choice_hidden_w, fixed.choice_context_w,
-                  fixed.choice_bias):
+def reference_entries(p):
+    """Flat mask, in the parameter layout, of the entries the reference
+    gauge fixes: the first alternative's c, B and D."""
+    dims = (p.n_alternatives, p.n_hidden, p.n_features)
+    fixed = np.zeros(param_count(*dims), dtype=bool)
+    blocks = ParamBlocks.from_flat(fixed, *dims)
+    for block in (blocks.choice_hidden_w, blocks.choice_context_w,
+                  blocks.choice_bias):
         block[0] = True
-    free = np.flatnonzero(~np.concatenate(
-        [arr.ravel() for _, arr in fixed.blocks()]))
-    se = np.zeros(scores.shape[1])
-    s = scores[:, free]
+    return fixed
+
+
+def dense_standard_errors(p, ds):
+    """Reference: the free parameters' score rows in one matrix and their
+    information matrix inverted directly, written back into the parameter
+    layout with zeros at the reference entries."""
+    s = _prediction_scores(p, ds.x, ds.choices, log_choice_probs(p, ds.x))
+    free = ~reference_entries(p)
+    se = np.zeros(len(free))
     se[free] = np.sqrt(np.diag(np.linalg.inv(s.T @ s)))
     return se
 
@@ -403,6 +411,19 @@ class TestReferenceGauge:
         for block in (tstats.choice_hidden_w, tstats.choice_context_w,
                       tstats.choice_bias):
             np.testing.assert_array_equal(block[0], 0.0)
+
+    @pytest.mark.parametrize("n_hidden", [0, 1])
+    def test_binary_choice_matches_the_dense_reference(self, rng, n_hidden):
+        # With I = 2 the free parameters are those of one alternative.
+        p = random_params(rng, 2, n_hidden, 3, scale=0.8)
+        ds = from_arrays(rng.normal(0, 1, (3000, 3)), rng.integers(0, 2, 3000),
+                         n_alternatives=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # identified: no warning
+            std_errs, _ = t_statistics(p, ds)
+        se = np.concatenate([arr.ravel() for _, arr in std_errs.blocks()])
+        np.testing.assert_allclose(se, dense_standard_errors(p, ds),
+                                   rtol=1e-9, atol=0)
 
     def test_standard_errors_do_not_depend_on_the_gauge(self, rng):
         p = random_params(rng, 4, 2, 3, scale=0.8)
