@@ -34,7 +34,7 @@ class FitReport:
     bic: float
     validation_error: float
     mean_true_prob: float      # mean probability on the observed alternative
-    n_params: int
+    n_params: int              # free parameters of the reference gauge
     confusion: np.ndarray      # I x I counts on the validation set
     std_errs: ParamBlocks
     tstats: ParamBlocks
@@ -228,7 +228,7 @@ def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
     valid = train if ds_valid is ds_train else _log_probs(p, ds_valid)
     ll_train = log_likelihood(p, ds_train, train)
     ll_valid = log_likelihood(p, ds_valid, valid)
-    n_params = param_count(p.n_alternatives, p.n_hidden, p.n_features)
+    n_params = free_param_count(p.n_alternatives, p.n_hidden, p.n_features)
     std_errs, tstats = t_statistics(p, ds_train, train)
     return FitReport(
         loglik_train=ll_train,

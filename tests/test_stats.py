@@ -312,7 +312,8 @@ class TestEvaluate:
         assert rep.confusion.sum() == va.n_rows
         np.testing.assert_array_equal(rep.confusion.sum(axis=1),
                                       va.y.sum(axis=0))
-        assert rep.n_params == 4 * 2 + 3 * 4 + 3 * 2 + 2 + 4
+        # The free parameters: D, B and c of three alternatives, A and d.
+        assert rep.n_params == 3 * 2 + 3 * 3 + 2 * 3 + 3 + 2
 
     @pytest.mark.parametrize("same_split", [False, True])
     def test_one_forward_pass_per_split(self, rng, monkeypatch, same_split):
