@@ -189,7 +189,7 @@ def t_statistics(p: CrbmParams, ds_train: ChoiceDataset, log_probs=None):
     BLOCK_ROWS rows of scores, one at a time; the fixed blocks fix the
     summation order.
     """
-    dims = (p.n_alternatives, p.n_hidden, p.n_features)
+    i, j, k = dims = (p.n_alternatives, p.n_hidden, p.n_features)
     n_free = free_param_count(*dims)
     if ds_train.n_rows <= n_free:
         warnings.warn("fewer rows than parameters; standard errors are unreliable")
@@ -200,10 +200,10 @@ def t_statistics(p: CrbmParams, ds_train: ChoiceDataset, log_probs=None):
         s = _prediction_scores(p, ds_train.x[rows], ds_train.choices[rows],
                                log_probs[rows])
         info += s.T @ s
-    free_se = ParamBlocks.from_flat(pinv_standard_errors(info),
-                                    dims[0] - 1, *dims[1:])
+    free_se = ParamBlocks.from_flat(pinv_standard_errors(info), i - 1, j, k)
     se = np.zeros(param_count(*dims))
-    free = np.arange(dims[0]) != REFERENCE_ALTERNATIVE - 1
+    # c, B and D lose their reference row, whose se stays 0; A and d do not.
+    free = np.arange(i) != REFERENCE_ALTERNATIVE - 1
     for (_, full), (_, part) in zip(ParamBlocks.from_flat(se, *dims).blocks(),
                                     free_se.blocks()):
         full[free if len(part) < len(full) else slice(None)] = part

@@ -11,9 +11,10 @@ from choicerbm.dataset import (SplitSpec, from_arrays, refit_normalization,
 from choicerbm.model import (CrbmParams, ParamBlocks, canonical,
                              log_choice_probs, param_count)
 from choicerbm.stats import (BLOCK_ROWS, _prediction_scores, bic, evaluate,
-                             free_param_count, log_likelihood, mean_true_probability,
-                             pinv_standard_errors, report_table_rows,
-                             rho_squared, t_statistics, validation_error)
+                             free_param_count, log_likelihood,
+                             mean_true_probability, pinv_standard_errors,
+                             report_table_rows, rho_squared, t_statistics,
+                             validation_error)
 from choicerbm.trainer import TrainConfig, train_crbm
 import enumeration
 from conftest import random_params
