@@ -59,11 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="early-stopping patience in epochs")
         sp.add_argument("--init-scale", type=float, default=0.01,
                         help="std dev of the weight initialization")
-        sp.add_argument("--momentum", type=float, nargs=2,
-                        default=[0.5, 0.9], metavar=("INITIAL", "FINAL"))
         sp.add_argument("--weight-decay", type=float, default=0.0)
-        sp.add_argument("--lr-decay", action="store_true",
-                        help="decay the base rate as 1/(1+epoch)")
 
     sp = sub.add_parser("train", help="estimate a model and print a results row")
     add_train_flags(sp)
@@ -120,9 +116,7 @@ def _train_config(args) -> trainer.TrainConfig:
         cd_k=args.cd_k, batch_size=args.batch, epochs=args.epochs,
         learning_rate=args.lr, seed=args.seed,
         early_stop_patience=args.patience,
-        weight_init_scale=args.init_scale,
-        momentum_initial=args.momentum[0], momentum_final=args.momentum[1],
-        weight_decay=args.weight_decay, lr_decay=args.lr_decay)
+        weight_init_scale=args.init_scale, weight_decay=args.weight_decay)
     try:
         cfg.validate()
     except ValueError as exc:

@@ -82,13 +82,13 @@ def generate(pm: PlantedModel) -> ChoiceDataset:
     return from_arrays(x_raw, idx, n_alternatives=pm.params.n_alternatives)
 
 
-def write_dataset_csv(pm: PlantedModel, path, choice_column: str = "choice"):
+def write_dataset_csv(pm: PlantedModel, path):
     """Write raw draws as a standard dataset CSV (1-based choice column).
     A failed write leaves `path` as it was (`report.atomic_open`)."""
     x_raw, idx = draw_rows(pm)
     names = [f"f{j + 1}" for j in range(pm.params.n_features)]
     with atomic_open(path) as fh:
-        fh.write(",".join([choice_column] + names) + "\n")
+        fh.write(",".join(["choice"] + names) + "\n")
         for c, row in zip(idx.tolist(), x_raw):
             fh.write(",".join([str(c + 1), *map(repr, row.tolist())]) + "\n")
 

@@ -131,8 +131,14 @@ def _norm_stats(raw, n):
     return ns
 
 
+# Settings that older files carry and the fixed recipe no longer reads.
+RETIRED_TRAIN_KEYS = ("lr_decay", "momentum_initial", "momentum_final",
+                      "momentum_switch_epoch")
+
+
 def _train_config(raw):
-    cfg = TrainConfig(**raw)
+    cfg = TrainConfig(**{k: v for k, v in raw.items()
+                         if k not in RETIRED_TRAIN_KEYS})
     cfg.validate()
     return cfg
 

@@ -24,10 +24,6 @@ class SensitivityReport:
     full_rank: np.ndarray      # permutation of 1..K+1, descending sensitivity
     sub_rank: np.ndarray       # permutation of 1..K+1 from mean subsample sensitivity
     stderr_diff_pct: np.ndarray      # mean relative |difference| in percent
-    full_sensitivity: np.ndarray
-    fraction: float
-    replicates: int
-    seed: int
     n_hidden: int
 
 
@@ -99,10 +95,6 @@ def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
         full_rank=_ranks_descending(full_sens),
         sub_rank=_ranks_descending(sub_sens.mean(axis=0)),
         stderr_diff_pct=diffs.mean(axis=0),
-        full_sensitivity=full_sens,
-        fraction=fraction,
-        replicates=replicates,
-        seed=seed,
         n_hidden=n_hidden)
 
 

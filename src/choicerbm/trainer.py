@@ -23,19 +23,19 @@ class TrainingDivergedError(RuntimeError):
     """Raised when a parameter turns NaN or infinite during training."""
 
 
+# The recipe's momentum: 0.5 before epoch 5, 0.9 from epoch 5 on.
+MOMENTUM_INITIAL, MOMENTUM_FINAL, MOMENTUM_SWITCH_EPOCH = 0.5, 0.9, 5
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     cd_k: int = 1
     batch_size: int = 64
     epochs: int = 400
     learning_rate: float = 1e-3
-    momentum_initial: float = 0.5
-    momentum_final: float = 0.9
-    momentum_switch_epoch: int = 5
     seed: int = 0               # < 2**53: saved as a float split seed
     early_stop_patience: int = 20
     weight_init_scale: float = 0.01
-    lr_decay: bool = False      # optional 1/(1+epoch) decay of the base rate
     weight_decay: float = 0.0   # L2 on weight blocks only, off by default
 
     def validate(self):
@@ -47,9 +47,6 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
-        for m in (self.momentum_initial, self.momentum_final):
-            if not 0.0 <= m < 1.0:
-                raise ValueError("momentum must lie in [0, 1)")
         if not 0 <= self.seed < 2 ** 53:
             raise ValueError("seed must lie in [0, 2**53)")
         if self.early_stop_patience < 0:
@@ -205,9 +202,8 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
     b, g = (ParamBlocks.from_flat(a, *dims, batched=True) for a in (theta, grad))
 
     for epoch in range(cfg.epochs):
-        momentum = (cfg.momentum_initial if epoch < cfg.momentum_switch_epoch
-                    else cfg.momentum_final)
-        lr = cfg.learning_rate / (1.0 + epoch) if cfg.lr_decay else cfg.learning_rate
+        momentum = (MOMENTUM_INITIAL if epoch < MOMENTUM_SWITCH_EPOCH
+                    else MOMENTUM_FINAL)
 
         # `take` keeps each fit's rows contiguous, as matrix products need
         # for the bits of a fit alone; the one-hot rows live one epoch.
@@ -224,7 +220,7 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
             if cfg.weight_decay:
                 grad[..., :n_weights] -= cfg.weight_decay * theta[..., :n_weights]
             vel *= momentum
-            grad *= lr
+            grad *= cfg.learning_rate
             vel += grad
             theta += vel
             n_batches += 1

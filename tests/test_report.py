@@ -271,6 +271,29 @@ class TestMalformedModelFile:
                 assert path[-1] in err, err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.model"]
 
+    def test_retired_train_config_keys_are_dropped(self, trained, tmp_path,
+                                                   capsys):
+        # Files written while the momentum schedule and the rate decay were
+        # settings carry those four keys.
+        doc, data, root = trained
+        old = copy.deepcopy(doc)
+        old["train_config"].update(lr_decay=False, momentum_initial=0.5,
+                                   momentum_final=0.9, momentum_switch_epoch=5)
+        path = tmp_path / "old.model"
+        path.write_text(json.dumps(old))
+        assert (load_model(path)[1]["train_config"]
+                == load_model(root / "m.model")[1]["train_config"])
+        printed = []
+        for model in (root / "m.model", path):
+            assert cli.run(["evaluate", "--model", str(model),
+                            "--data", str(data)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert cli.run(["predict", "--model", str(path), "--data", str(data),
+                        "--out", str(tmp_path / "p.csv")]) == 0
+        assert cli.run(["hinton", "--model", str(path), "--block", "D",
+                        "--out", str(tmp_path / "d.svg")]) == 0
+
     def test_top_level_list_rejected(self, tmp_path):
         bad = tmp_path / "bad.model"
         bad.write_text("[1, 2]")

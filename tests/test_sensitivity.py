@@ -69,11 +69,20 @@ class TestSensitivityRun:
         assert rank_agreement(rep.full_rank, rep.sub_rank) == 1.0
 
     @pytest.mark.filterwarnings("ignore:information matrix")
-    def test_subsample_size_floor(self, rng):
-        ds = small_dataset(rng, n=600)
-        rep = sensitivity_run(ds, 0, quick_config(), fraction=0.5,
-                              replicates=2, seed=3)
-        assert rep.fraction == 0.5
+    def test_subsample_size_floor(self, rng, monkeypatch):
+        ds = small_dataset(rng, n=601)
+        calls = []
+
+        def spy(ds_train, ds_valid, n_hidden, cfg):
+            calls.append(ds_train)
+            return train_crbm(ds_train, ds_valid, n_hidden, cfg)
+
+        monkeypatch.setattr(sensitivity, "train_crbm", spy)
+        sensitivity_run(ds, 0, quick_config(), fraction=0.5, replicates=2,
+                        seed=3)
+        full, refits = calls
+        assert full.n_rows == 601
+        assert refits.x.shape[:2] == (2, 300)    # floor(0.5 * 601)
         # floor(0.1 * 76141) from the reference protocol
         assert int(np.floor(0.1 * 76_141)) == 7_614
 
@@ -93,7 +102,6 @@ class TestSensitivityRun:
         a = sensitivity_run(ds, 0, quick_config(), 0.5, 2, seed=4)
         b = sensitivity_run(ds, 0, quick_config(), 0.5, 2, seed=4)
         np.testing.assert_array_equal(a.stderr_diff_pct, b.stderr_diff_pct)
-        np.testing.assert_array_equal(a.full_sensitivity, b.full_sensitivity)
         np.testing.assert_array_equal(a.sub_rank, b.sub_rank)
 
     def test_refits_are_one_stack_of_the_spawned_subsets_in_order(

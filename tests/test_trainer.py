@@ -4,8 +4,9 @@ import pytest
 from choicerbm import oracle
 from choicerbm.dataset import ChoiceDataset, NormStats, from_arrays, one_hot
 from choicerbm.model import CrbmParams
-from choicerbm.trainer import (TrainConfig, TrainingDivergedError, cd_step,
-                               train_crbm)
+from choicerbm.trainer import (MOMENTUM_FINAL, MOMENTUM_INITIAL,
+                               MOMENTUM_SWITCH_EPOCH, TrainConfig,
+                               TrainingDivergedError, cd_step, train_crbm)
 import enumeration
 from conftest import random_params
 
@@ -17,13 +18,12 @@ class TestTrainConfig:
         assert cfg.epochs == 400
         assert cfg.learning_rate == pytest.approx(1e-3)
         assert cfg.cd_k == 1
-        assert (cfg.momentum_initial, cfg.momentum_final) == (0.5, 0.9)
-        assert cfg.momentum_switch_epoch == 5
+        assert (MOMENTUM_INITIAL, MOMENTUM_FINAL) == (0.5, 0.9)
+        assert MOMENTUM_SWITCH_EPOCH == 5
 
     @pytest.mark.parametrize("kw", [
         dict(cd_k=0), dict(batch_size=0), dict(epochs=0),
-        dict(learning_rate=0.0), dict(momentum_final=1.0),
-        dict(early_stop_patience=-1), dict(weight_init_scale=0.0),
+        dict(learning_rate=0.0), dict(early_stop_patience=-1), dict(weight_init_scale=0.0),
         dict(weight_decay=-0.1),
     ])
     def test_rejects_bad_values(self, kw):

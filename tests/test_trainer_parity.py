@@ -14,7 +14,9 @@ import pytest
 from choicerbm import oracle
 from choicerbm.dataset import from_arrays
 from choicerbm.model import BLOCK_NAMES, CrbmParams, canonical, sigmoid
-from choicerbm.trainer import TrainConfig, TrainTrace, cd_step, train_crbm
+from choicerbm.trainer import (MOMENTUM_FINAL, MOMENTUM_INITIAL,
+                               MOMENTUM_SWITCH_EPOCH, TrainConfig, TrainTrace,
+                               cd_step, train_crbm)
 from conftest import random_params
 
 WEIGHT_BLOCKS = {"choice_hidden_w", "choice_context_w", "hidden_context_w"}
@@ -111,9 +113,8 @@ def reference_fit(ds_train, ds_valid, n_hidden, cfg, epoch_hook=None):
     trace = TrainTrace()
     best_error, best_params = np.inf, None
     for epoch in range(cfg.epochs):
-        momentum = (cfg.momentum_initial if epoch < cfg.momentum_switch_epoch
-                    else cfg.momentum_final)
-        lr = cfg.learning_rate / (1.0 + epoch) if cfg.lr_decay else cfg.learning_rate
+        momentum = (MOMENTUM_INITIAL if epoch < MOMENTUM_SWITCH_EPOCH
+                    else MOMENTUM_FINAL)
         perm = rng.permutation(n)
         mismatch_sum, n_batches = 0.0, 0
         for start in range(0, n, cfg.batch_size):
@@ -127,7 +128,7 @@ def reference_fit(ds_train, ds_valid, n_hidden, cfg, epoch_hook=None):
                 g = grads[name]
                 if cfg.weight_decay and name in WEIGHT_BLOCKS:
                     g = g - cfg.weight_decay * b[name]
-                vel[name] = momentum * vel[name] + lr * g
+                vel[name] = momentum * vel[name] + cfg.learning_rate * g
                 b[name] = b[name] + vel[name]
             mismatch_sum += mismatch
             n_batches += 1
@@ -170,7 +171,7 @@ def assert_same_fit(params, trace, ref_params, ref_trace):
     TrainConfig(epochs=6, batch_size=50, learning_rate=0.05, cd_k=3, seed=4,
                 weight_init_scale=0.5),
     TrainConfig(epochs=6, batch_size=64, learning_rate=0.2, cd_k=3, seed=8,
-                weight_decay=0.01, lr_decay=True),
+                weight_decay=0.01),
 ], ids=["cd1", "cd3-ragged-batch", "cd3-decay"])
 def test_fit_matches_reference(band_split, n_hidden, cfg):
     train, valid = band_split

@@ -53,16 +53,16 @@ def assert_same_params(a, b):
 @settings(max_examples=40, deadline=None)
 @given(n_fits=st.integers(1, 4), n_hidden=st.sampled_from([0, 1, 2]),
        cd_k=st.sampled_from([1, 3]), batch=st.integers(7, 40),
-       lr=st.sampled_from([0.05, 0.3, 1.0]), lr_decay=st.booleans(),
+       lr=st.sampled_from([0.05, 0.3, 1.0]),
        weight_decay=st.sampled_from([0.0, 0.01]), patience=st.integers(0, 2),
        epochs=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
 def test_each_fit_in_a_stack_equals_its_fit_alone(
-        n_fits, n_hidden, cd_k, batch, lr, lr_decay, weight_decay, patience,
+        n_fits, n_hidden, cd_k, batch, lr, weight_decay, patience,
         epochs, seed):
     # 150 rows leave a ragged last batch for most batch sizes.
     parts = subsets(band_data(seed % 7), n_fits, 150, seed)
     cfg = TrainConfig(cd_k=cd_k, batch_size=batch, epochs=epochs,
-                      learning_rate=lr, lr_decay=lr_decay,
+                      learning_rate=lr,
                       weight_decay=weight_decay, early_stop_patience=patience,
                       seed=seed)
     alone_hooked = []
