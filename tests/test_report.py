@@ -217,6 +217,11 @@ JSON_VALUES = st.recursive(
 
 MALFORMED = {
     "unknown train_config key": (("train_config", "bogus"), 1),
+    "epochs a boolean": (("train_config", "epochs"), True),
+    "seed a boolean": (("train_config", "seed"), True),
+    "fractional cd_k": (("train_config", "cd_k"), 1.5),
+    "batch_size a float": (("train_config", "batch_size"), 64.0),
+    "learning_rate a boolean": (("train_config", "learning_rate"), True),
     "norm_stats without stds": (("norm_stats", "stds"), _DROP),
     "feature_names not a list": (("feature_names",), 5),
     "non-numeric split_fraction": (("metrics", "split_fraction"), "x"),
