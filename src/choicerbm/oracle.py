@@ -57,6 +57,8 @@ class PlantedModel:
             spec.validate()
         if self.n_rows < 1:
             raise ValueError("n_rows must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def draw_context(pm: PlantedModel, rng: np.random.Generator) -> np.ndarray:
@@ -157,33 +159,39 @@ def save_planted(pm: PlantedModel, path):
 def load_planted(path, n_rows=None, seed=None) -> PlantedModel:
     """Read a `save_planted` file; `n_rows` and `seed` override its own.
 
-    Malformed content raises a one-line ValueError naming the problem.
+    Malformed content raises a one-line ValueError that names the file.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return _planted_model(json.load(fh), n_rows, seed)
+        except ValueError as exc:    # decoding errors are ValueErrors too
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _planted_model(doc, n_rows, seed) -> PlantedModel:
     if not isinstance(doc, dict) or doc.get("format") != "choicerbm-planted":
-        raise ValueError(f"{path}: not a planted-model file")
+        raise ValueError("not a planted-model file")
     if doc.get("version") != PLANTED_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported version {doc.get('version')!r}")
+        raise ValueError(f"unsupported version {doc.get('version')!r}")
     blocks, specs = doc.get("params"), doc.get("context")
     if not isinstance(blocks, dict) or sorted(blocks) != sorted(BLOCK_NAMES):
-        raise ValueError(f"{path}: 'params' must hold exactly the blocks "
+        raise ValueError("'params' must hold exactly the blocks "
                          + ", ".join(BLOCK_NAMES))
     if not isinstance(specs, list) or not all(
             isinstance(c, dict) and all(type(c.get(key, 0.0)) in (int, float)
                                         for key in ("mean", "std", "rate"))
             for c in specs):
-        raise ValueError(f"{path}: 'context' must be a list of objects with "
-                         "numeric mean, std and rate")
+        raise ValueError("'context' must be a list of objects with numeric "
+                         "mean, std and rate")
     counts = {"n_rows": doc.get("n_rows") if n_rows is None else n_rows,
               "seed": doc.get("seed") if seed is None else seed}
     for key, value in counts.items():
         if type(value) is not int:
-            raise ValueError(f"{path}: {key!r} must be an integer, got {value!r}")
+            raise ValueError(f"{key!r} must be an integer, got {value!r}")
     try:
         arrays = {k: json_numbers(v) for k, v in blocks.items()}
     except (TypeError, OverflowError):
-        raise ValueError(f"{path}: parameter blocks must be numeric arrays") from None
+        raise ValueError("parameter blocks must be numeric arrays") from None
     context = tuple(
         ContextSpec(kind=c.get("kind"), mean=c.get("mean", 0.0),
                     std=c.get("std", 1.0), rate=c.get("rate", 0.5))

@@ -755,6 +755,14 @@ class TestExitCodes:
         (lambda doc: doc["params"].update(hidden_bias=[10 ** 400, 0]),
          "blocks must be numeric arrays"),
         (None, "not a planted-model file"),     # the document in a list
+        ("truncate", "Expecting"),      # the first 32 characters
+        (lambda doc: doc["params"]["choice_hidden_w"].pop(),
+         "choice_hidden_w shape"),
+        (lambda doc: doc["context"][0].update(kind="poisson"),
+         "unknown context kind 'poisson'"),
+        (lambda doc: doc["context"].pop(), "one context spec per feature"),
+        (lambda doc: doc.update(n_rows=0), "n_rows must be positive"),
+        (lambda doc: doc.update(seed=-1), "seed must be non-negative"),
     ])
     def test_malformed_planted_file_fails_in_one_line(self, planted_file,
                                                       tmp_path, capsys,
@@ -762,16 +770,18 @@ class TestExitCodes:
         doc = json.loads(planted_file.read_text())
         if mutate is None:
             doc = [doc]
-        else:
+        elif mutate != "truncate":
             mutate(doc)
+        text = json.dumps(doc)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(text[:32] if mutate == "truncate" else text)
         with pytest.raises(ValueError, match=message):
             oracle.load_planted(bad)
         assert cli.run(["generate", "--planted", str(bad),
                         "--out", str(tmp_path / "d.csv")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err, err
+        assert err.startswith(f"error: {bad}: "), err
 
 
 def _mostly(sane, whole):
