@@ -139,7 +139,8 @@ PLANTED_FORMAT_VERSION = 1
 
 
 def save_planted(pm: PlantedModel, path):
-    """Persist a planted model as self-describing JSON."""
+    """Persist a planted model as self-describing JSON, through
+    `report.atomic_open`."""
     doc = {
         "format": "choicerbm-planted",
         "version": PLANTED_FORMAT_VERSION,
@@ -151,7 +152,7 @@ def save_planted(pm: PlantedModel, path):
             for s in pm.context
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 

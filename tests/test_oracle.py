@@ -184,6 +184,22 @@ class TestPlantedIo:
         loaded = oracle.load_planted(path, n_rows=99, seed=42)
         assert (loaded.n_rows, loaded.seed) == (99, 42)
 
+    def test_failed_overwrite_keeps_old_file(self, rng, tmp_path):
+        p = random_params(rng, 3, 1, 1)
+        path = tmp_path / "planted.json"
+        oracle.save_planted(oracle.PlantedModel(
+            params=p, context=(oracle.ContextSpec("normal"),), n_rows=10,
+            seed=1), path)
+        before = path.read_bytes()
+        # A NaN mean is not JSON: the dump fails after its first chunks.
+        nan_mean = oracle.PlantedModel(
+            params=p, context=(oracle.ContextSpec("normal", mean=np.nan),),
+            n_rows=10, seed=1)
+        with pytest.raises(ValueError, match="JSON"):
+            oracle.save_planted(nan_mean, path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["planted.json"]
+
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
