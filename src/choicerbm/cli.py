@@ -114,9 +114,8 @@ def _feature_list(arg):
 def _train_config(args) -> trainer.TrainConfig:
     cfg = trainer.TrainConfig(
         cd_k=args.cd_k, batch_size=args.batch, epochs=args.epochs,
-        learning_rate=args.lr, seed=args.seed,
-        early_stop_patience=args.patience,
-        weight_init_scale=args.init_scale, weight_decay=args.weight_decay)
+        learning_rate=args.lr, seed=args.seed, weight_decay=args.weight_decay,
+        early_stop_patience=args.patience, weight_init_scale=args.init_scale)
     try:
         cfg.validate()
     except ValueError as exc:

@@ -139,8 +139,7 @@ PLANTED_FORMAT_VERSION = 1
 
 
 def save_planted(pm: PlantedModel, path):
-    """Persist a planted model as self-describing JSON, through
-    `report.atomic_open`."""
+    """Persist a planted model as self-describing JSON."""
     doc = {
         "format": "choicerbm-planted",
         "version": PLANTED_FORMAT_VERSION,
@@ -159,9 +158,7 @@ def save_planted(pm: PlantedModel, path):
 
 def load_planted(path, n_rows=None, seed=None) -> PlantedModel:
     """Read a `save_planted` file; `n_rows` and `seed` override its own.
-
-    Malformed content raises a one-line ValueError that names the file.
-    """
+    Malformed content raises a one-line ValueError that names the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             return _planted_model(json.load(fh), n_rows, seed)

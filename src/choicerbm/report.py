@@ -137,15 +137,13 @@ RETIRED_TRAIN_KEYS = ("lr_decay", "momentum_initial", "momentum_final",
 
 
 def _train_config(raw):
-    """A `TrainConfig` whose int settings are JSON integers and whose float
-    settings are JSON numbers: `TrainConfig(epochs=True)` would run."""
+    """Each setting checked for its JSON type: `TrainConfig` takes `True`."""
     cfg = TrainConfig(**{k: v for k, v in raw.items()
                          if k not in RETIRED_TRAIN_KEYS})
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if type(value) not in ((int,) if f.type is int else (int, float)):
-            raise TypeError(f"{f.name} must be a JSON {f.type.__name__}, "
-                            f"got {value!r}")
+            raise TypeError(f"{f.name} {value!r} is not a JSON {f.type.__name__}")
     cfg.validate()
     return cfg
 
