@@ -137,7 +137,7 @@ RETIRED_TRAIN_KEYS = ("lr_decay", "momentum_initial", "momentum_final",
 
 
 def _train_config(raw):
-    """Each setting checked for its JSON type: `TrainConfig` takes `True`."""
+    """A `TrainConfig` whose ints are JSON integers and floats JSON numbers."""
     cfg = TrainConfig(**{k: v for k, v in raw.items()
                          if k not in RETIRED_TRAIN_KEYS})
     for f in dataclasses.fields(cfg):

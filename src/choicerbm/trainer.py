@@ -23,7 +23,7 @@ class TrainingDivergedError(RuntimeError):
     """Raised when a parameter turns NaN or infinite during training."""
 
 
-# The recipe's momentum: 0.5 before epoch 5, 0.9 from epoch 5 on.
+# The momentum schedule of the reference recipe, fixed for every fit.
 MOMENTUM_INITIAL, MOMENTUM_FINAL, MOMENTUM_SWITCH_EPOCH = 0.5, 0.9, 5
 
 

@@ -23,7 +23,8 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kw", [
         dict(cd_k=0), dict(batch_size=0), dict(epochs=0),
-        dict(learning_rate=0.0), dict(early_stop_patience=-1), dict(weight_init_scale=0.0),
+        dict(learning_rate=0.0), dict(seed=-1),
+        dict(early_stop_patience=-1), dict(weight_init_scale=0.0),
         dict(weight_decay=-0.1),
     ])
     def test_rejects_bad_values(self, kw):
