@@ -114,7 +114,7 @@ class ChoiceDataset:
 
     def validate(self):
         if self.x.ndim not in (2, 3) or self.choices.shape != self.x.shape[:-1]:
-            raise ValueError("x must be 2-d, or a 3-d stack (see `stack`), "
+            raise ValueError("x must be 2-d, or a 3-d stack (see `take`), "
                              "with one choice per row")
         n, k = self.x.shape[-2:]
         if n < 1:
@@ -129,30 +129,15 @@ class ChoiceDataset:
             raise ChoiceDomainError(
                 f"choice index outside 0..{self.n_alternatives - 1}")
 
-    def take(self, rows: np.ndarray) -> "ChoiceDataset":
+    def take(self, rows) -> "ChoiceDataset":
+        """The dataset of `rows`.  An (R, n) index array gives a stack of R
+        datasets, x (R, n, K), that `train_crbm` fits as R fits; an int
+        picks one dataset out of a stack."""
         return ChoiceDataset(
             x=self.x[rows], choices=self.choices[rows],
             feature_names=self.feature_names,
             alternative_names=self.alternative_names,
             norm_stats=self.norm_stats)
-
-
-def stack(datasets) -> ChoiceDataset:
-    """Equal-size datasets over the same variables as one dataset with a
-    leading axis, x (R, N, K) and choices (R, N), that `train_crbm` fits as R
-    fits in one loop.  Its norm stats are those of the first dataset."""
-    datasets = list(datasets)
-    first = datasets[0]
-    for ds in datasets[1:]:
-        if (ds.feature_names != first.feature_names
-                or ds.alternative_names != first.alternative_names):
-            raise ValueError("stacked datasets disagree on their variables")
-    return ChoiceDataset(
-        x=np.stack([ds.x for ds in datasets]),
-        choices=np.stack([ds.choices for ds in datasets]),
-        feature_names=first.feature_names,
-        alternative_names=first.alternative_names,
-        norm_stats=first.norm_stats)
 
 
 @dataclass(frozen=True)

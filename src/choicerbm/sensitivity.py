@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ChoiceDataset, stack
+from .dataset import ChoiceDataset
 from .model import REFERENCE_ALTERNATIVE
 from .stats import t_statistics
 from .trainer import TrainConfig, train_crbm
@@ -74,17 +74,15 @@ def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
     params, _ = train_crbm(ds, ds, n_hidden, cfg)
     full_sens = _variable_sensitivity(params, ds, f"J{n_hidden}, full sample")
 
-    subsets = []
-    for ss in np.random.SeedSequence(seed).spawn(replicates):
-        rng = np.random.default_rng(ss)
-        rows = np.sort(rng.choice(ds.n_rows, size=n_sub, replace=False))
-        subsets.append(ds.take(rows))
+    rows = np.sort([   # (R, n_sub), each replicate's rows in file order
+        np.random.default_rng(ss).choice(ds.n_rows, size=n_sub, replace=False)
+        for ss in np.random.SeedSequence(seed).spawn(replicates)], axis=1)
     # One stacked fit gives each subset the parameters of a fit of it alone.
-    refits = stack(subsets)
+    refits = ds.take(rows)
     sub_sens = np.stack([   # (R, K+1)
-        _variable_sensitivity(p, sub, f"J{n_hidden}, replicate {r}")
-        for r, ((p, _), sub) in enumerate(
-            zip(train_crbm(refits, refits, n_hidden, cfg), subsets), start=1)])
+        _variable_sensitivity(p, refits.take(r),
+                              f"J{n_hidden}, replicate {r + 1}")
+        for r, (p, _) in enumerate(train_crbm(refits, refits, n_hidden, cfg))])
 
     # Zero full-sample sensitivity only happens for parameters with no
     # information at all; report the absolute change there.

@@ -163,14 +163,14 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
     optional `epoch_hook(epoch, params)` observes the end-of-epoch iterate,
     before any gauge shift, and must not touch any random state.
 
-    `ds_train` may also be a stack of equal-size datasets (`dataset.stack`)
-    validated on itself.  The fits then run together, as matrix products
-    over the leading axis, and each of the returned (params, trace) pairs
-    is that of a fit of its dataset alone: the draws of a fit have shapes
-    that do not depend on its rows, so one generator whose draws broadcast
-    over the stack gives each fit its own stream.  The hook sees a dict
-    from fit index to snapshot.  A fit leaves the stack when it stops; a
-    divergence raises the error of the lowest fit that diverges.
+    `ds_train` may also be a stack of equal-size datasets validated on
+    itself (`ChoiceDataset.take` of an (R, n) row index).  The fits then run
+    together, as matrix products over the leading axis, and each returned
+    (params, trace) pair is that of a fit of its dataset alone: the draws of
+    a fit have shapes that do not depend on its rows, so one generator whose
+    draws broadcast over the stack gives each fit its own stream.  The hook
+    sees a dict from fit index to snapshot.  A fit leaves the stack when it
+    stops; a divergence raises the error of the lowest fit that diverges.
     """
     cfg.validate()
     if n_hidden < 0:

@@ -303,6 +303,26 @@ class TestValidation:
         np.testing.assert_array_equal(ds.y, one_hot(ds.choices, 2))
         assert ds.y.shape == (2, 3, 2)
 
+    def test_take_of_a_row_index_per_fit_is_a_stack(self, rng):
+        ds = from_arrays(rng.normal(size=(20, 3)), rng.integers(0, 4, 20),
+                         n_alternatives=4, feature_names=("p", "q", "r"))
+        rows = np.sort([rng.choice(20, 8, replace=False) for _ in range(3)],
+                       axis=1)
+        stacked = ds.take(rows)
+        assert stacked.x.shape == (3, 8, 3) and stacked.n_rows == 8
+        np.testing.assert_array_equal(stacked.x, ds.x[rows])
+        np.testing.assert_array_equal(stacked.choices, ds.choices[rows])
+        for one in (stacked, *(stacked.take(r) for r in range(3))):
+            assert one.feature_names == ("p", "q", "r")
+            assert one.alternative_names == ds.alternative_names
+            assert one.norm_stats is ds.norm_stats
+        # An int picks one dataset out of the stack, bit for bit.
+        for r in range(3):
+            one, alone = stacked.take(r), ds.take(rows[r])
+            for a, b in ((one.x, alone.x), (one.choices, alone.choices)):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
     def test_one_hot_rows_are_cached_and_read_only(self):
         ds = indexed([0, 1, 1])
         y = ds.y

@@ -1,7 +1,7 @@
 """A stack of fits in one training loop against the same fits one at a time.
 
-`train_crbm` on `dataset.stack(subsets)` runs all fits together, drawing
-each random array once for the whole stack.  Every fit of one config
+`train_crbm` on `ds.take(rows)`, with one row set of a table per fit, runs
+all fits together, drawing each random array once for the whole stack.  Every fit of one config
 draws arrays of the same shapes in the same order, so each fit in the
 stack must return exactly what a fit of its subset alone returns: the
 same parameter bits, best epoch and trace.
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choicerbm.dataset import ChoiceDataset, NormStats, from_arrays, stack
+from choicerbm.dataset import ChoiceDataset, NormStats, from_arrays
 from choicerbm.trainer import TrainConfig, TrainingDivergedError, train_crbm
 
 
@@ -27,10 +27,11 @@ def band_data(seed, n=240, k=3, n_alt=4):
     return from_arrays(x, idx, n_alternatives=n_alt)
 
 
-def subsets(ds, n_fits, n_rows, seed):
+def row_sets(ds, n_fits, n_rows, seed):
+    """(n_fits, n_rows) sorted row indices, one random row set per fit."""
     rng = np.random.default_rng(seed)
-    return [ds.take(np.sort(rng.choice(ds.n_rows, n_rows, replace=False)))
-            for _ in range(n_fits)]
+    return np.sort([rng.choice(ds.n_rows, n_rows, replace=False)
+                    for _ in range(n_fits)], axis=1)
 
 
 def one_at_a_time(parts, n_hidden, cfg, hooked):
@@ -60,7 +61,9 @@ def test_each_fit_in_a_stack_equals_its_fit_alone(
         n_fits, n_hidden, cd_k, batch, lr, weight_decay, patience,
         epochs, seed):
     # 150 rows leave a ragged last batch for most batch sizes.
-    parts = subsets(band_data(seed % 7), n_fits, 150, seed)
+    ds = band_data(seed % 7)
+    rows = row_sets(ds, n_fits, 150, seed)
+    parts = [ds.take(r) for r in rows]
     cfg = TrainConfig(cd_k=cd_k, batch_size=batch, epochs=epochs,
                       learning_rate=lr,
                       weight_decay=weight_decay, early_stop_patience=patience,
@@ -68,7 +71,7 @@ def test_each_fit_in_a_stack_equals_its_fit_alone(
     alone_hooked = []
     alone = one_at_a_time(parts, n_hidden, cfg, alone_hooked)
 
-    stacked_ds = stack(parts)
+    stacked_ds = ds.take(rows)
     seen = []
     stacked = train_crbm(stacked_ds, stacked_ds, n_hidden, cfg,
                          lambda epoch, snaps: seen.append((epoch, snaps)))
@@ -88,10 +91,12 @@ def test_each_fit_in_a_stack_equals_its_fit_alone(
 
 
 def test_fits_leave_the_stack_at_different_epochs():
-    parts = subsets(band_data(3), 4, 150, seed=11)
+    ds = band_data(3)
+    rows = row_sets(ds, 4, 150, seed=11)
+    parts = [ds.take(r) for r in rows]
     cfg = TrainConfig(batch_size=32, epochs=30, learning_rate=1.0,
                       early_stop_patience=1, seed=5)
-    stacked_ds = stack(parts)
+    stacked_ds = ds.take(rows)
     stacked = train_crbm(stacked_ds, stacked_ds, 2, cfg)
     lengths = {len(trace.valid_error) for _, trace in stacked}
     assert len(lengths) > 1 and max(lengths) < cfg.epochs
@@ -102,8 +107,9 @@ def test_fits_leave_the_stack_at_different_epochs():
 
 
 def raw_dataset(x, idx):
-    """A dataset whose features are used as given, not z-scored."""
-    k = x.shape[1]
+    """A dataset, or a stack of them, whose features are used as given,
+    not z-scored."""
+    k = x.shape[-1]
     return ChoiceDataset(
         x=x, choices=idx, feature_names=tuple(f"f{j}" for j in range(k)),
         alternative_names=("alt1", "alt2"),
@@ -135,22 +141,16 @@ def test_divergence_raises_the_error_of_the_fits_one_at_a_time(scales, epoch):
                       early_stop_patience=30, seed=2)
     want = first_error(parts, 0, cfg)
     assert want.endswith(f"at epoch {epoch}")
-    stacked_ds = stack(parts)
+    stacked_ds = raw_dataset(np.stack([part.x for part in parts]),
+                             np.tile(idx, (len(scales), 1)))
     with pytest.raises(TrainingDivergedError) as got:
         train_crbm(stacked_ds, stacked_ds, 0, cfg)
     assert str(got.value) == want
 
 
 def test_a_stack_is_validated_on_itself():
-    parts = subsets(band_data(1), 2, 100, seed=0)
-    stacked_ds = stack(parts)
+    ds = band_data(1)
+    rows = row_sets(ds, 2, 100, seed=0)
     with pytest.raises(ValueError, match="validated on itself"):
-        train_crbm(stacked_ds, stack(parts), 0, TrainConfig(epochs=1))
+        train_crbm(ds.take(rows), ds.take(rows), 0, TrainConfig(epochs=1))
 
-
-def test_stack_rejects_datasets_over_other_variables():
-    a = band_data(1, n_alt=3)
-    b = from_arrays(a.x, a.choices, n_alternatives=3,
-                    feature_names=("p", "q", "r"))
-    with pytest.raises(ValueError, match="variables"):
-        stack([a, b])
