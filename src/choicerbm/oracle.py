@@ -10,6 +10,7 @@ tests (`tests/enumeration.py`).
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,13 @@ class ContextSpec:
     def validate(self):
         if self.kind not in ("normal", "bernoulli"):
             raise ValueError(f"unknown context kind {self.kind!r}")
+        for name in ("mean", "std", "rate"):
+            try:
+                value = float(getattr(self, name))
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.kind == "normal" and self.std < 0:
             raise ValueError("std must be non-negative")
         if self.kind == "bernoulli" and not 0 <= self.rate <= 1:

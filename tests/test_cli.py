@@ -763,6 +763,12 @@ class TestExitCodes:
         (lambda doc: doc["context"].pop(), "one context spec per feature"),
         (lambda doc: doc.update(n_rows=0), "n_rows must be positive"),
         (lambda doc: doc.update(seed=-1), "seed must be non-negative"),
+        (lambda doc: doc["context"][0].update(std=float("nan")),
+         "std must be finite, got nan"),
+        (lambda doc: doc["context"][1].update(mean=float("inf")),
+         "mean must be finite, got inf"),
+        (lambda doc: doc["context"][2].update(std=10 ** 400),
+         "std is too large for a float"),
     ])
     def test_malformed_planted_file_fails_in_one_line(self, planted_file,
                                                       tmp_path, capsys,
@@ -782,6 +788,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err, err
         assert err.startswith(f"error: {bad}: "), err
+        assert not (tmp_path / "d.csv").exists()
 
 
 def _mostly(sane, whole):

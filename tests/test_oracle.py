@@ -191,12 +191,13 @@ class TestPlantedIo:
             params=p, context=(oracle.ContextSpec("normal"),), n_rows=10,
             seed=1), path)
         before = path.read_bytes()
-        # A NaN mean is not JSON: the dump fails after its first chunks.
-        nan_mean = oracle.PlantedModel(
-            params=p, context=(oracle.ContextSpec("normal", mean=np.nan),),
-            n_rows=10, seed=1)
-        with pytest.raises(ValueError, match="JSON"):
-            oracle.save_planted(nan_mean, path)
+        # A numpy integer is not JSON: the dump fails after its first
+        # chunks.  (A NaN context parameter no longer builds a model.)
+        numpy_rows = oracle.PlantedModel(
+            params=p, context=(oracle.ContextSpec("normal"),),
+            n_rows=np.int64(10), seed=1)
+        with pytest.raises(TypeError, match="JSON"):
+            oracle.save_planted(numpy_rows, path)
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["planted.json"]
 
