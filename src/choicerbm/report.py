@@ -137,10 +137,13 @@ RETIRED_TRAIN_KEYS = ("lr_decay", "momentum_initial", "momentum_final",
 
 
 def _train_config(raw):
-    """A `TrainConfig` whose ints are JSON integers and floats JSON numbers."""
+    """A `TrainConfig` of every setting in `raw`, whose ints are JSON
+    integers and floats JSON numbers."""
     cfg = TrainConfig(**{k: v for k, v in raw.items()
                          if k not in RETIRED_TRAIN_KEYS})
     for f in dataclasses.fields(cfg):
+        if f.name not in raw:
+            raise ValueError(f"missing {f.name}")
         value = getattr(cfg, f.name)
         if type(value) not in ((int,) if f.type is int else (int, float)):
             raise TypeError(f"{f.name} {value!r} is not a JSON {f.type.__name__}")

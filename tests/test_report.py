@@ -222,6 +222,8 @@ MALFORMED = {
     "fractional cd_k": (("train_config", "cd_k"), 1.5),
     "batch_size a float": (("train_config", "batch_size"), 64.0),
     "learning_rate a boolean": (("train_config", "learning_rate"), True),
+    "train_config empty": (("train_config",), {}),
+    "train_config without batch_size": (("train_config", "batch_size"), _DROP),
     "norm_stats without stds": (("norm_stats", "stds"), _DROP),
     "feature_names not a list": (("feature_names",), 5),
     "non-numeric split_fraction": (("metrics", "split_fraction"), "x"),
