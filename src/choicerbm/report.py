@@ -137,8 +137,8 @@ RETIRED_TRAIN_KEYS = ("lr_decay", "momentum_initial", "momentum_final",
 
 
 def _train_config(raw):
-    """A `TrainConfig` of every setting in `raw`, whose ints are JSON
-    integers and floats JSON numbers."""
+    """The `TrainConfig` of `raw`, which must hold every setting, its ints
+    as JSON integers and its floats as JSON numbers."""
     cfg = TrainConfig(**{k: v for k, v in raw.items()
                          if k not in RETIRED_TRAIN_KEYS})
     for f in dataclasses.fields(cfg):

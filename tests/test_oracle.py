@@ -191,8 +191,7 @@ class TestPlantedIo:
             params=p, context=(oracle.ContextSpec("normal"),), n_rows=10,
             seed=1), path)
         before = path.read_bytes()
-        # A numpy integer is not JSON: the dump fails after its first
-        # chunks.  (A NaN context parameter no longer builds a model.)
+        # A numpy integer is not JSON: the dump fails after its first chunks.
         numpy_rows = oracle.PlantedModel(
             params=p, context=(oracle.ContextSpec("normal"),),
             n_rows=np.int64(10), seed=1)
