@@ -1,10 +1,10 @@
 """A stack of fits in one training loop against the same fits one at a time.
 
 `train_crbm` on `ds.take(rows)`, with one row set of a table per fit, runs
-all fits together, drawing each random array once for the whole stack.  Every fit of one config
-draws arrays of the same shapes in the same order, so each fit in the
-stack must return exactly what a fit of its subset alone returns: the
-same parameter bits, best epoch and trace.
+all fits together, drawing each random array once for the whole stack.
+Every fit of one config draws arrays of the same shapes in the same order,
+so each fit in the stack must return exactly what a fit of its subset
+alone returns: the same parameter bits, best epoch and trace.
 """
 
 import numpy as np
@@ -153,4 +153,3 @@ def test_a_stack_is_validated_on_itself():
     rows = row_sets(ds, 2, 100, seed=0)
     with pytest.raises(ValueError, match="validated on itself"):
         train_crbm(ds.take(rows), ds.take(rows), 0, TrainConfig(epochs=1))
-
