@@ -91,7 +91,7 @@ def _split_scores(b, x, choices):
             np.mean(log_probs.argmax(axis=-1) != choices, axis=-1))
 
 
-def _cd_grads(b, xb, yb, cb, cd_k, rng, eye, out: ParamBlocks):
+def _cd_grads(b, xb, cb, cd_k, rng, eye, out: ParamBlocks):
     """One minibatch gradient, written into `out`; returns the share of
     rows whose reconstruction is not the observed choice `cb`.
 
@@ -103,6 +103,7 @@ def _cd_grads(b, xb, yb, cb, cd_k, rng, eye, out: ParamBlocks):
     axis; `out` holds batched blocks.
     """
     n = xb.shape[-2]
+    yb = eye.take(cb, axis=0)
     choice_drive = xb @ b.choice_context_w.mT + b.choice_bias
     if b.hidden_bias.shape[-1]:
         hidden_drive = xb @ b.hidden_context_w.mT + b.hidden_bias
@@ -131,7 +132,7 @@ def _cd_grads(b, xb, yb, cb, cd_k, rng, eye, out: ParamBlocks):
 
 
 def cd_step(p: CrbmParams, batch, cfg: TrainConfig, rng: np.random.Generator):
-    """One gradient evaluation on (x rows, y rows); returns block gradients.
+    """One gradient evaluation on (x rows, one-hot y rows); returns gradients.
 
     The CD-k estimate, or without hidden units the exact MNL gradient: ascent
     directions on the conditional log-likelihood, before any learning rate
@@ -146,7 +147,7 @@ def cd_step(p: CrbmParams, batch, cfg: TrainConfig, rng: np.random.Generator):
         raise ValueError("batch dimensions do not match the parameters")
     dims = (p.n_alternatives, p.n_hidden, p.n_features)
     flat = np.empty(param_count(*dims))
-    _cd_grads(p, xb, yb, yb.argmax(-1), cfg.cd_k, rng, np.eye(dims[0]),
+    _cd_grads(p, xb, yb.argmax(-1), cfg.cd_k, rng, np.eye(dims[0]),
               ParamBlocks.from_flat(flat, *dims, batched=True))
     return ParamBlocks.from_flat(flat, *dims)
 
@@ -184,7 +185,7 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
         raise ValueError("a stack of datasets must be validated on itself")
 
     rng = np.random.default_rng(cfg.seed)
-    n = ds_train.n_rows
+    batch_starts = range(0, ds_train.n_rows, cfg.batch_size)
     dims = (ds_train.n_alternatives, n_hidden, ds_train.n_features)
     x_all, train_choices = ds_train.x, ds_train.choices
     eye = np.eye(dims[0])
@@ -204,18 +205,14 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
     for epoch in range(cfg.epochs):
         momentum = (MOMENTUM_INITIAL if epoch < MOMENTUM_SWITCH_EPOCH
                     else MOMENTUM_FINAL)
-
-        # `take` keeps each fit's rows contiguous, as matrix products need
-        # for the bits of a fit alone; the one-hot rows live one epoch.
-        perm = rng.permutation(n)
-        x = np.take(x_all, perm, axis=-2)
-        choices = np.take(train_choices, perm, axis=-1)
-        y = eye[choices]
-        mismatch_sum, n_batches = 0.0, 0   # becomes one sum per fit
-        for start in range(0, n, cfg.batch_size):
-            stop = start + cfg.batch_size
-            xb, yb = x[..., start:stop, :], y[..., start:stop, :]
-            mismatch_sum += _cd_grads(b, xb, yb, choices[..., start:stop],
+        perm = rng.permutation(ds_train.n_rows)
+        mismatch_sum = 0.0   # becomes one sum per fit
+        for start in batch_starts:
+            # `take` gives each fit's batch contiguous rows, as matrix products
+            # need for the bits of a fit alone, sooner than fancy indexing.
+            batch = perm[start:start + cfg.batch_size]
+            mismatch_sum += _cd_grads(b, x_all.take(batch, axis=-2),
+                                      train_choices.take(batch, axis=-1),
                                       cfg.cd_k, rng, eye, g)
             if cfg.weight_decay:
                 grad[..., :n_weights] -= cfg.weight_decay * theta[..., :n_weights]
@@ -223,7 +220,6 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
             grad *= cfg.learning_rate
             vel += grad
             theta += vel
-            n_batches += 1
 
         rows = theta.reshape(len(live), -1)   # one per fit in the stack
         for pos in np.flatnonzero(~np.isfinite(rows).all(axis=-1)):
@@ -236,7 +232,7 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
             (train_nll, train_error) if ds_valid is ds_train
             else _split_scores(b, ds_valid.x, ds_valid.choices))
         scores = [np.ravel(v) for v in (train_nll, valid_nll, valid_error,
-                                        mismatch_sum / n_batches)]
+                                        mismatch_sum / len(batch_starts))]
         stay, snapshots = [], {}
         for pos, fit in enumerate(live):
             if fit in diverged:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,31 @@ class TestDeterminismAndReduction:
         for a, b in zip(snapshots[:half], snapshots[half:]):
             for (_, u), (_, v) in zip(a.blocks(), b.blocks()):
                 np.testing.assert_array_equal(u, v)
+
+
+class TestMemory:
+    def test_minibatches_copy_no_training_rows(self, rng, monkeypatch):
+        # Each minibatch reads its rows from the training set by index, so
+        # no epoch holds a permuted copy of the features or one-hot rows.
+        from choicerbm import trainer
+        n = 20_000
+        ds = from_arrays(rng.normal(0, 1, (n, 20)), rng.integers(0, 13, n),
+                         n_alternatives=13)
+        cfg = TrainConfig(batch_size=512, epochs=2, learning_rate=0.01, seed=1)
+        traced = []
+        grads = trainer._cd_grads
+        monkeypatch.setattr(
+            trainer, "_cd_grads",
+            lambda *args: traced.append(tracemalloc.get_traced_memory()[0])
+            or grads(*args))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_crbm(ds, ds, 2, cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(traced) == 2 * 40
+        assert max(traced) - before < ds.x.nbytes / 2, max(traced) - before
 
 
 class TestEarlyStopping:
