@@ -303,6 +303,9 @@ def _read_rows(path, choice_column, feature_columns):
                                   "column or named twice")
         if choice_column is not None and not feature_columns:
             raise SchemaError("no feature columns")
+        for col in [choice_column, *feature_columns]:
+            if col is not None and header.count(col) > 1:
+                raise SchemaError(f"column {col!r} is repeated in the header")
         choice_pos = (None if choice_column is None
                       else header.index(choice_column))
         feat_pos = [header.index(c) for c in feature_columns]

@@ -478,6 +478,37 @@ class TestFeatureList:
         assert err.count("\n") == 1 and features.split(",")[0] in err, err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("header, column, command", [
+        ("choice,f1,f1", "f1", ["train", "--features", "f1"]),
+        ("choice,choice,f1", "choice", ["train"]),
+        ("f1,f2,f1", "f1", ["predict"])], ids=["feature", "choice", "predict"])
+    def test_column_named_twice_in_the_header_fails_in_one_line(
+            self, tmp_path, capsys, header, column, command):
+        # Reading the first of two columns of one name would silently
+        # ignore the other.
+        cells = {"choice": lambda r: r % 3 + 1, "f2": lambda r: r % 5,
+                 "f1": lambda r: f"{r * 0.37 % 1:.3f}"}
+        data = tmp_path / "d.csv"
+        data.write_text(header + "\n" + "".join(
+            ",".join(str(cells[c](r)) for c in header.split(",")) + "\n"
+            for r in range(30)))
+        if command == ["predict"]:
+            model = tmp_path / "m.model"
+            p = random_params(np.random.default_rng(0), 3, 2, 2)
+            save_model(p, model, **model_record(
+                p, norm_stats=NormStats(np.zeros(2), np.ones(2),
+                                        np.zeros(2, bool)),
+                feature_names=("f1", "f2")))
+            command = command + ["--model", str(model)]
+        else:
+            command = command + ["--epochs", "1"]
+        out = tmp_path / "out"
+        rc = cli.run(command + ["--data", str(data), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: column {column!r} is repeated in the header\n")
+        assert not out.exists()
+
     def test_repeated_column_fails_at_prediction(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("f1,f2\n0.5,1.0\n0.1,2.0\n")
