@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from choicerbm import cli, oracle, report
 from choicerbm.dataset import NormStats
-from choicerbm.model import ParamBlocks, canonical
+from choicerbm.model import canonical
 from choicerbm.report import (HINTON_CELL_PX, ModelFileError, hinton_svg,
                               load_model, save_model)
 from choicerbm.trainer import TrainConfig
-from conftest import model_record, random_params
+from conftest import model_record, random_params, zero_blocks
 
 GOLDEN = Path(__file__).parent / "data" / "hinton_3x3.svg"
 
@@ -85,7 +85,7 @@ class TestModelFile:
 
     def test_stat_blocks_round_trip(self, rng, tmp_path):
         p = random_params(rng, 3, 1, 2)
-        se = ParamBlocks.zeros_like(p)
+        se = zero_blocks(p)
         se.choice_context_w = np.abs(rng.normal(0, 1, (3, 2)))
         path = tmp_path / "m.model"
         save_model(p, path, **model_record(p, std_errs=se, tstats=se))
@@ -238,6 +238,9 @@ MALFORMED = {
     "boolean in params": (("params", "hidden_bias", 0), True),
     "numeric string in std_errs": (("std_errs", "choice_bias", 1), "0.5"),
     "null in tstats": (("tstats", "choice_context_w", 1, 0), None),
+    "NaN in tstats": (("tstats", "choice_context_w", 1, 0), float("nan")),
+    "infinite std_errs": (("std_errs", "choice_bias", 1), float("inf")),
+    "negative std_errs": (("std_errs", "choice_bias", 1), -0.5),
     "boolean in norm_stats stds": (("norm_stats", "stds", 0), True),
     "string in norm_stats constant": (("norm_stats", "constant", 0), "no"),
     "short norm_stats means": (("norm_stats", "means"), [0.0]),
