@@ -115,10 +115,6 @@ class ParamBlocks(_Blocks):
     choice_bias: np.ndarray
     hidden_bias: np.ndarray
 
-    @classmethod
-    def zeros_like(cls, p: CrbmParams) -> "ParamBlocks":
-        return cls(*(np.zeros_like(arr) for _, arr in p.blocks()))
-
 
 def _check_context_dim(p: CrbmParams, x):
     """`x` as float64, after checking that its last axis has K entries."""

@@ -99,8 +99,6 @@ def bic(loglik: float, n_params: int, n: int) -> float:
 def validation_error(p: CrbmParams, ds: ChoiceDataset, log_probs=None) -> float:
     """1 - share of rows whose argmax prediction matches the observed choice.
     `log_probs` is `log_choice_probs(p, ds.x)` when already computed."""
-    if ds.n_rows == 0:
-        raise ValueError("empty dataset")
     predicted = _log_probs(p, ds, log_probs).argmax(axis=1)
     return float(np.mean(predicted != ds.choices))
 

@@ -15,6 +15,11 @@ def random_params(rng, n_alternatives, n_hidden, n_features, scale=1.0):
         hidden_bias=rng.normal(0, scale, n_hidden))
 
 
+def zero_blocks(p):
+    """`ParamBlocks` of zeros in the shapes of the blocks of `p`."""
+    return ParamBlocks(*(np.zeros_like(arr) for _, arr in p.blocks()))
+
+
 def model_record(p, **fields):
     """`save_model`'s metadata arguments for `p`: a complete record of
     placeholder values, with `fields` in place of the defaults."""
@@ -27,7 +32,7 @@ def model_record(p, **fields):
                                 for i in range(p.n_alternatives)),
         train_config=TrainConfig(),
         metrics={"split_fraction": 0.7, "split_seed": 0},
-        std_errs=ParamBlocks.zeros_like(p), tstats=ParamBlocks.zeros_like(p),
+        std_errs=zero_blocks(p), tstats=zero_blocks(p),
         choice_column="choice")
     return {**record, **fields}
 

@@ -12,6 +12,7 @@ from scipy.special import logsumexp
 
 from choicerbm.dataset import ChoiceDataset
 from choicerbm.model import CrbmParams, ParamBlocks
+from conftest import zero_blocks
 
 MAX_HIDDEN = 12
 MAX_ALTERNATIVES = 16
@@ -89,7 +90,7 @@ def exact_loglik_gradient(p: CrbmParams, ds: ChoiceDataset) -> ParamBlocks:
     over the full joint p(y, h | x).  Both by enumeration.
     """
     _check_enumerable(p)
-    grads = ParamBlocks.zeros_like(p)
+    grads = zero_blocks(p)
     h_tab = _hidden_table(p.n_hidden)
     eye = np.eye(p.n_alternatives)
     obs_idx = ds.choices
