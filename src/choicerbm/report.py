@@ -205,16 +205,14 @@ def load_model(path):
         raise ModelFileError(f"{path}: missing or invalid dimension header")
     n_alt, _, n_feat = dims
 
-    def read_blocks(raw):
-        return {name: json_numbers(raw[name]).reshape(shape)
-                for name, shape in zip(BLOCK_NAMES, block_shapes(*dims))}
-
-    def stat_blocks(raw, low):
-        blocks = ParamBlocks(**read_blocks(raw))
-        for name, arr in blocks.blocks():
+    def read_blocks(raw, low=-np.inf):
+        """The blocks of `raw`, each entry finite and at least `low`."""
+        blocks = {name: json_numbers(raw[name]).reshape(shape)
+                  for name, shape in zip(BLOCK_NAMES, block_shapes(*dims))}
+        for name, arr in blocks.items():
             if not np.all(np.isfinite(arr) & (arr >= low)):
-                raise ValueError(f"non-finite{' or negative' if low == 0 else ''} "
-                                 f"entries in {name}")
+                sign = " or negative" if low == 0 else ""
+                raise ValueError(f"non-finite{sign} entries in {name}")
         return blocks
 
     try:
@@ -233,8 +231,8 @@ def load_model(path):
         "choice_column": lambda raw: _names([raw], 1)[0],
         "reference_alternative": lambda raw: _reference_alternative(raw,
                                                                     params),
-        "std_errs": lambda raw: stat_blocks(raw, 0.0),
-        "tstats": lambda raw: stat_blocks(raw, -np.inf),
+        "std_errs": lambda raw: ParamBlocks(**read_blocks(raw, low=0.0)),
+        "tstats": lambda raw: ParamBlocks(**read_blocks(raw)),
     }
     meta = {}
     for key, read in readers.items():
@@ -298,7 +296,8 @@ def hinton_svg(values, row_labels, col_labels, tstats,
     height = margin_top + rows * cell + margin_bottom
     vmax = float(np.abs(values).max())
 
-    out = ['<?xml version="1.0" encoding="UTF-8"?>']
+    out = []
+    out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
