@@ -225,9 +225,8 @@ def _cmd_hinton(args) -> int:
         meta["feature_names"])
     if values.size == 0:
         raise UsageError(f"block {args.block} is empty for this model")
-    svg = report.hinton_svg(values, rows, cols, t, args.threshold)
     with report.atomic_open(args.out) as fh:
-        fh.write(svg)
+        fh.write(report.hinton_svg(values, rows, cols, t, args.threshold))
     return 0
 
 

@@ -224,14 +224,16 @@ def _c_rows(path, n_cells, feat_pos, choice_pos=None):
     if (b'"' in raw or b"\n\n" in raw or b"\n\r\n" in raw
             or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"))):
         return None
-    # Byte length of every line, the one after the last newline included.
-    line_bytes = np.diff(np.concatenate((
-        [-1], np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n")),
-        [len(raw)]))) - 1
+    # Byte length of every line, the one after the last newline included;
+    # the newlines are found 1 MiB at a time, not by a file-size mask.
+    buf, mib = np.frombuffer(raw, np.uint8), 1 << 20
+    line_bytes = np.diff(np.concatenate(
+        [[-1]] + [np.flatnonzero(buf[lo:lo + mib] == ord("\n")) + lo
+                  for lo in range(0, len(buf), mib)] + [[len(raw)]])) - 1
+    del raw, buf
     n_rows = len(line_bytes) - 1 - (line_bytes[-1] == 0)   # after the header
     if n_rows < 1 or line_bytes.max() > csv.field_size_limit():
         return None
-    del raw
     dtype = np.dtype([(f"c{pos}", np.int64 if pos == choice_pos else np.float64)
                       for pos in range(n_cells)])
     # A byte order mark can only sit in the header line, which is skipped.
@@ -250,7 +252,9 @@ def _c_rows(path, n_cells, feat_pos, choice_pos=None):
         x_raw[:, j] = table[f"c{pos}"]
     if not np.all(np.isfinite(x_raw)):
         return None
-    return (None if choice_pos is None else table[f"c{choice_pos}"]), x_raw
+    # A copy of the choices, so that the table is freed on return.
+    return (None if choice_pos is None
+            else table[f"c{choice_pos}"].copy()), x_raw
 
 
 def _exact_rows(reader, n_cells, choice_pos, feature_columns, feat_pos):
@@ -385,10 +389,7 @@ def refit_normalization(train: ChoiceDataset, valid: ChoiceDataset):
     raw_train = train.norm_stats.invert(train.x)
     raw_valid = valid.norm_stats.invert(valid.x)
     stats = NormStats.fit(raw_train)
-    rebuilt = []
-    for ds, raw in ((train, raw_train), (valid, raw_valid)):
-        rebuilt.append(ChoiceDataset(
-            x=stats.apply(raw), choices=ds.choices,
-            feature_names=ds.feature_names,
-            alternative_names=ds.alternative_names, norm_stats=stats))
-    return tuple(rebuilt)
+    return tuple(ChoiceDataset(
+        x=stats.apply(raw), choices=ds.choices, feature_names=ds.feature_names,
+        alternative_names=ds.alternative_names, norm_stats=stats)
+        for ds, raw in ((train, raw_train), (valid, raw_valid)))

@@ -5,7 +5,9 @@ out.  The latent output is their posterior mean given the context alone,
 E[h_j | x] = sum_i p(i | x) p(h_j = 1 | i, x).
 """
 
-from .model import CrbmParams, choice_probs, hidden_given_choice
+import numpy as np
+
+from .model import CrbmParams, choice_probs, hidden_given_choice, row_blocks
 from .report import atomic_open
 
 
@@ -18,7 +20,12 @@ def predict_batch(p: CrbmParams, x):
     model before calling.  A width other than K raises ValueError.
     """
     probs = choice_probs(p, x)
-    return probs, (probs[..., None] * hidden_given_choice(p, x)).sum(axis=-2)
+    x = np.asarray(x, dtype=np.float64)
+    h_act = np.empty(probs.shape[:-1] + (p.n_hidden,))
+    for rows in row_blocks(x.shape[-2]):
+        h_act[..., rows, :] = (probs[..., rows, :, None] * hidden_given_choice(
+            p, x[..., rows, :])).sum(axis=-2)
+    return probs, h_act
 
 
 def write_predictions_csv(path, probs, h_act, alternative_names):

@@ -28,6 +28,9 @@ BLOCK_NAMES = ("choice_hidden_w", "choice_context_w", "hidden_context_w",
 # 1-based as in choice columns and model files.
 REFERENCE_ALTERNATIVE = 1
 
+# Rows computed at once by each pass over all rows (`row_blocks`).
+BLOCK_ROWS = 1024
+
 
 def block_shapes(i: int, j: int, k: int) -> tuple:
     """Shapes of the blocks in BLOCK_NAMES order: D (I, J), B (I, K),
@@ -154,10 +157,10 @@ def choice_logits(p: CrbmParams, x):
 
 def hidden_given_choice(p: CrbmParams, x):
     """p(h_j = 1 | y = i, x) = sigmoid(d_j + A_j x + D_ij), shaped
-    (..., I, J): one row of hidden probabilities per alternative."""
+    (..., I, J), one row per alternative; `p` may be batched, as above."""
     x = _check_context_dim(p, x)
     hidden = x @ p.hidden_context_w.mT + p.hidden_bias
-    return sigmoid(hidden[..., None, :] + p.choice_hidden_w)
+    return sigmoid(hidden[..., None, :] + p.choice_hidden_w[..., None, :, :])
 
 
 def softmax(logits):
@@ -174,16 +177,38 @@ def log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def row_blocks(n_rows):
+    """Slices of BLOCK_ROWS rows, in order, that cover `n_rows` rows; a last
+    single row joins the block before it, since numpy would multiply it as
+    a matrix-vector product, whose sums can round otherwise."""
+    starts = list(range(0, n_rows - (n_rows > 1), BLOCK_ROWS))
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_rows])]
+
+
+def _by_row_blocks(normalize, p, x):
+    """`normalize(choice_logits(p, x))`, with the bits of one pass, filled
+    by `row_blocks`; a single block's result is returned as it is."""
+    x = _check_context_dim(p, x)
+    blocks = row_blocks(x.shape[-2]) if x.ndim > 1 else []
+    if len(blocks) <= 1:
+        return normalize(choice_logits(p, x))
+    out = np.empty(np.broadcast_shapes(x.shape[:-1], p.choice_bias.shape[:-1])
+                   + (p.n_alternatives,))
+    for rows in blocks:
+        out[..., rows, :] = normalize(choice_logits(p, x[..., rows, :]))
+    return out
+
+
 def log_choice_probs(p: CrbmParams, x):
     """log p(y = i | x): the prediction rule, and the likelihood that
     training, statistics and inference all report."""
-    return log_softmax(choice_logits(p, x))
+    return _by_row_blocks(log_softmax, p, x)
 
 
 def choice_probs(p: CrbmParams, x):
     """p(y = i | x): `log_choice_probs` exponentiated, as a softmax with
     max subtraction; each row sums to 1 to float precision."""
-    return softmax(choice_logits(p, x))
+    return _by_row_blocks(softmax, p, x)
 
 
 def sample_categorical(probs, rng: np.random.Generator):

@@ -11,7 +11,7 @@ tests (`tests/enumeration.py`).
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,12 +70,10 @@ class PlantedModel:
 
 
 def draw_context(pm: PlantedModel, rng: np.random.Generator) -> np.ndarray:
-    cols = []
-    for spec in pm.context:
-        if spec.kind == "normal":
-            cols.append(rng.normal(spec.mean, spec.std, size=pm.n_rows))
-        else:
-            cols.append((rng.random(pm.n_rows) < spec.rate).astype(np.float64))
+    cols = [rng.normal(spec.mean, spec.std, size=pm.n_rows)
+            if spec.kind == "normal"
+            else (rng.random(pm.n_rows) < spec.rate).astype(np.float64)
+            for spec in pm.context]
     return np.column_stack(cols) if cols else np.zeros((pm.n_rows, 0))
 
 
@@ -154,10 +152,7 @@ def save_planted(pm: PlantedModel, path):
         "n_rows": pm.n_rows,
         "seed": pm.seed,
         "params": {name: np.asarray(arr).tolist() for name, arr in pm.params.blocks()},
-        "context": [
-            {"kind": s.kind, "mean": s.mean, "std": s.std, "rate": s.rate}
-            for s in pm.context
-        ],
+        "context": [asdict(spec) for spec in pm.context],
     }
     with atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)

@@ -296,15 +296,12 @@ def hinton_svg(values, row_labels, col_labels, tstats,
     height = margin_top + rows * cell + margin_bottom
     vmax = float(np.abs(values).max())
 
-    out = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">')
-    out.append(
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="{margin_left}" y="{margin_top}" width="{cols * cell}" '
-        f'height="{rows * cell}" fill="#b0b0b0"/>')
+        f'height="{rows * cell}" fill="#b0b0b0"/>']
     for r in range(rows):
         for c in range(cols):
             v = values[r, c]

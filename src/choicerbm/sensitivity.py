@@ -119,10 +119,9 @@ def sensitivity_table_csv(reports) -> str:
     for rep in reports:
         if rep.variables != variables:
             raise ValueError("reports disagree on variables")
-    header = ["variable"]
-    for rep in reports:
-        tag = f"J{rep.n_hidden}"
-        header += [f"{tag}_full_rank", f"{tag}_sample_rank", f"{tag}_stderr_diff_pct"]
+    header = ["variable"] + [
+        f"J{rep.n_hidden}_{column}" for rep in reports
+        for column in ("full_rank", "sample_rank", "stderr_diff_pct")]
     lines = [",".join(header)]
     for v, name in enumerate(variables):
         cells = [name]

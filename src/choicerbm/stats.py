@@ -18,12 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .model import (REFERENCE_ALTERNATIVE, CrbmParams, ParamBlocks,
-                    canonical, hidden_given_choice, log_choice_probs,
-                    param_count)
-
-# Rows of scores held at once while the information matrix is summed.
-BLOCK_ROWS = 1024
+from .model import (BLOCK_ROWS, REFERENCE_ALTERNATIVE, CrbmParams,
+                    ParamBlocks, canonical, hidden_given_choice,
+                    log_choice_probs, param_count)
 
 
 @dataclass

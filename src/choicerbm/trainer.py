@@ -16,7 +16,8 @@ import numpy as np
 
 from .dataset import ChoiceDataset
 from .model import (CrbmParams, ParamBlocks, canonical, log_choice_probs,
-                    param_count, sample_categorical, sigmoid, softmax)
+                    param_count, row_blocks, sample_categorical, sigmoid,
+                    softmax)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -82,13 +83,18 @@ def _init_params(i, j, k, class_counts, scale, rng) -> np.ndarray:
                            np.zeros(lead + (j,))], axis=-1)
 
 
-def _split_scores(b, x, choices):
-    """Mean per-row NLL and error rate of the prediction rule
-    `log_choice_probs`, one of each per leading index."""
-    log_probs = log_choice_probs(b, x)
-    nll = np.take_along_axis(-log_probs, choices[..., None], axis=-1)
-    return (nll[..., 0].mean(axis=-1),
-            np.mean(log_probs.argmax(axis=-1) != choices, axis=-1))
+def _split_scores(b, x, choices, with_error):
+    """Mean per-row NLL of the prediction rule `log_choice_probs` and, if
+    `with_error`, its error rate (else None), one of each per leading index,
+    scored one block of rows at a time (`model.row_blocks`)."""
+    nll, wrong = np.empty(choices.shape), np.empty(choices.shape, dtype=bool)
+    for rows in row_blocks(choices.shape[-1]):
+        log_probs = log_choice_probs(b, x[..., rows, :])
+        nll[..., rows] = -np.take_along_axis(
+            log_probs, choices[..., rows, None], axis=-1)[..., 0]
+        if with_error:
+            wrong[..., rows] = log_probs.argmax(axis=-1) != choices[..., rows]
+    return nll.mean(axis=-1), wrong.mean(axis=-1) if with_error else None
 
 
 def _cd_grads(b, xb, cb, cd_k, rng, eye, out: ParamBlocks):
@@ -191,8 +197,9 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
     eye = np.eye(dims[0])
     # Parameters, gradient and velocity share one flat layout, with one
     # row per fit of a stack.
-    theta = _init_params(*dims, eye[train_choices].sum(axis=-2),
-                         cfg.weight_init_scale, rng)
+    counts = np.apply_along_axis(np.bincount, -1, train_choices,
+                                 minlength=dims[0])
+    theta = _init_params(*dims, counts, cfg.weight_init_scale, rng)
     n_weights = theta.shape[-1] - dims[0] - n_hidden
 
     live = list(range(len(theta) if stacked else 1))   # fits in the stack
@@ -227,10 +234,11 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
                 np.isfinite(arr.reshape(len(live), -1)[pos])))
             diverged[live[pos]] = f"non-finite values in {name} at epoch {epoch}"
 
-        train_nll, train_error = _split_scores(b, x_all, train_choices)
+        train_nll, valid_error = _split_scores(b, x_all, train_choices,
+                                               ds_valid is ds_train)
         valid_nll, valid_error = (
-            (train_nll, train_error) if ds_valid is ds_train
-            else _split_scores(b, ds_valid.x, ds_valid.choices))
+            (train_nll, valid_error) if ds_valid is ds_train
+            else _split_scores(b, ds_valid.x, ds_valid.choices, True))
         scores = [np.ravel(v) for v in (train_nll, valid_nll, valid_error,
                                         mismatch_sum / len(batch_starts))]
         stay, snapshots = [], {}
