@@ -214,9 +214,12 @@ def choice_probs(p: CrbmParams, x):
 def sample_categorical(probs, rng: np.random.Generator):
     """One 0-based index per row of `probs` (..., rows, I), drawn by
     inverting the row's cumulative sum at one `rng.random` draw per row.
-    The draws are shared by all leading indices."""
+    The draws are shared by all leading indices.  A draw at or above a
+    row's sum, which can round below 1, picks the last alternative."""
     u = rng.random(probs.shape[-2])
-    return (probs.cumsum(axis=-1) > u[:, None]).argmax(axis=-1)
+    cumulative = probs.cumsum(axis=-1)
+    cumulative[..., -1] = np.inf
+    return (cumulative > u[:, None]).argmax(axis=-1)
 
 
 def canonical(p: CrbmParams) -> CrbmParams:

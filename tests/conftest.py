@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,23 @@ def random_params(rng, n_alternatives, n_hidden, n_features, scale=1.0):
         hidden_context_w=rng.normal(0, scale, (n_hidden, n_features)),
         choice_bias=rng.normal(0, scale, n_alternatives),
         hidden_bias=rng.normal(0, scale, n_hidden))
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the most memory, in bytes, that `tracemalloc` saw
+    allocated during the call and not freed before it)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def memory_case(rng, n_rows=20_000):
+    """Parameters with I = 13, J = 2 and K = 20, and `n_rows` context rows
+    with a choice each: the shape of the memory tests."""
+    return (random_params(rng, 13, 2, 20), rng.normal(0, 1, (n_rows, 20)),
+            rng.integers(0, 13, n_rows))
 
 
 def zero_blocks(p):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import choicerbm
-from choicerbm import oracle
+from choicerbm import dataset, oracle
 from choicerbm.dataset import (ChoiceDataset, ChoiceDomainError, NormStats,
                                RowParseError, SchemaError, SplitSpec,
                                from_arrays, load_csv, load_features_csv,
                                one_hot, refit_normalization, split)
+from conftest import traced_peak
 
 
 SRC = Path(choicerbm.__file__).parent
@@ -110,6 +111,22 @@ def reference_rows(path, columns):
         rows = [[float(row[p]) for p in pos] for row in reader]
     assert all(np.isfinite(v) for row in rows for v in row)
     return np.asarray(rows, dtype=np.float64)
+
+
+class TestCReaderMemory:
+    def test_prescan_holds_about_one_copy_of_the_file(self, tmp_path, rng):
+        # The line ends are found in chunks, with no mask as large as the
+        # file; the file's bytes are freed before the table is parsed.
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, np.column_stack([rng.integers(1, 14, 20_000),
+                                          rng.normal(0, 1, (20_000, 20))]),
+                   fmt=["%d"] + ["%.17g"] * 20, delimiter=",", comments="",
+                   header=",".join(["choice"] + [f"f{j}" for j in range(20)]))
+        size = path.stat().st_size
+        (choices, x_raw), peak = traced_peak(dataset._c_rows, path, 21,
+                                             list(range(1, 21)), 0)
+        assert peak < 1.5 * size, peak / size
+        assert x_raw.shape == (20_000, 20) and choices.base is None
 
 
 class TestParser:

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from choicerbm.model import (BLOCK_NAMES, CrbmParams, ParamBlocks,
-                             block_shapes, canonical, choice_logits,
-                             choice_probs, hidden_given_choice,
+from choicerbm.model import (BLOCK_NAMES, BLOCK_ROWS, CrbmParams,
+                             ParamBlocks, block_shapes, canonical,
+                             choice_logits, choice_probs, hidden_given_choice,
                              log_choice_probs, log_softmax, param_count,
-                             sample_categorical, sigmoid, softmax)
-from conftest import random_params
+                             row_blocks, sample_categorical, sigmoid, softmax)
+from conftest import memory_case, random_params, traced_peak
 from enumeration import energy, exact_choice_distribution
 
 
@@ -257,6 +257,67 @@ class TestSampling:
             idx, [np.searchsorted(np.cumsum(row), v, side="right")
                   for row, v in zip(probs, u)])
         assert a.random() == b.random()
+
+    def test_draw_above_a_sum_rounded_below_one_picks_the_last(self):
+        # Ten shares of 0.1 sum to 0.9999999999999999, and `random` can
+        # return a draw at or above that sum.
+        class TopDraw:
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        probs = np.full((1, 10), 0.1)
+        assert probs.cumsum()[-1] == np.nextafter(1.0, 0.0)
+        assert sample_categorical(probs, TopDraw()).tolist() == [9]
+
+    def test_draws_below_the_sum_keep_their_index(self, rng):
+        probs = softmax(rng.normal(0, 3, (3, 64, 13)))
+        u = np.random.default_rng(4).random(64)
+        idx = sample_categorical(probs, np.random.default_rng(4))
+        cumulative = probs.cumsum(axis=-1)
+        below = cumulative[..., -1] > u
+        np.testing.assert_array_equal(
+            idx[below], (cumulative > u[:, None]).argmax(axis=-1)[below])
+        assert (idx[~below] == 12).all()
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 2, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   BLOCK_ROWS + 2, 2 * BLOCK_ROWS + 1, 2600])
+    def test_blocks_cover_the_rows_in_order(self, n):
+        # No block holds a single row unless all the rows are one.
+        blocks = row_blocks(n)
+        assert [s.start for s in blocks[1:]] == [s.stop for s in blocks[:-1]]
+        sizes = [s.stop - s.start for s in blocks]
+        assert sum(sizes) == n and all(1 < s <= BLOCK_ROWS + 1 or n == 1
+                                       for s in sizes)
+
+    @pytest.mark.parametrize("n_hidden", [0, 2])
+    @pytest.mark.parametrize("shape", [(1025, 6), (2600, 6), (3, 1100, 6)])
+    def test_blocked_probabilities_equal_one_pass(self, rng, n_hidden, shape):
+        # The reference normalizes one `choice_logits` call over all rows;
+        # a stack is scored with batched parameters, one set per fit.
+        p = random_params(rng, 5, n_hidden, 6)
+        if len(shape) == 3:
+            flat = rng.normal(0, 1, (shape[0], param_count(5, n_hidden, 6)))
+            p = ParamBlocks.from_flat(flat, 5, n_hidden, 6, batched=True)
+        x = rng.normal(0, 1, shape)
+        logits = choice_logits(p, x)
+        assert np.array_equal(log_choice_probs(p, x), log_softmax(logits))
+        assert np.array_equal(choice_probs(p, x), softmax(logits))
+
+    def test_width_is_checked_for_any_row_count(self, rng):
+        p = random_params(rng, 3, 1, 4)
+        for rows in (0, 1, 3 * BLOCK_ROWS):
+            with pytest.raises(ValueError, match="context vector length"):
+                log_choice_probs(p, np.zeros((rows, 5)))
+        assert log_choice_probs(p, np.zeros((0, 4))).shape == (0, 3)
+        np.testing.assert_array_equal(choice_probs(p, np.zeros(4)),
+                                      choice_probs(p, np.zeros((1, 4)))[0])
+
+    def test_log_choice_probs_holds_one_block_of_temporaries(self, rng):
+        p, x, _ = memory_case(rng)
+        log_probs, peak = traced_peak(log_choice_probs, p, x)
+        assert peak - log_probs.nbytes < log_probs.nbytes / 2, peak
 
 
 class TestParamCount:

@@ -13,7 +13,8 @@ import pytest
 
 from choicerbm import oracle
 from choicerbm.dataset import from_arrays
-from choicerbm.model import BLOCK_NAMES, CrbmParams, canonical, sigmoid
+from choicerbm.model import (BLOCK_NAMES, BLOCK_ROWS, CrbmParams, canonical,
+                             sigmoid)
 from choicerbm.trainer import (MOMENTUM_FINAL, MOMENTUM_INITIAL,
                                MOMENTUM_SWITCH_EPOCH, TrainConfig, TrainTrace,
                                cd_step, train_crbm)
@@ -175,6 +176,27 @@ def assert_same_fit(params, trace, ref_params, ref_trace):
 ], ids=["cd1", "cd3-ragged-batch", "cd3-decay"])
 def test_fit_matches_reference(band_split, n_hidden, cfg):
     train, valid = band_split
+    params, trace = train_crbm(train, valid, n_hidden, cfg)
+    assert_same_fit(params, trace, *reference_fit(train, valid, n_hidden, cfg))
+
+
+@pytest.fixture(scope="module")
+def long_split():
+    """2,600 training and 1,100 validation rows: both splits are scored in
+    more than one row block, the last one ragged."""
+    pm = oracle.band_planted_model(n_rows=3_700, seed=9)
+    x_raw, idx = oracle.draw_rows(pm)
+    ds = from_arrays(x_raw, idx, n_alternatives=pm.params.n_alternatives)
+    return ds.take(np.arange(2_600)), ds.take(np.arange(2_600, 3_700))
+
+
+@pytest.mark.parametrize("n_hidden", [0, 2])
+def test_fit_across_row_blocks_matches_reference(long_split, n_hidden):
+    train, valid = long_split
+    assert train.n_rows > 2 * BLOCK_ROWS and train.n_rows % BLOCK_ROWS
+    assert valid.n_rows > BLOCK_ROWS
+    cfg = TrainConfig(epochs=4, batch_size=64, learning_rate=0.05, cd_k=2,
+                      seed=12)
     params, trace = train_crbm(train, valid, n_hidden, cfg)
     assert_same_fit(params, trace, *reference_fit(train, valid, n_hidden, cfg))
 
