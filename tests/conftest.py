@@ -18,8 +18,8 @@ def random_params(rng, n_alternatives, n_hidden, n_features, scale=1.0):
 
 
 def traced_peak(fn, *args):
-    """(fn(*args), the most memory, in bytes, that `tracemalloc` saw
-    allocated during the call and not freed before it)."""
+    """(fn(*args), the peak in bytes of the memory that the call held at
+    once, as `tracemalloc` traces it)."""
     tracemalloc.start()
     try:
         return fn(*args), tracemalloc.get_traced_memory()[1]

@@ -3,8 +3,7 @@ import pytest
 
 from choicerbm.dataset import from_arrays
 from choicerbm.inference import predict_batch, write_predictions_csv
-from choicerbm.model import (CrbmParams, ParamBlocks, choice_logits,
-                             hidden_given_choice, param_count, softmax)
+from choicerbm.model import CrbmParams
 from choicerbm.stats import confusion_matrix
 import enumeration
 from conftest import memory_case, random_params, traced_peak
@@ -179,22 +178,6 @@ class TestPredictBatch:
         ds = from_arrays(rng.normal(0, 1, (10, 2)), rng.integers(0, 3, 10))
         with pytest.raises(ValueError, match="features"):
             predict_batch(p, ds.x)
-
-    @pytest.mark.parametrize("n_hidden", [0, 2])
-    @pytest.mark.parametrize("shape", [(1025, 6), (2600, 6), (3, 1100, 6)])
-    def test_row_blocks_equal_one_pass(self, rng, n_hidden, shape):
-        # The reference computes both outputs in one pass over all rows; a
-        # stack is predicted with batched parameters, one set per fit.
-        p = random_params(rng, 5, n_hidden, 6)
-        if len(shape) == 3:
-            flat = rng.normal(0, 1, (shape[0], param_count(5, n_hidden, 6)))
-            p = ParamBlocks.from_flat(flat, 5, n_hidden, 6, batched=True)
-        x = rng.normal(0, 1, shape)
-        probs, h_act = predict_batch(p, x)
-        expected = softmax(choice_logits(p, x))
-        assert np.array_equal(probs, expected)
-        assert np.array_equal(h_act, (expected[..., None]
-                                      * hidden_given_choice(p, x)).sum(-2))
 
     def test_holds_one_block_of_temporaries(self, rng):
         # No (N, I, J) array: beyond its outputs the call holds one block.

@@ -11,6 +11,7 @@ from choicerbm.model import (BLOCK_NAMES, BLOCK_ROWS, CrbmParams,
                              choice_logits, choice_probs, hidden_given_choice,
                              log_choice_probs, log_softmax, param_count,
                              row_blocks, sample_categorical, sigmoid, softmax)
+from choicerbm.inference import predict_batch
 from conftest import memory_case, random_params, traced_peak
 from enumeration import energy, exact_choice_distribution
 
@@ -293,9 +294,10 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n_hidden", [0, 2])
     @pytest.mark.parametrize("shape", [(1025, 6), (2600, 6), (3, 1100, 6)])
-    def test_blocked_probabilities_equal_one_pass(self, rng, n_hidden, shape):
-        # The reference normalizes one `choice_logits` call over all rows;
-        # a stack is scored with batched parameters, one set per fit.
+    def test_blocked_passes_equal_one_pass(self, rng, n_hidden, shape):
+        # The reference normalizes one `choice_logits` call over all rows
+        # and takes E[h | x] from one `hidden_given_choice` call; a stack
+        # is scored with batched parameters, one set per fit.
         p = random_params(rng, 5, n_hidden, 6)
         if len(shape) == 3:
             flat = rng.normal(0, 1, (shape[0], param_count(5, n_hidden, 6)))
@@ -303,7 +305,11 @@ class TestRowBlocks:
         x = rng.normal(0, 1, shape)
         logits = choice_logits(p, x)
         assert np.array_equal(log_choice_probs(p, x), log_softmax(logits))
-        assert np.array_equal(choice_probs(p, x), softmax(logits))
+        probs = softmax(logits)
+        assert np.array_equal(choice_probs(p, x), probs)
+        h_act = (probs[..., None] * hidden_given_choice(p, x)).sum(axis=-2)
+        for got, expected in zip(predict_batch(p, x), (probs, h_act)):
+            assert np.array_equal(got, expected)
 
     def test_width_is_checked_for_any_row_count(self, rng):
         p = random_params(rng, 3, 1, 4)
