@@ -211,6 +211,24 @@ def choice_probs(p: CrbmParams, x):
     return _by_row_blocks(softmax, p, x)
 
 
+def score_choices(p: CrbmParams, x, choices):
+    """(log p(y_obs | x), argmax_i log p(i | x)) per row of `x`, for the
+    0-based observed `choices` (..., rows), with the bits of
+    `log_choice_probs`, computed one block at a time (`row_blocks`); `p`
+    may be batched, as in `choice_logits`.  A row whose log-probabilities
+    are not all finite, as when a logit overflows float64, scores NaN."""
+    x = _check_context_dim(p, x)
+    observed, predicted = np.empty(choices.shape), np.empty(choices.shape, int)
+    for rows in row_blocks(choices.shape[-1]):
+        log_probs = log_softmax(choice_logits(p, x[..., rows, :]))
+        observed[..., rows] = np.take_along_axis(
+            log_probs, choices[..., rows, None], axis=-1)[..., 0]
+        if not np.isfinite(log_probs).all():   # rare: look row by row
+            observed[..., rows][~np.isfinite(log_probs).all(axis=-1)] = np.nan
+        predicted[..., rows] = log_probs.argmax(axis=-1)
+    return observed, predicted
+
+
 def sample_categorical(probs, rng: np.random.Generator):
     """One 0-based index per row of `probs` (..., rows, I), drawn by
     inverting the row's cumulative sum at one `rng.random` draw per row.

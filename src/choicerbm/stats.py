@@ -2,14 +2,16 @@
 standard errors and t values.
 
 Every figure here scores the model's exact conditional p(y | x), with the
-hidden units summed out (`model.log_choice_probs`), so with zero hidden
-units everything reduces to exact multinomial-logit statistics.  Standard
-errors come from the outer product of per-row score vectors (the BHHH
-information estimator) over all parameter blocks at once, in the
-reference-alternative gauge of `model.canonical`: the likelihood has
-K + 1 + J exact null directions, and fixing the reference alternative's
-entries of c, B and D removes them.  The free parameters are scored in
-their own layout, that of I - 1 alternatives.
+hidden units summed out, so with zero hidden units everything reduces to
+exact multinomial-logit statistics.  A split's likelihood, error, mean
+true probability and confusion matrix come from one pass of the trainer's
+scorer, `model.score_choices`.  Standard errors come from the outer
+product of per-row score vectors (the BHHH information estimator) over
+all parameter blocks at once, in the reference-alternative gauge of
+`model.canonical`: the likelihood has K + 1 + J exact null directions,
+and fixing the reference alternative's entries of c, B and D removes
+them.  The free parameters are scored in their own layout, that of I - 1
+alternatives.
 """
 
 import warnings
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .model import (BLOCK_ROWS, REFERENCE_ALTERNATIVE, CrbmParams,
-                    ParamBlocks, canonical, hidden_given_choice,
-                    log_choice_probs, param_count)
+from .model import (REFERENCE_ALTERNATIVE, CrbmParams, ParamBlocks,
+                    canonical, hidden_given_choice, log_choice_probs,
+                    param_count, row_blocks, score_choices)
 
 
 @dataclass
@@ -40,37 +42,35 @@ class FitReport:
 OVERFLOW = "log-likelihood overflows: the parameters are too large"
 
 
-def _log_probs(p: CrbmParams, ds: ChoiceDataset, log_probs=None):
-    """`log_choice_probs` over every row of `ds`, unless already computed
-    and passed in as `log_probs`.  Finite parameters whose logits overflow
-    float64 raise ValueError."""
-    if log_probs is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_probs = log_choice_probs(p, ds.x)
-        if not np.isfinite(log_probs).all():
-            raise ValueError(OVERFLOW)
-    return log_probs
+def _finite(values):
+    """`values`, which must all be finite: finite parameters whose logits
+    or log-likelihood overflow float64 raise ValueError."""
+    if not np.isfinite(values).all():
+        raise ValueError(OVERFLOW)
+    return values
 
 
-def _observed(p, ds, log_probs):
-    """log p(y_obs | x) per row of `ds`."""
-    return _log_probs(p, ds, log_probs)[np.arange(ds.n_rows), ds.choices]
+def _scored(p: CrbmParams, ds: ChoiceDataset):
+    """`score_choices` over every row of `ds`, checked by `_finite`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        observed, predicted = score_choices(p, ds.x, ds.choices)
+        return _finite(observed), predicted
 
 
-def log_likelihood(p: CrbmParams, ds: ChoiceDataset, log_probs=None) -> float:
+def _total(observed) -> float:
+    """The sum of per-row log-likelihoods, checked by `_finite`."""
+    with np.errstate(over="ignore"):
+        return float(_finite(observed.sum()))
+
+
+def log_likelihood(p: CrbmParams, ds: ChoiceDataset) -> float:
     """Total log p(y_obs | x).
 
     Computed in log space end to end, so finite parameters can never
     produce -inf; logits or a sum that overflow float64 all the same
-    raise ValueError.  `log_probs` is `log_choice_probs(p, ds.x)` when already
-    computed.
+    raise ValueError.
     """
-    observed = _observed(p, ds, log_probs)
-    with np.errstate(over="ignore"):
-        total = float(observed.sum())
-    if not np.isfinite(total):
-        raise ValueError(OVERFLOW)
-    return total
+    return _total(_scored(p, ds)[0])
 
 
 def rho_squared(loglik: float, n: int, n_alternatives: int) -> float:
@@ -93,19 +93,15 @@ def bic(loglik: float, n_params: int, n: int) -> float:
     return value
 
 
-def validation_error(p: CrbmParams, ds: ChoiceDataset, log_probs=None) -> float:
-    """1 - share of rows whose argmax prediction matches the observed choice.
-    `log_probs` is `log_choice_probs(p, ds.x)` when already computed."""
-    predicted = _log_probs(p, ds, log_probs).argmax(axis=1)
-    return float(np.mean(predicted != ds.choices))
+def validation_error(p: CrbmParams, ds: ChoiceDataset) -> float:
+    """1 - share of rows whose argmax prediction matches the observed choice."""
+    return float(np.mean(_scored(p, ds)[1] != ds.choices))
 
 
-def mean_true_probability(p: CrbmParams, ds: ChoiceDataset,
-                          log_probs=None) -> float:
+def mean_true_probability(p: CrbmParams, ds: ChoiceDataset) -> float:
     """Secondary accuracy figure: mean probability on the observed
-    alternative.  `log_probs` is `log_choice_probs(p, ds.x)` when already
-    computed."""
-    return float(np.exp(_observed(p, ds, log_probs)).mean())
+    alternative."""
+    return float(np.exp(_scored(p, ds)[0]).mean())
 
 
 def pinv_standard_errors(info: np.ndarray) -> np.ndarray:
@@ -141,11 +137,11 @@ def free_param_count(i: int, j: int, k: int) -> int:
     return param_count(i, j, k) - (1 + k + j)
 
 
-def _prediction_scores(p: CrbmParams, x, choices, log_probs):
-    """Per-row score vectors of log p(y_obs | x) for context rows `x`,
-    0-based `choices` and their forward pass `log_probs`: (rows,
-    free_param_count), laid out as `ParamBlocks.from_flat(scores, I - 1, J,
-    K)` over the alternatives but REFERENCE_ALTERNATIVE.
+def _prediction_scores(p: CrbmParams, x, choices):
+    """Per-row score vectors of log p(y_obs | x) for context rows `x` and
+    0-based `choices`, from their own forward pass, checked by `_finite`:
+    (rows, free_param_count), laid out as `ParamBlocks.from_flat(scores,
+    I - 1, J, K)` over the alternatives but REFERENCE_ALTERNATIVE.
 
     With r_i = y_i - p(i | x) and w_ij = r_i p(h_j = 1 | i, x), the score
     is w for D, r x for B, (sum_i w_ij) x for A, r for c and sum_i w_ij
@@ -153,7 +149,8 @@ def _prediction_scores(p: CrbmParams, x, choices, log_probs):
     """
     i, j, k = p.n_alternatives, p.n_hidden, p.n_features
     free = np.arange(i) != REFERENCE_ALTERNATIVE - 1
-    resid = -np.exp(log_probs)                                     # (n, I)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = -np.exp(_finite(log_choice_probs(p, x)))           # (n, I)
     resid[np.arange(len(x)), choices] += 1.0
     w = hidden_given_choice(p, x)                                  # (n, I, J)
     w *= resid[:, :, None]
@@ -168,7 +165,7 @@ def _prediction_scores(p: CrbmParams, x, choices, log_probs):
     return scores
 
 
-def t_statistics(p: CrbmParams, ds_train: ChoiceDataset, log_probs=None):
+def t_statistics(p: CrbmParams, ds_train: ChoiceDataset):
     """(standard errors, t values) in parameter-block layout, from one
     information matrix over every free parameter of the exact likelihood.
 
@@ -178,22 +175,18 @@ def t_statistics(p: CrbmParams, ds_train: ChoiceDataset, log_probs=None):
     gauge shift, so any `p` with the same likelihood gives the same
     standard errors.  t is the parameter of `canonical(p)` over its
     standard error, pinned to t = 0 where either is zero: a parameter with
-    no information is not significant.  `log_probs` is
-    `log_choice_probs(p, ds_train.x)` when already computed.  The
-    information is S_b' S_b summed in row order over blocks S_b of
-    BLOCK_ROWS rows of scores, one at a time; the fixed blocks fix the
-    summation order.
+    no information is not significant.  The information is S_b' S_b
+    summed in row order over the scores S_b of each block of
+    `model.row_blocks`, one block and its forward pass at a time; the
+    fixed blocks fix the summation order.
     """
     i, j, k = dims = (p.n_alternatives, p.n_hidden, p.n_features)
     n_free = free_param_count(*dims)
     if ds_train.n_rows <= n_free:
         warnings.warn("fewer rows than parameters; standard errors are unreliable")
-    log_probs = _log_probs(p, ds_train, log_probs)
     info = np.zeros((n_free, n_free))
-    for lo in range(0, ds_train.n_rows, BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        s = _prediction_scores(p, ds_train.x[rows], ds_train.choices[rows],
-                               log_probs[rows])
+    for rows in row_blocks(ds_train.n_rows):
+        s = _prediction_scores(p, ds_train.x[rows], ds_train.choices[rows])
         info += s.T @ s
     free_se = ParamBlocks.from_flat(pinv_standard_errors(info), i - 1, j, k)
     se = np.zeros(param_count(*dims))
@@ -218,23 +211,24 @@ def confusion_matrix(actual, predicted, n_alternatives):
 def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
              ds_valid: ChoiceDataset) -> FitReport:
     """Assemble the full statistical report for a fitted model, from one
-    forward pass per split (one in all when `ds_valid is ds_train`)."""
-    train = _log_probs(p, ds_train)
-    valid = train if ds_valid is ds_train else _log_probs(p, ds_valid)
-    ll_train = log_likelihood(p, ds_train, train)
-    ll_valid = log_likelihood(p, ds_valid, valid)
+    `score_choices` pass per split (one in all when `ds_valid is ds_train`)
+    and the blocked pass of `t_statistics` over the training rows."""
+    observed, predicted = _scored(p, ds_valid)
+    ll_valid = _total(observed)
+    ll_train = (ll_valid if ds_valid is ds_train
+                else log_likelihood(p, ds_train))
     n_params = free_param_count(p.n_alternatives, p.n_hidden, p.n_features)
-    std_errs, tstats = t_statistics(p, ds_train, train)
+    std_errs, tstats = t_statistics(p, ds_train)
     return FitReport(
         loglik_train=ll_train,
         loglik_valid=ll_valid,
         rho2=rho_squared(ll_train, ds_train.n_rows, p.n_alternatives),
         bic=bic(ll_train, n_params, ds_train.n_rows),
-        validation_error=validation_error(p, ds_valid, valid),
-        mean_true_prob=mean_true_probability(p, ds_valid, valid),
+        validation_error=float(np.mean(predicted != ds_valid.choices)),
+        mean_true_prob=float(np.exp(observed).mean()),
         n_params=n_params,
-        confusion=confusion_matrix(ds_valid.choices,
-                                   valid.argmax(axis=1), p.n_alternatives),
+        confusion=confusion_matrix(ds_valid.choices, predicted,
+                                   p.n_alternatives),
         std_errs=std_errs,
         tstats=tstats,
     )

@@ -6,8 +6,8 @@ sampled reconstruction chain.  Without hidden units the reconstruction
 chain mixes in a single step, so its expectation is available in closed
 form and the loop becomes exact multinomial-logit gradient ascent: the MNL
 baseline is `train_crbm` with zero hidden units.  Each epoch scores both
-splits with `model.log_choice_probs`, the rule that `stats` reports, and
-early stopping keeps the snapshot of lowest validation error.
+splits with `model.score_choices`, as `stats` does, and early stopping
+keeps the snapshot of lowest validation error.
 """
 
 from dataclasses import dataclass, field
@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .model import (CrbmParams, ParamBlocks, canonical, log_choice_probs,
-                    param_count, row_blocks, sample_categorical, sigmoid,
-                    softmax)
+from .model import (CrbmParams, ParamBlocks, canonical, param_count,
+                    sample_categorical, score_choices, sigmoid, softmax)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -81,20 +80,6 @@ def _init_params(i, j, k, class_counts, scale, rng) -> np.ndarray:
     return np.concatenate([np.broadcast_to(weights, lead + weights.shape),
                            np.log(counts / counts.sum(axis=-1, keepdims=True)),
                            np.zeros(lead + (j,))], axis=-1)
-
-
-def _split_scores(b, x, choices, with_error):
-    """Mean per-row NLL of the prediction rule `log_choice_probs` and, if
-    `with_error`, its error rate (else None), one of each per leading index,
-    scored one block of rows at a time (`model.row_blocks`)."""
-    nll, wrong = np.empty(choices.shape), np.empty(choices.shape, dtype=bool)
-    for rows in row_blocks(choices.shape[-1]):
-        log_probs = log_choice_probs(b, x[..., rows, :])
-        nll[..., rows] = -np.take_along_axis(
-            log_probs, choices[..., rows, None], axis=-1)[..., 0]
-        if with_error:
-            wrong[..., rows] = log_probs.argmax(axis=-1) != choices[..., rows]
-    return nll.mean(axis=-1), wrong.mean(axis=-1) if with_error else None
 
 
 def _cd_grads(b, xb, cb, cd_k, rng, eye, out: ParamBlocks):
@@ -234,13 +219,15 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
                 np.isfinite(arr.reshape(len(live), -1)[pos])))
             diverged[live[pos]] = f"non-finite values in {name} at epoch {epoch}"
 
-        train_nll, valid_error = _split_scores(b, x_all, train_choices,
-                                               ds_valid is ds_train)
-        valid_nll, valid_error = (
-            (train_nll, valid_error) if ds_valid is ds_train
-            else _split_scores(b, ds_valid.x, ds_valid.choices, True))
-        scores = [np.ravel(v) for v in (train_nll, valid_nll, valid_error,
-                                        mismatch_sum / len(batch_starts))]
+        train = score_choices(b, x_all, train_choices)
+        valid, valid_choices = (
+            (train, train_choices) if ds_valid is ds_train
+            else (score_choices(b, ds_valid.x, ds_valid.choices),
+                  ds_valid.choices))
+        scores = [np.ravel(v) for v in (
+            -train[0].mean(axis=-1), -valid[0].mean(axis=-1),
+            (valid[1] != valid_choices).mean(axis=-1),
+            mismatch_sum / len(batch_starts))]
         stay, snapshots = [], {}
         for pos, fit in enumerate(live):
             if fit in diverged:

@@ -8,6 +8,7 @@ benchmark's own (slow) suite, so these checks keep the names in view.
 import contextlib
 import inspect
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -57,23 +58,38 @@ def test_cli_session_records_every_span(traced, tmp_path):
     oracle.save_planted(oracle.band_planted_model(n_rows=600, seed=2), planted)
     data, model = str(tmp_path / "d.csv"), str(tmp_path / "m.model")
     fit = ["--data", data, "--epochs", "2", "--patience", "2"]
-    steps = [
-        ["generate", "--planted", str(planted), "--out", data],
-        ["train", "--hidden", "2", *fit, "--out", model],
-        ["evaluate", "--model", model, "--data", data],
-        ["predict", "--model", model, "--data", data,
-         "--out", str(tmp_path / "p.csv")],
-        ["sensitivity", *fit, "--hidden", "0", "--fraction", "0.5",
-         "--replicates", "2", "--out", str(tmp_path / "s.csv")],
-    ]
+    # Named as the benchmark's session names its steps.
+    steps = {
+        "generate": ["generate", "--planted", str(planted), "--out", data],
+        "train": ["train", "--hidden", "2", *fit, "--out", model],
+        "train_mnl": ["train", "--hidden", "0", *fit,
+                      "--out", str(tmp_path / "mnl.model")],
+        "evaluate": ["evaluate", "--model", model, "--data", data],
+        "predict": ["predict", "--model", model, "--data", data,
+                    "--out", str(tmp_path / "p.csv")],
+        "sensitivity": ["sensitivity", *fit, "--hidden", "0", "--fraction",
+                        "0.5", "--replicates", "2",
+                        "--out", str(tmp_path / "s.csv")],
+    }
     tracer = traced.Tracer()
     with traced.instrumented(tracer), contextlib.redirect_stdout(io.StringIO()):
-        for argv in steps:
+        for step, argv in steps.items():
+            tracer.command = step
             assert cli.run(argv) == 0, argv
     recorded = {s["name"] for s in tracer.spans}
     wanted = {name for _, _, name, _, _ in traced._TRACE_POINTS}
     assert wanted - recorded == set()
     assert "trainer.epoch" in recorded
+    # Every (step, span) pair that the per-layer metrics require, read from
+    # their `one(step, span)` lookups, is recorded in that step.
+    lookups = set(re.findall(r'\bone\("(\w+)",\s*"([\w.]+)"\)',
+                             inspect.getsource(traced.layer_metrics)))
+    assert {("evaluate", "stats.log_likelihood"),
+            ("evaluate", "stats.t_statistics"),
+            ("predict", "model.choice_probs"),
+            ("train", "report.save_model")} <= lookups
+    pairs = {(s["command"], s["name"]) for s in tracer.spans}
+    assert lookups - pairs == set()
     # `sensitivity.replicate_fit_s` reads the fits under each run's span
     # that have fewer rows than the run: the full fit comes first, then one
     # stacked fit of all replicates, timed by its epochs.

@@ -10,7 +10,8 @@ from choicerbm.model import (BLOCK_NAMES, BLOCK_ROWS, CrbmParams,
                              ParamBlocks, block_shapes, canonical,
                              choice_logits, choice_probs, hidden_given_choice,
                              log_choice_probs, log_softmax, param_count,
-                             row_blocks, sample_categorical, sigmoid, softmax)
+                             row_blocks, sample_categorical, score_choices,
+                             sigmoid, softmax)
 from choicerbm.inference import predict_batch
 from conftest import memory_case, random_params, traced_peak
 from enumeration import energy, exact_choice_distribution
@@ -295,16 +296,22 @@ class TestRowBlocks:
     @pytest.mark.parametrize("n_hidden", [0, 2])
     @pytest.mark.parametrize("shape", [(1025, 6), (2600, 6), (3, 1100, 6)])
     def test_blocked_passes_equal_one_pass(self, rng, n_hidden, shape):
-        # The reference normalizes one `choice_logits` call over all rows
-        # and takes E[h | x] from one `hidden_given_choice` call; a stack
-        # is scored with batched parameters, one set per fit.
+        # The reference normalizes one `choice_logits` call over all rows,
+        # takes E[h | x] from one `hidden_given_choice` call and scores the
+        # choices by one gather and argmax; a stack is scored with batched
+        # parameters, one set per fit.
         p = random_params(rng, 5, n_hidden, 6)
         if len(shape) == 3:
             flat = rng.normal(0, 1, (shape[0], param_count(5, n_hidden, 6)))
             p = ParamBlocks.from_flat(flat, 5, n_hidden, 6, batched=True)
-        x = rng.normal(0, 1, shape)
+        x, choices = rng.normal(0, 1, shape), rng.integers(0, 5, shape[:-1])
         logits = choice_logits(p, x)
-        assert np.array_equal(log_choice_probs(p, x), log_softmax(logits))
+        log_probs = log_softmax(logits)
+        assert np.array_equal(log_choice_probs(p, x), log_probs)
+        observed, predicted = score_choices(p, x, choices)
+        assert np.array_equal(observed, np.take_along_axis(
+            log_probs, choices[..., None], axis=-1)[..., 0])
+        assert np.array_equal(predicted, log_probs.argmax(axis=-1))
         probs = softmax(logits)
         assert np.array_equal(choice_probs(p, x), probs)
         h_act = (probs[..., None] * hidden_given_choice(p, x)).sum(axis=-2)
@@ -324,6 +331,29 @@ class TestRowBlocks:
         p, x, _ = memory_case(rng)
         log_probs, peak = traced_peak(log_choice_probs, p, x)
         assert peak - log_probs.nbytes < log_probs.nbytes / 2, peak
+
+    def test_rows_with_an_overflowing_logit_score_nan(self):
+        # Alternative 3's logit overflows to -inf where x = 1 and is 0
+        # where x = -1; the observed choices never pick it.
+        weights = np.array([0.0, 0.0, -1.5e308])
+        p = CrbmParams(np.zeros((3, 0)), weights[:, None], np.zeros((0, 1)),
+                       weights, np.zeros(0))
+        x = np.tile([1.0, -1.0], 1300)[:, None]
+        choices = np.arange(2600) % 2
+        with np.errstate(over="ignore"):
+            observed, predicted = score_choices(p, x, choices)
+        assert np.isnan(observed[::2]).all()
+        assert np.array_equal(observed[1::2], np.full(1300, -np.log(3.0)))
+        assert np.array_equal(predicted, np.zeros(2600))
+
+    def test_score_choices_holds_one_block_of_log_probabilities(self, rng):
+        p, x, choices = memory_case(rng)
+        (observed, predicted), peak = traced_peak(score_choices, p, x, choices)
+        assert peak < choices.size * p.n_alternatives * 8 / 2, peak
+        log_probs = log_choice_probs(p, x)
+        assert np.array_equal(observed,
+                              log_probs[np.arange(len(x)), choices])
+        assert np.array_equal(predicted, log_probs.argmax(axis=1))
 
 
 class TestParamCount:

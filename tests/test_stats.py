@@ -8,9 +8,9 @@ from scipy.special import expit
 from choicerbm import oracle
 from choicerbm.dataset import (SplitSpec, from_arrays, refit_normalization,
                                split)
-from choicerbm.model import (CrbmParams, ParamBlocks, canonical,
+from choicerbm.model import (BLOCK_ROWS, CrbmParams, ParamBlocks, canonical,
                              log_choice_probs, param_count)
-from choicerbm.stats import (BLOCK_ROWS, _prediction_scores, bic, evaluate,
+from choicerbm.stats import (_prediction_scores, bic, evaluate,
                              free_param_count, log_likelihood,
                              mean_true_probability, pinv_standard_errors,
                              report_table_rows, rho_squared, t_statistics,
@@ -103,21 +103,28 @@ class TestLogLikelihood:
                 log_likelihood(p, ds)
 
     def test_overflowing_logits_raise(self):
-        p = CrbmParams(
-            choice_hidden_w=np.zeros((2, 0)),
-            choice_context_w=np.array([[1.5e308], [0.0]]),
-            hidden_context_w=np.zeros((0, 1)),
-            choice_bias=np.array([1.5e308, 0.0]),
-            hidden_bias=np.zeros(0))
-        ds = from_arrays(np.tile([1.0, -1.0], 20)[:, None],
-                         np.zeros(40, dtype=np.int64), n_alternatives=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for score in (log_likelihood, validation_error, t_statistics):
+        x = np.tile([1.0, -1.0], 20)[:, None]   # z-scores to itself
+        # The chosen alternative's logit overflows to +inf on half the rows;
+        # then alternative 3 of 3, never chosen, whose logit overflows to
+        # -inf where x = 1, so that each observed log-probability is finite.
+        cases = [((1.5e308, 0.0), np.zeros(40, dtype=np.int64)),
+                 ((0.0, 0.0, -1.5e308), np.arange(40) % 2)]
+        for weights, choices in cases:
+            p = CrbmParams(
+                choice_hidden_w=np.zeros((len(weights), 0)),
+                choice_context_w=np.array(weights)[:, None],
+                hidden_context_w=np.zeros((0, 1)),
+                choice_bias=np.array(weights),
+                hidden_bias=np.zeros(0))
+            ds = from_arrays(x, choices, n_alternatives=len(weights))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for score in (log_likelihood, validation_error,
+                              mean_true_probability, t_statistics):
+                    with pytest.raises(ValueError, match="overflows"):
+                        score(p, ds)
                 with pytest.raises(ValueError, match="overflows"):
-                    score(p, ds)
-            with pytest.raises(ValueError, match="overflows"):
-                evaluate(p, ds, ds)
+                    evaluate(p, ds, ds)
 
 
 class TestRhoSquared:
@@ -203,8 +210,7 @@ class TestStandardErrors:
         p = random_params(rng, 4, n_hidden, 3, scale=1.2)
         ds = from_arrays(rng.normal(0, 1, (30, 3)), rng.integers(0, 4, 30),
                          n_alternatives=4)
-        scores = _prediction_scores(p, ds.x, ds.choices,
-                                    log_choice_probs(p, ds.x))
+        scores = _prediction_scores(p, ds.x, ds.choices)
         free = ~reference_entries(p)
         assert scores.shape == (30, free.sum()) == (
             30, free_param_count(4, n_hidden, 3))
@@ -324,9 +330,9 @@ class TestEvaluate:
                                                rng.integers(0, 4, 120))
         p = random_params(rng, 4, 2, 3, scale=0.4)
         calls = []
-        forward = stats.log_choice_probs
-        monkeypatch.setattr(stats, "log_choice_probs",
-                            lambda *args: calls.append(1) or forward(*args))
+        scorer = stats.score_choices
+        monkeypatch.setattr(stats, "score_choices",
+                            lambda *args: calls.append(1) or scorer(*args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # identified: no warning
             rep = evaluate(p, tr, va)
@@ -378,7 +384,7 @@ def dense_standard_errors(p, ds):
     """Reference: the free parameters' score rows in one matrix and their
     information matrix inverted directly, written back into the parameter
     layout with zeros at the reference entries."""
-    s = _prediction_scores(p, ds.x, ds.choices, log_choice_probs(p, ds.x))
+    s = _prediction_scores(p, ds.x, ds.choices)
     free = ~reference_entries(p)
     se = np.zeros(len(free))
     se[free] = np.sqrt(np.diag(np.linalg.inv(s.T @ s)))

@@ -5,12 +5,12 @@ import pytest
 
 from choicerbm import oracle
 from choicerbm.dataset import ChoiceDataset, NormStats, from_arrays, one_hot
-from choicerbm.model import CrbmParams, log_choice_probs
+from choicerbm.model import CrbmParams
 from choicerbm.trainer import (MOMENTUM_FINAL, MOMENTUM_INITIAL,
                                MOMENTUM_SWITCH_EPOCH, TrainConfig,
                                TrainingDivergedError, cd_step, train_crbm)
 import enumeration
-from conftest import memory_case, random_params, traced_peak
+from conftest import random_params
 
 
 class TestTrainConfig:
@@ -166,9 +166,9 @@ class TestDeterminismAndReduction:
         p_copy, t_copy = train_crbm(ds, ds.take(np.arange(ds.n_rows)),
                                     n_hidden, cfg, hook)
         calls = []
-        scores = trainer._split_scores
-        monkeypatch.setattr(trainer, "_split_scores",
-                            lambda *args: calls.append(1) or scores(*args))
+        scorer = trainer.score_choices
+        monkeypatch.setattr(trainer, "score_choices",
+                            lambda *args: calls.append(1) or scorer(*args))
         p_same, t_same = train_crbm(ds, ds, n_hidden, cfg, hook)
         assert len(calls) == len(t_same.train_nll)
         assert t_same == t_copy
@@ -203,17 +203,6 @@ class TestMemory:
             tracemalloc.stop()
         assert len(traced) == 2 * 40
         assert max(traced) - before < ds.x.nbytes / 2, max(traced) - before
-
-    def test_split_scores_hold_one_block_of_log_probabilities(self, rng):
-        from choicerbm import trainer
-        p, x, choices = memory_case(rng)
-        (nll, error), peak = traced_peak(trainer._split_scores, p, x, choices,
-                                         True)
-        assert peak < choices.size * p.n_alternatives * 8 / 2, peak
-        log_probs = log_choice_probs(p, x)
-        assert nll == -log_probs[np.arange(len(x)), choices].mean()
-        assert error == np.mean(log_probs.argmax(axis=1) != choices)
-        assert trainer._split_scores(p, x, choices, False) == (nll, None)
 
 
 class TestEarlyStopping:
