@@ -104,9 +104,9 @@ class TestLogLikelihood:
 
     def test_overflowing_logits_raise(self):
         x = np.tile([1.0, -1.0], 20)[:, None]   # z-scores to itself
-        # The chosen alternative's logit overflows to +inf on half the rows;
-        # then alternative 3 of 3, never chosen, whose logit overflows to
-        # -inf where x = 1, so that each observed log-probability is finite.
+        # First the chosen alternative's logit overflows to +inf where
+        # x = 1.  Then alternative 3 of 3, never chosen, overflows to -inf
+        # where x = 1, while every observed log-probability stays finite.
         cases = [((1.5e308, 0.0), np.zeros(40, dtype=np.int64)),
                  ((0.0, 0.0, -1.5e308), np.arange(40) % 2)]
         for weights, choices in cases:
