@@ -9,8 +9,8 @@ that is never reconstructed.  Energy over (y, h):
 with D the choice-hidden weight matrix.  Context enters only through the
 conditionals: the hidden drive gains A x (hidden-context weights) and the
 choice drive gains B x (choice-context weights).  The hidden units sum out
-of p(y | x) in closed form, so `log_choice_probs` is the exact conditional
-(Larochelle & Bengio, ICML 2008) and the model's one prediction rule.
+of p(y | x) in closed form, so `choice_probs` is the exact conditional
+(Larochelle & Bengio, ICML 2008); its argmax is the one prediction rule.
 """
 
 import math
@@ -163,18 +163,15 @@ def hidden_given_choice(p: CrbmParams, x):
     return sigmoid(hidden[..., None, :] + p.choice_hidden_w[..., None, :, :])
 
 
-def softmax(logits):
-    """Softmax over the last axis, computed with max subtraction."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(logits):
-    """Log of `softmax`, in log space end to end: finite logits never give
-    -inf."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def normalize(logits):
+    """(log p, p) over the last axis of `logits`, from one max subtraction
+    and one `exp`; finite logits never give a log-probability of -inf."""
+    log_probs = logits - logits.max(axis=-1, keepdims=True)
+    probs = np.exp(log_probs)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs /= total
+    log_probs -= np.log(total)
+    return log_probs, probs
 
 
 def row_blocks(n_rows):
@@ -185,47 +182,48 @@ def row_blocks(n_rows):
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_rows])]
 
 
-def _by_row_blocks(normalize, p, x):
-    """`normalize(choice_logits(p, x))`, with the bits of one pass, filled
-    by `row_blocks`; a single block's result is returned as it is."""
+def _by_row_blocks(output, p, x):
+    """`normalize(choice_logits(p, x))[output]`, with the bits of one pass,
+    filled by `row_blocks`; a single block's result is returned as it is."""
     x = _check_context_dim(p, x)
     blocks = row_blocks(x.shape[-2]) if x.ndim > 1 else []
     if len(blocks) <= 1:
-        return normalize(choice_logits(p, x))
+        return normalize(choice_logits(p, x))[output]
     out = np.empty(np.broadcast_shapes(x.shape[:-1], p.choice_bias.shape[:-1])
                    + (p.n_alternatives,))
     for rows in blocks:
-        out[..., rows, :] = normalize(choice_logits(p, x[..., rows, :]))
+        out[..., rows, :] = normalize(choice_logits(p, x[..., rows, :]))[output]
     return out
 
 
 def log_choice_probs(p: CrbmParams, x):
-    """log p(y = i | x): the prediction rule, and the likelihood that
-    training, statistics and inference all report."""
-    return _by_row_blocks(log_softmax, p, x)
+    """log p(y = i | x): the likelihood that training, statistics and
+    inference all report."""
+    return _by_row_blocks(0, p, x)
 
 
 def choice_probs(p: CrbmParams, x):
-    """p(y = i | x): `log_choice_probs` exponentiated, as a softmax with
-    max subtraction; each row sums to 1 to float precision."""
-    return _by_row_blocks(softmax, p, x)
+    """p(y = i | x), as `predict` prints it; its argmax, lowest index on
+    ties, is the model's one prediction rule."""
+    return _by_row_blocks(1, p, x)
 
 
 def score_choices(p: CrbmParams, x, choices):
-    """(log p(y_obs | x), argmax_i log p(i | x)) per row of `x`, for the
-    0-based observed `choices` (..., rows), with the bits of
-    `log_choice_probs`, computed one block at a time (`row_blocks`); `p`
-    may be batched, as in `choice_logits`.  A row whose log-probabilities
-    are not all finite, as when a logit overflows float64, scores NaN."""
+    """(log p(y_obs | x), argmax_i p(i | x)) per row of `x` for the 0-based
+    observed `choices` (..., rows), as `log_choice_probs` and `choice_probs`
+    give them, one block at a time (`row_blocks`); `p` may be batched, as
+    in `choice_logits`.  A row whose log-probabilities are not all finite,
+    as when a logit overflows float64, scores NaN."""
     x = _check_context_dim(p, x)
     observed, predicted = np.empty(choices.shape), np.empty(choices.shape, int)
     for rows in row_blocks(choices.shape[-1]):
-        log_probs = log_softmax(choice_logits(p, x[..., rows, :]))
+        log_probs, probs = normalize(choice_logits(p, x[..., rows, :]))
         observed[..., rows] = np.take_along_axis(
             log_probs, choices[..., rows, None], axis=-1)[..., 0]
         if not np.isfinite(log_probs).all():   # rare: look row by row
             observed[..., rows][~np.isfinite(log_probs).all(axis=-1)] = np.nan
-        predicted[..., rows] = log_probs.argmax(axis=-1)
+        predicted[..., rows] = probs.argmax(axis=-1)
+        del log_probs, probs   # freed before the next block's forward pass
     return observed, predicted
 
 

@@ -128,6 +128,8 @@ def _norm_stats(raw, n):
     if not (all(a.shape == (n,) for a in (ns.means, ns.stds, ns.constant))
             and np.isfinite([ns.means, ns.stds]).all()):
         raise ValueError(f"expected {n} finite entries per statistic")
+    if not np.array_equal(ns.constant, ns.stds == 0) or (ns.stds < 0).any():
+        raise ValueError("expected stds >= 0, flagged constant exactly at 0")
     return ns
 
 

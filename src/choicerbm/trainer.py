@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .model import (CrbmParams, ParamBlocks, canonical, param_count,
-                    sample_categorical, score_choices, sigmoid, softmax)
+from .model import (CrbmParams, ParamBlocks, canonical, normalize,
+                    param_count, sample_categorical, score_choices, sigmoid)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -104,7 +104,7 @@ def _cd_grads(b, xb, cb, cd_k, rng, eye, out: ParamBlocks):
                 h_probs = sigmoid(hidden_drive + y_neg @ b.choice_hidden_w)
             h_neg = (rng.random(h_probs.shape[-2:]) < h_probs).astype(np.float64)
             idx = sample_categorical(
-                softmax(choice_drive + h_neg @ b.choice_hidden_w.mT), rng)
+                normalize(choice_drive + h_neg @ b.choice_hidden_w.mT)[1], rng)
             y_neg = eye[idx]
         dh = h_pos - h_neg
         np.divide(yb.mT @ h_pos - y_neg.mT @ h_neg, n, out=out.choice_hidden_w)
@@ -112,7 +112,7 @@ def _cd_grads(b, xb, cb, cd_k, rng, eye, out: ParamBlocks):
         np.divide(dh.sum(axis=-2, keepdims=True), n, out=out.hidden_bias)
         mismatch = (idx != cb).sum(axis=-1) / cb.shape[-1]
     else:
-        y_neg = softmax(choice_drive)
+        y_neg = normalize(choice_drive)[1]
         picked = y_neg.reshape(-1, y_neg.shape[-1])[np.arange(cb.size),
                                                     cb.ravel()]
         mismatch = 1.0 - picked.reshape(cb.shape).sum(axis=-1) / cb.shape[-1]

@@ -34,6 +34,18 @@ def memory_case(rng, n_rows=20_000):
             rng.integers(0, 13, n_rows))
 
 
+def tied_case():
+    """An MNL (I = 3, J = 0, K = 1) whose first two alternatives' weights
+    are one ulp apart, and 4,000 rows near x = 3, each choosing the first:
+    on a few rows the top two probabilities round to a tie in float64 while
+    the log-probabilities do not."""
+    weights = np.array([[1.0], [np.nextafter(1.0, 2.0)], [0.0]])
+    p = CrbmParams(np.zeros((3, 0)), weights, np.zeros((0, 1)), np.zeros(3),
+                   np.zeros(0))
+    x = 3 + np.random.default_rng(0).normal(0, 1, (4000, 1))
+    return p, x, np.zeros(4000, dtype=int)
+
+
 def zero_blocks(p):
     """`ParamBlocks` of zeros in the shapes of the blocks of `p`."""
     return ParamBlocks(*(np.zeros_like(arr) for _, arr in p.blocks()))

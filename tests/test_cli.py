@@ -17,7 +17,7 @@ from choicerbm import cli, dataset, oracle, sensitivity, stats
 from choicerbm.dataset import NormStats
 from choicerbm.model import CrbmParams
 from choicerbm.report import load_model, save_model
-from conftest import model_record, random_params
+from conftest import model_record, random_params, tied_case
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +144,25 @@ class TestEvaluateCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "CRBM-J2," in out
+
+    def test_validation_error_is_the_miss_rate_of_predict(self, tmp_path,
+                                                          capsys):
+        # On rows whose top two probabilities tie in float64, `evaluate`
+        # counts a miss exactly where `predict`'s `predicted` column shows
+        # one; with means 0 and stds 1 both read the same feature bits.
+        p, x, choices = tied_case()
+        model, data = tmp_path / "m.model", tmp_path / "d.csv"
+        save_model(p, model, **model_record(p))
+        data.write_text("choice,f1\n" + "".join(
+            f"{c + 1},{v!r}\n" for c, v in zip(choices, x[:, 0].tolist())))
+        assert cli.run(["evaluate", "--model", str(model), "--data",
+                        str(data), "--whole-file"]) == 0
+        error = capsys.readouterr().out.split("\n")[1].split(",")[1]
+        out = tmp_path / "preds.csv"
+        assert cli.run(["predict", "--model", str(model), "--data", str(data),
+                        "--out", str(out)]) == 0
+        predicted = np.loadtxt(out, delimiter=",", skiprows=1, usecols=4)
+        assert error == f"{np.mean(predicted != choices + 1):.4f}"
 
 
 class TestPredictCommand:

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from choicerbm.dataset import NormStats, from_arrays
 from choicerbm.model import (BLOCK_NAMES, BLOCK_ROWS, CrbmParams,
                              ParamBlocks, block_shapes, canonical,
                              choice_logits, choice_probs, hidden_given_choice,
-                             log_choice_probs, log_softmax, param_count,
+                             log_choice_probs, normalize, param_count,
                              row_blocks, sample_categorical, score_choices,
-                             sigmoid, softmax)
+                             sigmoid)
 from choicerbm.inference import predict_batch
-from conftest import memory_case, random_params, traced_peak
+from choicerbm.stats import evaluate
+from conftest import memory_case, random_params, tied_case, traced_peak
 from enumeration import energy, exact_choice_distribution
 
 
@@ -227,14 +229,28 @@ class TestForwardPass:
 
     def test_log_softmax_is_log_of_softmax(self, rng):
         logits = rng.normal(0, 30, (50, 6))
-        np.testing.assert_allclose(np.exp(log_softmax(logits)), softmax(logits),
-                                   atol=1e-15)
-        np.testing.assert_allclose(softmax(logits).sum(axis=-1), 1.0, atol=1e-12)
+        log_probs, probs = normalize(logits)
+        np.testing.assert_allclose(np.exp(log_probs), probs, atol=1e-15)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_log_softmax_finite_where_softmax_underflows(self):
-        logits = np.array([[0.0, -2000.0]])
-        assert softmax(logits)[0, 1] == 0.0
-        assert log_softmax(logits)[0, 1] == -2000.0
+        log_probs, probs = normalize(np.array([[0.0, -2000.0]]))
+        assert probs[0, 1] == 0.0
+        assert log_probs[0, 1] == -2000.0
+
+    @pytest.mark.parametrize("shape", [(1024, 13), (64, 13), (12, 64, 13)])
+    def test_normalize_keeps_the_bits_of_the_two_formulas(self, rng, shape):
+        # The references: log-softmax and softmax, each with its own max
+        # subtraction and `exp`.
+        logits = rng.normal(0, 3, shape)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        softmax = e / e.sum(axis=-1, keepdims=True)
+        log_softmax = shifted - np.log(
+            np.exp(shifted).sum(axis=-1, keepdims=True))
+        log_probs, probs = normalize(logits)
+        assert np.array_equal(log_probs, log_softmax)
+        assert np.array_equal(probs, softmax)
 
 
 class TestSampling:
@@ -251,7 +267,7 @@ class TestSampling:
     def test_same_seed_same_stream(self, rng):
         # One uniform draw per row, inverted through the cumulative sum: the
         # draws and the generator state after them are fixed by the seed.
-        probs = softmax(rng.normal(0, 1, (200, 5)))
+        probs = normalize(rng.normal(0, 1, (200, 5)))[1]
         a, b = np.random.default_rng(5), np.random.default_rng(5)
         idx = sample_categorical(probs, a)
         u = b.random(200)
@@ -272,7 +288,7 @@ class TestSampling:
         assert sample_categorical(probs, TopDraw()).tolist() == [9]
 
     def test_draws_below_the_sum_keep_their_index(self, rng):
-        probs = softmax(rng.normal(0, 3, (3, 64, 13)))
+        probs = normalize(rng.normal(0, 3, (3, 64, 13)))[1]
         u = np.random.default_rng(4).random(64)
         idx = sample_categorical(probs, np.random.default_rng(4))
         cumulative = probs.cumsum(axis=-1)
@@ -305,14 +321,12 @@ class TestRowBlocks:
             flat = rng.normal(0, 1, (shape[0], param_count(5, n_hidden, 6)))
             p = ParamBlocks.from_flat(flat, 5, n_hidden, 6, batched=True)
         x, choices = rng.normal(0, 1, shape), rng.integers(0, 5, shape[:-1])
-        logits = choice_logits(p, x)
-        log_probs = log_softmax(logits)
+        log_probs, probs = normalize(choice_logits(p, x))
         assert np.array_equal(log_choice_probs(p, x), log_probs)
         observed, predicted = score_choices(p, x, choices)
         assert np.array_equal(observed, np.take_along_axis(
             log_probs, choices[..., None], axis=-1)[..., 0])
-        assert np.array_equal(predicted, log_probs.argmax(axis=-1))
-        probs = softmax(logits)
+        assert np.array_equal(predicted, probs.argmax(axis=-1))
         assert np.array_equal(choice_probs(p, x), probs)
         h_act = (probs[..., None] * hidden_given_choice(p, x)).sum(axis=-2)
         for got, expected in zip(predict_batch(p, x), (probs, h_act)):
@@ -350,10 +364,25 @@ class TestRowBlocks:
         p, x, choices = memory_case(rng)
         (observed, predicted), peak = traced_peak(score_choices, p, x, choices)
         assert peak < choices.size * p.n_alternatives * 8 / 2, peak
-        log_probs = log_choice_probs(p, x)
-        assert np.array_equal(observed,
-                              log_probs[np.arange(len(x)), choices])
-        assert np.array_equal(predicted, log_probs.argmax(axis=1))
+        rows = np.arange(len(x))
+        assert np.array_equal(observed, log_choice_probs(p, x)[rows, choices])
+        assert np.array_equal(predicted, choice_probs(p, x).argmax(axis=1))
+
+    def test_every_prediction_is_the_argmax_of_the_printed_probabilities(self):
+        # Where the top two probabilities tie in float64 but the
+        # log-probabilities do not, the scorer, and with it the validation
+        # error and the confusion matrix, still predict as `predict` prints.
+        p, x, choices = tied_case()
+        probs = predict_batch(p, x)[0]
+        assert np.array_equal(score_choices(p, x, choices)[1],
+                              choice_probs(p, x).argmax(axis=-1))
+        ds = from_arrays(x, choices, 3, norm_stats=NormStats(
+            np.zeros(1), np.ones(1), np.zeros(1, dtype=bool)))
+        assert np.array_equal(ds.x, x)
+        rep = evaluate(p, ds, ds)
+        misses = probs.argmax(axis=-1) != choices
+        assert np.trace(rep.confusion) == len(x) - misses.sum()
+        assert rep.validation_error == np.mean(misses)
 
 
 class TestParamCount:

@@ -36,9 +36,11 @@ def golden_spec():
 class TestModelFile:
     def test_round_trip_bit_identical(self, rng, tmp_path):
         p = random_params(rng, 4, 3, 5)
-        stats = NormStats(means=rng.normal(0, 1, 5),
-                          stds=np.abs(rng.normal(1, 0.2, 5)),
-                          constant=np.array([False] * 4 + [True]))
+        # The last feature is constant: its std is zero, and flagged.
+        means, stds = rng.normal(0, 1, 5), np.abs(rng.normal(1, 0.2, 5))
+        constant = np.array([False] * 4 + [True])
+        stats = NormStats(means=means, stds=np.where(constant, 0.0, stds),
+                          constant=constant)
         path_a, path_b = tmp_path / "a.model", tmp_path / "b.model"
         save_model(p, path_a, **model_record(
             p, norm_stats=stats, feature_names=[f"f{i}" for i in range(5)],
@@ -244,6 +246,13 @@ MALFORMED = {
     "boolean in norm_stats stds": (("norm_stats", "stds", 0), True),
     "string in norm_stats constant": (("norm_stats", "constant", 0), "no"),
     "short norm_stats means": (("norm_stats", "means"), [0.0]),
+    # `save_model` writes no negative std and flags exactly the zero ones as
+    # constant: a flagged nonzero std would leave its feature unscaled, an
+    # unflagged zero std would divide by zero, and a negative one would
+    # flip its feature's sign.
+    "constant flag on a nonzero std": (("norm_stats", "constant", 0), True),
+    "zero std without its constant flag": (("norm_stats", "stds", 0), 0.0),
+    "negative norm_stats std": (("norm_stats", "stds", 0), -1.0),
     "choice_column not a string": (("choice_column",), ["choice"]),
     "reference_alternative zero": (("reference_alternative",), 0),
     "reference_alternative past the last": (("reference_alternative",), 6),
