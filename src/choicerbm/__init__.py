@@ -16,12 +16,11 @@ from .dataset import (ChoiceDataset, NormStats, SplitSpec, from_arrays,
                       load_csv, refit_normalization, split)
 from .inference import predict_batch
 from .model import (BLOCK_NAMES, CrbmParams, ParamBlocks, block_shapes,
-                    choice_probs, log_choice_probs, param_count,
-                    sample_categorical)
+                    choice_probs, param_count, sample_categorical)
 from .report import hinton_svg, load_model, save_model
 from .sensitivity import SensitivityReport, rank_agreement, sensitivity_run
 from .stats import (FitReport, bic, evaluate, log_likelihood, rho_squared,
-                    t_statistics, validation_error)
+                    t_statistics)
 from .trainer import (TrainConfig, TrainTrace, TrainingDivergedError, cd_step,
                       train_crbm)
 
@@ -30,11 +29,11 @@ __all__ = [
     "refit_normalization", "split",
     "predict_batch",
     "BLOCK_NAMES", "CrbmParams", "ParamBlocks", "block_shapes", "choice_probs",
-    "log_choice_probs", "param_count", "sample_categorical",
+    "param_count", "sample_categorical",
     "hinton_svg", "load_model", "save_model",
     "SensitivityReport", "rank_agreement", "sensitivity_run",
     "FitReport", "bic", "evaluate", "log_likelihood", "rho_squared",
-    "t_statistics", "validation_error",
+    "t_statistics",
     "TrainConfig", "TrainTrace", "TrainingDivergedError", "cd_step",
     "train_crbm",
 ]

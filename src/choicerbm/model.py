@@ -182,38 +182,28 @@ def row_blocks(n_rows):
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_rows])]
 
 
-def _by_row_blocks(output, p, x):
-    """`normalize(choice_logits(p, x))[output]`, with the bits of one pass,
-    filled by `row_blocks`; a single block's result is returned as it is."""
+def choice_probs(p: CrbmParams, x):
+    """p(y = i | x), as `predict` prints it, with the bits of one pass,
+    filled by `row_blocks`; a single block's result is returned as it is.
+    Its argmax, lowest index on ties, is the model's one prediction rule."""
     x = _check_context_dim(p, x)
     blocks = row_blocks(x.shape[-2]) if x.ndim > 1 else []
     if len(blocks) <= 1:
-        return normalize(choice_logits(p, x))[output]
+        return normalize(choice_logits(p, x))[1]
     out = np.empty(np.broadcast_shapes(x.shape[:-1], p.choice_bias.shape[:-1])
                    + (p.n_alternatives,))
     for rows in blocks:
-        out[..., rows, :] = normalize(choice_logits(p, x[..., rows, :]))[output]
+        out[..., rows, :] = normalize(choice_logits(p, x[..., rows, :]))[1]
     return out
-
-
-def log_choice_probs(p: CrbmParams, x):
-    """log p(y = i | x): the likelihood that training, statistics and
-    inference all report."""
-    return _by_row_blocks(0, p, x)
-
-
-def choice_probs(p: CrbmParams, x):
-    """p(y = i | x), as `predict` prints it; its argmax, lowest index on
-    ties, is the model's one prediction rule."""
-    return _by_row_blocks(1, p, x)
 
 
 def score_choices(p: CrbmParams, x, choices):
     """(log p(y_obs | x), argmax_i p(i | x)) per row of `x` for the 0-based
-    observed `choices` (..., rows), as `log_choice_probs` and `choice_probs`
-    give them, one block at a time (`row_blocks`); `p` may be batched, as
-    in `choice_logits`.  A row whose log-probabilities are not all finite,
-    as when a logit overflows float64, scores NaN."""
+    observed `choices` (..., rows), from both outputs of `normalize`, the
+    probabilities as `choice_probs` gives them, one block at a time
+    (`row_blocks`); `p` may be batched, as in `choice_logits`.  A row whose
+    log-probabilities are not all finite, as when a logit overflows
+    float64, scores NaN."""
     x = _check_context_dim(p, x)
     observed, predicted = np.empty(choices.shape), np.empty(choices.shape, int)
     for rows in row_blocks(choices.shape[-1]):

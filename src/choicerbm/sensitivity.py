@@ -7,6 +7,8 @@ fits, plus the relative change in standard errors, measures how sensitive
 the estimates are to input variability.
 """
 
+import csv
+import io
 import warnings
 from dataclasses import dataclass
 
@@ -111,7 +113,8 @@ def rank_agreement(full_ranks, sub_ranks) -> float:
 
 def sensitivity_table_csv(reports) -> str:
     """Result-table CSV: variable column, then per report a group of
-    (full rank, sample rank, std-err % difference) columns."""
+    (full rank, sample rank, std-err % difference) columns; a variable
+    name is quoted as the `csv` module quotes it."""
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to tabulate")
@@ -122,11 +125,11 @@ def sensitivity_table_csv(reports) -> str:
     header = ["variable"] + [
         f"J{rep.n_hidden}_{column}" for rep in reports
         for column in ("full_rank", "sample_rank", "stderr_diff_pct")]
-    lines = [",".join(header)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
     for v, name in enumerate(variables):
-        cells = [name]
-        for rep in reports:
-            cells += [str(int(rep.full_rank[v])), str(int(rep.sub_rank[v])),
-                      f"{rep.stderr_diff_pct[v]:.2f}"]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        writer.writerow([name] + [cell for rep in reports for cell in (
+            int(rep.full_rank[v]), int(rep.sub_rank[v]),
+            f"{rep.stderr_diff_pct[v]:.2f}")])
+    return out.getvalue()

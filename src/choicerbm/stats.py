@@ -6,8 +6,9 @@ hidden units summed out, so with zero hidden units everything reduces to
 exact multinomial-logit statistics.  A split's likelihood, error, mean
 true probability and confusion matrix come from one pass of the trainer's
 scorer, `model.score_choices`.  Standard errors come from the outer
-product of per-row score vectors (the BHHH information estimator) over
-all parameter blocks at once, in the reference-alternative gauge of
+product of per-row score vectors (the BHHH information estimator), whose
+residual y - p reads the probabilities of `model.normalize`, over all
+parameter blocks at once, in the reference-alternative gauge of
 `model.canonical`: the likelihood has K + 1 + J exact null directions,
 and fixing the reference alternative's entries of c, B and D removes
 them.  The free parameters are scored in their own layout, that of I - 1
@@ -21,7 +22,7 @@ import numpy as np
 
 from .dataset import ChoiceDataset
 from .model import (REFERENCE_ALTERNATIVE, CrbmParams, ParamBlocks,
-                    canonical, hidden_given_choice, log_choice_probs,
+                    canonical, choice_logits, hidden_given_choice, normalize,
                     param_count, row_blocks, score_choices)
 
 
@@ -93,17 +94,6 @@ def bic(loglik: float, n_params: int, n: int) -> float:
     return value
 
 
-def validation_error(p: CrbmParams, ds: ChoiceDataset) -> float:
-    """1 - share of rows whose argmax prediction matches the observed choice."""
-    return float(np.mean(_scored(p, ds)[1] != ds.choices))
-
-
-def mean_true_probability(p: CrbmParams, ds: ChoiceDataset) -> float:
-    """Secondary accuracy figure: mean probability on the observed
-    alternative."""
-    return float(np.exp(_scored(p, ds)[0]).mean())
-
-
 def pinv_standard_errors(info: np.ndarray) -> np.ndarray:
     """Standard errors from an outer-product-of-scores information matrix.
 
@@ -143,14 +133,17 @@ def _prediction_scores(p: CrbmParams, x, choices):
     (rows, free_param_count), laid out as `ParamBlocks.from_flat(scores,
     I - 1, J, K)` over the alternatives but REFERENCE_ALTERNATIVE.
 
-    With r_i = y_i - p(i | x) and w_ij = r_i p(h_j = 1 | i, x), the score
-    is w for D, r x for B, (sum_i w_ij) x for A, r for c and sum_i w_ij
-    for d; the sums run over every alternative, the reference included.
+    With r_i = y_i - p(i | x), p from `normalize` as `choice_probs` gives
+    it, and w_ij = r_i p(h_j = 1 | i, x), the score is w for D, r x for B,
+    (sum_i w_ij) x for A, r for c and sum_i w_ij for d; the sums run over
+    every alternative, the reference included.
     """
     i, j, k = p.n_alternatives, p.n_hidden, p.n_features
     free = np.arange(i) != REFERENCE_ALTERNATIVE - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = -np.exp(_finite(log_choice_probs(p, x)))           # (n, I)
+        log_probs, probs = normalize(choice_logits(p, x))
+        _finite(log_probs)
+    resid = np.negative(probs, out=probs)                          # (n, I)
     resid[np.arange(len(x)), choices] += 1.0
     w = hidden_given_choice(p, x)                                  # (n, I, J)
     w *= resid[:, :, None]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from choicerbm.dataset import NormStats
+from choicerbm.inference import predict_batch
 from choicerbm.model import CrbmParams, ParamBlocks
 from choicerbm.trainer import TrainConfig
 
@@ -15,6 +16,13 @@ def random_params(rng, n_alternatives, n_hidden, n_features, scale=1.0):
         hidden_context_w=rng.normal(0, scale, (n_hidden, n_features)),
         choice_bias=rng.normal(0, scale, n_alternatives),
         hidden_bias=rng.normal(0, scale, n_hidden))
+
+
+def miss_rate(p, ds):
+    """Share of the rows of `ds` whose choice is not the argmax of the
+    probabilities that `predict_batch` prints: the validation error."""
+    return float(np.mean(predict_batch(p, ds.x)[0].argmax(axis=1)
+                         != ds.choices))
 
 
 def traced_peak(fn, *args):

@@ -13,13 +13,13 @@ from scipy.special import logsumexp
 
 from choicerbm import cli, oracle
 from choicerbm.dataset import SplitSpec, from_arrays, refit_normalization, split
-from choicerbm.model import CrbmParams, log_choice_probs
+from choicerbm.model import CrbmParams, choice_logits, normalize
 from choicerbm.report import hinton_svg
 from choicerbm.sensitivity import rank_agreement, sensitivity_run
-from choicerbm.stats import bic, log_likelihood, rho_squared, validation_error
+from choicerbm.stats import bic, log_likelihood, rho_squared
 from choicerbm.trainer import TrainConfig, train_crbm
 import enumeration
-from conftest import random_params
+from conftest import miss_rate, random_params
 from enumeration import energy
 
 pytestmark = [pytest.mark.filterwarnings("ignore:information matrix"),
@@ -51,7 +51,7 @@ def test_criterion_1_oracle_equivalence():
                 table[i, m] = np.exp(-energy(p, eye[i], h))
         enumerated = table.sum(axis=1) / table.sum()
         # The joint energy is context-free, so compare at x = 0.
-        exact = np.exp(log_choice_probs(p, np.zeros(n_feat)))
+        exact = np.exp(normalize(choice_logits(p, np.zeros(n_feat)))[0])
         np.testing.assert_allclose(exact, enumerated, atol=1e-10)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -104,7 +104,7 @@ def test_criterion_3_mnl_reduction():
         assert nll == pytest.approx(-mnl_ll / tr.n_rows, rel=1e-12)
     assert ll_gap < 1e-9
     assert p.n_hidden == 0
-    assert trace.valid_error[trace.best_epoch] == validation_error(p, va)
+    assert trace.valid_error[trace.best_epoch] == miss_rate(p, va)
     report(f"criterion 3 PASS: zero-hidden training is the MNL at all "
            f"{len(snapshots)} epochs, log-likelihood gap {ll_gap:.2e}")
 
@@ -130,7 +130,7 @@ def test_criterion_5_planted_model_recovery():
     cfg = TrainConfig(**BAND_CONFIG)
 
     mnl, _ = train_crbm(tr, va, 0, cfg)
-    err_mnl = validation_error(mnl, va)
+    err_mnl = miss_rate(mnl, va)
 
     kl_x = np.random.default_rng(123).normal(0, 1, (512, 6))
     kl_trace = []
@@ -140,7 +140,7 @@ def test_criterion_5_planted_model_recovery():
         kl_trace.append(enumeration.conditional_kl(pm.params, raw, kl_x))
 
     crbm, trace = train_crbm(tr, va, 2, cfg, epoch_hook=track_kl)
-    err_crbm = validation_error(crbm, va)
+    err_crbm = miss_rate(crbm, va)
     elapsed = time.monotonic() - start
 
     assert err_crbm <= err_mnl - 0.02, (err_mnl, err_crbm)
@@ -165,8 +165,8 @@ def test_criterion_6_full_scale_reproduction():
     cfg = TrainConfig(seed=0)
     mnl, _ = train_crbm(tr, va, 0, cfg)
     crbm, _ = train_crbm(tr, va, 2, cfg)
-    err_mnl = validation_error(mnl, va)
-    err_crbm = validation_error(crbm, va)
+    err_mnl = miss_rate(mnl, va)
+    err_crbm = miss_rate(crbm, va)
     assert abs(err_mnl - 0.4454) <= 0.01
     assert abs(err_crbm - 0.4360) <= 0.01
     report(f"criterion 6 PASS: full-scale errors {err_mnl:.4f}/{err_crbm:.4f}")

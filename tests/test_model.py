@@ -10,9 +10,8 @@ from choicerbm.dataset import NormStats, from_arrays
 from choicerbm.model import (BLOCK_NAMES, BLOCK_ROWS, CrbmParams,
                              ParamBlocks, block_shapes, canonical,
                              choice_logits, choice_probs, hidden_given_choice,
-                             log_choice_probs, normalize, param_count,
-                             row_blocks, sample_categorical, score_choices,
-                             sigmoid)
+                             normalize, param_count, row_blocks,
+                             sample_categorical, score_choices, sigmoid)
 from choicerbm.inference import predict_batch
 from choicerbm.stats import evaluate
 from conftest import memory_case, random_params, tied_case, traced_peak
@@ -104,7 +103,8 @@ class TestFreeEnergy:
                     table[i, m] = np.exp(-energy(p, eye[i], h))
             direct = table.sum(axis=1) / table.sum()
             np.testing.assert_allclose(
-                direct, np.exp(log_choice_probs(p, np.zeros(0))), atol=1e-10)
+                direct, np.exp(normalize(choice_logits(p, np.zeros(0)))[0]),
+                atol=1e-10)
 
     def test_large_drive_does_not_overflow(self):
         x = np.array([[1.0], [-1.0], [0.0]])
@@ -117,7 +117,7 @@ class TestFreeEnergy:
                 hidden_bias=np.zeros(1))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                log_probs = log_choice_probs(p, x)
+                log_probs = normalize(choice_logits(p, x))[0]
                 probs = choice_probs(p, x)
             assert np.all(np.isfinite(log_probs)) and np.all(log_probs <= 0.0)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-15)
@@ -184,8 +184,9 @@ class TestChoiceProbs:
             total = sum(exps)
             expected = np.array([float(e / total) for e in exps])
             np.testing.assert_allclose(choice_probs(p, x), expected, atol=1e-14)
-            np.testing.assert_allclose(np.exp(log_choice_probs(p, x)),
-                                       expected, atol=1e-14)
+            np.testing.assert_allclose(
+                np.exp(normalize(choice_logits(p, x))[0]), expected,
+                atol=1e-14)
 
     def test_sums_to_one_many_draws(self, rng):
         for _ in range(1000):
@@ -322,7 +323,6 @@ class TestRowBlocks:
             p = ParamBlocks.from_flat(flat, 5, n_hidden, 6, batched=True)
         x, choices = rng.normal(0, 1, shape), rng.integers(0, 5, shape[:-1])
         log_probs, probs = normalize(choice_logits(p, x))
-        assert np.array_equal(log_choice_probs(p, x), log_probs)
         observed, predicted = score_choices(p, x, choices)
         assert np.array_equal(observed, np.take_along_axis(
             log_probs, choices[..., None], axis=-1)[..., 0])
@@ -336,15 +336,15 @@ class TestRowBlocks:
         p = random_params(rng, 3, 1, 4)
         for rows in (0, 1, 3 * BLOCK_ROWS):
             with pytest.raises(ValueError, match="context vector length"):
-                log_choice_probs(p, np.zeros((rows, 5)))
-        assert log_choice_probs(p, np.zeros((0, 4))).shape == (0, 3)
+                choice_probs(p, np.zeros((rows, 5)))
+        assert choice_probs(p, np.zeros((0, 4))).shape == (0, 3)
         np.testing.assert_array_equal(choice_probs(p, np.zeros(4)),
                                       choice_probs(p, np.zeros((1, 4)))[0])
 
-    def test_log_choice_probs_holds_one_block_of_temporaries(self, rng):
+    def test_choice_probs_holds_one_block_of_temporaries(self, rng):
         p, x, _ = memory_case(rng)
-        log_probs, peak = traced_peak(log_choice_probs, p, x)
-        assert peak - log_probs.nbytes < log_probs.nbytes / 2, peak
+        probs, peak = traced_peak(choice_probs, p, x)
+        assert peak - probs.nbytes < probs.nbytes / 2, peak
 
     def test_rows_with_an_overflowing_logit_score_nan(self):
         # Alternative 3's logit overflows to -inf where x = 1 and is 0
@@ -365,7 +365,8 @@ class TestRowBlocks:
         (observed, predicted), peak = traced_peak(score_choices, p, x, choices)
         assert peak < choices.size * p.n_alternatives * 8 / 2, peak
         rows = np.arange(len(x))
-        assert np.array_equal(observed, log_choice_probs(p, x)[rows, choices])
+        assert np.array_equal(
+            observed, normalize(choice_logits(p, x))[0][rows, choices])
         assert np.array_equal(predicted, choice_probs(p, x).argmax(axis=1))
 
     def test_every_prediction_is_the_argmax_of_the_printed_probabilities(self):
@@ -467,10 +468,11 @@ class TestCanonical:
         c = canonical(p)
         for block in (c.choice_bias, c.choice_context_w, c.choice_hidden_w):
             np.testing.assert_array_equal(block[0], 0.0)
+        log_probs = normalize(choice_logits(p, x))[0]
         np.testing.assert_allclose(np.log(exact_choice_distribution(c, x)),
-                                   log_choice_probs(p, x), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(log_choice_probs(c, x),
-                                   log_choice_probs(p, x), rtol=0, atol=1e-12)
+                                   log_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(normalize(choice_logits(c, x))[0],
+                                   log_probs, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_hidden", [0, 3])
     def test_is_idempotent(self, rng, n_hidden):

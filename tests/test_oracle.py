@@ -3,7 +3,7 @@ import pytest
 
 from choicerbm import oracle
 from choicerbm.dataset import from_arrays
-from choicerbm.model import CrbmParams, log_choice_probs
+from choicerbm.model import CrbmParams, choice_logits, normalize
 import enumeration
 from conftest import random_params
 
@@ -37,7 +37,7 @@ class TestExactChoiceDistribution:
                               scale=1.2)
             x = rng.normal(0, 1, (3, p.n_features))
             got = enumeration.exact_choice_distribution(p, x)
-            want = np.exp(log_choice_probs(p, x))
+            want = np.exp(normalize(choice_logits(p, x))[0])
             np.testing.assert_allclose(got, want, atol=1e-10)
             np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
 

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import scipy.stats
 from choicerbm import oracle, sensitivity
 from choicerbm.dataset import from_arrays
 from choicerbm.model import CrbmParams
-from choicerbm.sensitivity import (rank_agreement, sensitivity_run,
-                                   sensitivity_table_csv)
+from choicerbm.sensitivity import (SensitivityReport, rank_agreement,
+                                   sensitivity_run, sensitivity_table_csv)
 from choicerbm.trainer import TrainConfig, train_crbm
 
 
@@ -175,6 +176,20 @@ class TestTableCsv:
         assert "J0_full_rank" in header and "J1_stderr_diff_pct" in header
         assert len(lines) == 1 + len(reps[0].variables)
 
+
+    def test_feature_names_are_quoted_as_csv(self):
+        # A header column may hold a comma or a quote; the table reads
+        # back with one cell per column and the names as they were.
+        names = ("a,b", 'c"d', "bias")
+        rep = SensitivityReport(names, np.array([1, 2, 3]),
+                                np.array([2, 1, 3]),
+                                np.array([1.5, 0.25, 10.0]), n_hidden=2)
+        table = sensitivity_table_csv([rep])
+        rows = list(csv.reader(table.splitlines()))
+        assert [len(row) for row in rows] == [4] * 4
+        assert [row[0] for row in rows[1:]] == list(names)
+        assert rows[1] == ["a,b", "1", "2", "1.50"]
+        assert table.endswith("bias,3,3,10.00\n") and "\r" not in table
 
 def test_each_rank_deficient_fit_warns_once_by_name(tmp_path):
     # Two epochs leave the hidden units barely used, so every J = 2 fit's

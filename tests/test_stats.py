@@ -9,15 +9,15 @@ from choicerbm import oracle
 from choicerbm.dataset import (SplitSpec, from_arrays, refit_normalization,
                                split)
 from choicerbm.model import (BLOCK_ROWS, CrbmParams, ParamBlocks, canonical,
-                             log_choice_probs, param_count)
+                             choice_logits, choice_probs, normalize,
+                             param_count, score_choices)
 from choicerbm.stats import (_prediction_scores, bic, evaluate,
                              free_param_count, log_likelihood,
-                             mean_true_probability, pinv_standard_errors,
-                             report_table_rows, rho_squared, t_statistics,
-                             validation_error)
+                             pinv_standard_errors, report_table_rows,
+                             rho_squared, t_statistics)
 from choicerbm.trainer import TrainConfig, train_crbm
 import enumeration
-from conftest import random_params
+from conftest import miss_rate, random_params
 
 FULL_TRAIN_ROWS = 177_662
 
@@ -96,7 +96,7 @@ class TestLogLikelihood:
             hidden_bias=np.zeros(0))
         x = np.tile([1.0, -1.0], 20)[:, None]   # z-scores to itself
         ds = from_arrays(x, (x[:, 0] > 0).astype(np.int64), n_alternatives=2)
-        assert np.isfinite(log_choice_probs(p, ds.x)).all()
+        assert np.isfinite(normalize(choice_logits(p, ds.x))[0]).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
@@ -119,8 +119,7 @@ class TestLogLikelihood:
             ds = from_arrays(x, choices, n_alternatives=len(weights))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                for score in (log_likelihood, validation_error,
-                              mean_true_probability, t_statistics):
+                for score in (log_likelihood, t_statistics):
                     with pytest.raises(ValueError, match="overflows"):
                         score(p, ds)
                 with pytest.raises(ValueError, match="overflows"):
@@ -175,15 +174,16 @@ class TestValidationError:
             hidden_context_w=np.zeros((0, 1)),
             choice_bias=np.zeros(2),
             hidden_bias=np.zeros(0))
-        assert validation_error(p, ds) == 0.0
-        assert mean_true_probability(p, ds) == pytest.approx(1.0, abs=1e-10)
+        assert miss_rate(p, ds) == 0.0
+        assert np.exp(score_choices(p, ds.x, ds.choices)[0]).mean() == (
+            pytest.approx(1.0, abs=1e-10))
 
     def test_uniform_model_with_tie_break(self, rng):
         n = 20_000
         idx = rng.integers(0, 13, n)
         ds = from_arrays(rng.normal(0, 1, (n, 2)), idx, n_alternatives=13)
         p = zero_params(13, 0, 2)
-        err = validation_error(p, ds)
+        err = miss_rate(p, ds)
         # argmax of uniform probabilities always picks alternative 1
         expected = 1.0 - np.mean(idx == 0)
         assert err == pytest.approx(expected, abs=1e-12)
@@ -194,7 +194,7 @@ class TestValidationError:
         p = random_params(rng, 4, 1, 2, scale=0.5)
         ds = from_arrays(rng.normal(0, 1, (200, 2)), rng.integers(0, 4, 200))
         accuracy = np.trace(evaluate(p, ds, ds).confusion) / ds.n_rows
-        assert validation_error(p, ds) + accuracy == pytest.approx(1.0, abs=0)
+        assert miss_rate(p, ds) + accuracy == pytest.approx(1.0, abs=0)
 
     def test_empty_dataset_rejected(self, rng):
         # empty datasets cannot even be constructed, so scoring one is
@@ -219,6 +219,18 @@ class TestStandardErrors:
             scores.sum(axis=0),
             np.concatenate([g.ravel() for _, g in exact.blocks()])[free],
             rtol=0, atol=1e-12)
+
+    def test_residual_is_the_choice_minus_the_printed_probabilities(self):
+        # The score's residual y - p reads the probabilities that
+        # `choice_probs` returns, bit for bit; the c block is that residual
+        # over the free alternatives.
+        rng = np.random.default_rng(0)
+        p = random_params(rng, 13, 2, 20, scale=0.5)
+        x, choices = rng.normal(0, 1, (3000, 20)), rng.integers(0, 13, 3000)
+        scores = _prediction_scores(p, x, choices)
+        resid = np.eye(13)[choices] - choice_probs(p, x)
+        got = ParamBlocks.from_flat(scores, 12, 2, 20).choice_bias
+        assert np.array_equal(got, resid[:, np.arange(13) != 0])
 
     def test_opg_matches_analytic_fisher_one_param_logistic(self, rng):
         n, beta = 20_000, 0.7
@@ -341,8 +353,9 @@ class TestEvaluate:
         monkeypatch.undo()
         assert rep.loglik_train == log_likelihood(p, tr)
         assert rep.loglik_valid == log_likelihood(p, va)
-        assert rep.validation_error == validation_error(p, va)
-        assert rep.mean_true_prob == mean_true_probability(p, va)
+        assert rep.validation_error == miss_rate(p, va)
+        assert rep.mean_true_prob == float(
+            np.exp(score_choices(p, va.x, va.choices)[0]).mean())
         assert np.trace(rep.confusion) == round(
             (1 - rep.validation_error) * va.n_rows)
         std_errs, tstats = t_statistics(p, tr)

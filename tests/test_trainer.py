@@ -10,7 +10,7 @@ from choicerbm.trainer import (MOMENTUM_FINAL, MOMENTUM_INITIAL,
                                MOMENTUM_SWITCH_EPOCH, TrainConfig,
                                TrainingDivergedError, cd_step, train_crbm)
 import enumeration
-from conftest import random_params
+from conftest import miss_rate, random_params
 
 
 class TestTrainConfig:
@@ -213,21 +213,19 @@ class TestEarlyStopping:
                           early_stop_patience=6)
         params, trace = train_crbm(ds, va, 1, cfg)
         assert trace.valid_error[trace.best_epoch] == min(trace.valid_error)
-        from choicerbm.stats import validation_error
-        assert validation_error(params, va) == pytest.approx(
+        assert miss_rate(params, va) == pytest.approx(
             trace.valid_error[trace.best_epoch])
 
     @pytest.mark.parametrize("n_hidden", [0, 2])
     def test_kept_error_is_the_reported_error(self, n_hidden):
         # Early stopping scores each epoch with the rule that `stats`
         # reports, so the kept snapshot's error reproduces bit for bit.
-        from choicerbm.stats import validation_error
         ds = oracle.generate(oracle.band_planted_model(n_rows=900, seed=3))
         tr, va = ds.take(np.arange(600)), ds.take(np.arange(600, 900))
         cfg = TrainConfig(batch_size=64, epochs=12, learning_rate=0.05,
                           cd_k=3, seed=5, weight_init_scale=1.0)
         params, trace = train_crbm(tr, va, n_hidden, cfg)
-        assert trace.valid_error[trace.best_epoch] == validation_error(params, va)
+        assert trace.valid_error[trace.best_epoch] == miss_rate(params, va)
 
     def test_patience_bounds_extra_epochs(self, rng):
         ds = from_arrays(rng.normal(0, 1, (240, 2)), rng.integers(0, 3, 240))
