@@ -3,11 +3,13 @@
 
 Two checkouts whose `SHA256SUMS` files are equal wrote byte-identical
 outputs: model files, train/evaluate/sensitivity stdout, prediction and
-sensitivity CSVs, Hinton SVGs and generated datasets.  The commands run
-as `python -m choicerbm.cli` subprocesses of the `choicerbm` package this
-script imports, so PYTHONPATH picks the checkout under test.  The two
-models run side by side, each command after the one before it.  A command
-that fails stops the script with its stderr.
+sensitivity CSVs, Hinton SVGs, generated datasets and the `--help` text
+of each subcommand at 80 columns, so a changed flag, help text or flag
+order shows too.  The commands run as `python -m choicerbm.cli`
+subprocesses of the `choicerbm` package this script imports, so
+PYTHONPATH picks the checkout under test.  The two models run side by
+side, each command after the one before it.  A command that fails stops
+the script with its stderr.
 
 Usage:
     PYTHONPATH=src python3 scripts/cli_outputs.py OUTDIR [--rows 3000] [--epochs 10]
@@ -26,6 +28,9 @@ import numpy as np
 import choicerbm
 from choicerbm import oracle
 from choicerbm.model import CrbmParams, block_shapes
+
+SUBCOMMANDS = ("train", "evaluate", "predict", "sensitivity", "hinton",
+               "generate")
 
 TRAIN = ["--batch", "32", "--lr", "0.05", "--cd-k", "2", "--seed", "0",
          "--init-scale", "0.5"]
@@ -67,18 +72,23 @@ def table_commands(name: str, epochs: int) -> list:
     return cmds
 
 
+def run_cli(argv, stdout_name, out_dir: Path, env):
+    """Run one command in `out_dir`, writing its stdout to `stdout_name`
+    unless that is None."""
+    proc = subprocess.run([sys.executable, "-m", "choicerbm.cli", *argv],
+                          cwd=out_dir, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"error: choicerbm {' '.join(argv)} exited "
+                 f"{proc.returncode}: {proc.stderr.strip()}")
+    if stdout_name is not None:
+        (out_dir / stdout_name).write_text(proc.stdout, encoding="utf-8")
+
+
 def run_table(name, pm, out_dir: Path, epochs: int, env):
     """Save `pm`, then run its commands one after another."""
     oracle.save_planted(pm, out_dir / f"{name}.planted.json")
     for argv, stdout_name in table_commands(name, epochs):
-        proc = subprocess.run([sys.executable, "-m", "choicerbm.cli", *argv],
-                              cwd=out_dir, env=env, capture_output=True,
-                              text=True)
-        if proc.returncode != 0:
-            sys.exit(f"error: choicerbm {' '.join(argv)} exited "
-                     f"{proc.returncode}: {proc.stderr.strip()}")
-        if stdout_name is not None:
-            (out_dir / stdout_name).write_text(proc.stdout, encoding="utf-8")
+        run_cli(argv, stdout_name, out_dir, env)
 
 
 def write_sums(out_dir: Path) -> Path:
@@ -111,6 +121,9 @@ def main():
                                  args.epochs, env)
                      for name, pm in planted.items()]:
             done.result()
+    for command in SUBCOMMANDS:
+        run_cli([command, "--help"], f"help.{command}.txt", args.out_dir,
+                {**env, "COLUMNS": "80"})
     print(write_sums(args.out_dir))
 
 

@@ -1,11 +1,11 @@
 """Command-line entry point wiring the estimation workflow together.
 
 Subcommands: train, evaluate, predict, sensitivity, hinton, generate.
-Training defaults mirror the reference configuration (batch 64, 400
-epochs, learning rate 1e-3, CD-1), so `train` with no tuning flags runs
-the standard recipe.  Exit codes: 0 success, 2 usage error, 1 runtime
-failure with a one-line diagnostic.  As a program, each warning prints
-as one `warning: <message>` line.
+Each training flag takes its default from its `trainer.TrainConfig` field
+and `--split` from `dataset.SplitSpec`, so `train` with no tuning flags
+runs the reference recipe.  Exit codes: 0 success, 2 usage error, 1
+runtime failure with a one-line diagnostic.  As a program, each
+warning prints as one `warning: <message>` line.
 """
 
 import argparse
@@ -48,18 +48,22 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_hidden:
             sp.add_argument("--hidden", type=int, default=2,
                             help="latent variables J; 0 selects the MNL baseline")
-        sp.add_argument("--epochs", type=int, default=400)
-        sp.add_argument("--batch", type=int, default=64)
-        sp.add_argument("--lr", type=float, default=1e-3)
-        sp.add_argument("--cd-k", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--split", type=float, default=0.70,
+        # A dataclass field's default is its class attribute.
+        cfg, spec = trainer.TrainConfig, dataset.SplitSpec
+        sp.add_argument("--epochs", type=int, default=cfg.epochs)
+        sp.add_argument("--batch", type=int, default=cfg.batch_size)
+        sp.add_argument("--lr", type=float, default=cfg.learning_rate)
+        sp.add_argument("--cd-k", type=int, default=cfg.cd_k)
+        sp.add_argument("--seed", type=int, default=cfg.seed)
+        sp.add_argument("--split", type=float, default=spec.train_fraction,
                         help="training fraction of the data")
-        sp.add_argument("--patience", type=int, default=20,
+        sp.add_argument("--patience", type=int,
+                        default=cfg.early_stop_patience,
                         help="early-stopping patience in epochs")
-        sp.add_argument("--init-scale", type=float, default=0.01,
+        sp.add_argument("--init-scale", type=float,
+                        default=cfg.weight_init_scale,
                         help="std dev of the weight initialization")
-        sp.add_argument("--weight-decay", type=float, default=0.0)
+        sp.add_argument("--weight-decay", type=float, default=cfg.weight_decay)
 
     sp = sub.add_parser("train", help="estimate a model and print a results row")
     add_train_flags(sp)
@@ -126,18 +130,18 @@ def _train_config(args) -> trainer.TrainConfig:
 def _load_split(args):
     if not 0.0 < args.split < 1.0:
         raise UsageError("--split must lie in (0, 1)")
+    spec = dataset.SplitSpec(train_fraction=args.split, seed=args.seed)
     # No name holds the whole file's dataset while the split is rescaled.
-    return dataset.refit_normalization(*dataset.split(
+    return spec, *dataset.refit_normalization(*dataset.split(
         dataset.load_csv(args.data, args.choice_col,
-                         _feature_list(args.features)),
-        dataset.SplitSpec(train_fraction=args.split, seed=args.seed)))
+                         _feature_list(args.features)), spec))
 
 
 def _cmd_train(args) -> int:
     cfg = _train_config(args)
     if args.hidden < 0:
         raise UsageError("--hidden must be >= 0")
-    train_ds, valid_ds = _load_split(args)
+    spec, train_ds, valid_ds = _load_split(args)
     params, trace = trainer.train_crbm(train_ds, valid_ds, args.hidden, cfg)
     rep = stats.evaluate(params, train_ds, valid_ds)
     report.save_model(
@@ -145,9 +149,7 @@ def _cmd_train(args) -> int:
         feature_names=train_ds.feature_names,
         alternative_names=train_ds.alternative_names,
         train_config=cfg,
-        metrics=report.fit_metrics(
-            rep, trace.best_epoch,
-            dataset.SplitSpec(train_fraction=args.split, seed=args.seed)),
+        metrics=report.fit_metrics(rep, trace.best_epoch, spec),
         std_errs=rep.std_errs, tstats=rep.tstats,
         choice_column=args.choice_col)
     label = "MNL" if args.hidden == 0 else f"CRBM-J{args.hidden}"
@@ -200,7 +202,7 @@ def _cmd_sensitivity(args) -> int:
     if args.replicates < 1:
         raise UsageError("--replicates must be >= 1")
     cfg = _train_config(args)
-    train_ds, valid_ds = _load_split(args)
+    _, train_ds, valid_ds = _load_split(args)
     reports = [
         sensitivity.sensitivity_run(train_ds, j, cfg, args.fraction,
                                     args.replicates, args.seed)

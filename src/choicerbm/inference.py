@@ -5,6 +5,8 @@ out.  The latent output is their posterior mean given the context alone,
 E[h_j | x] = sum_i p(i | x) p(h_j = 1 | i, x).
 """
 
+import csv
+
 import numpy as np
 
 from .model import CrbmParams, choice_probs, hidden_given_choice, row_blocks
@@ -30,14 +32,14 @@ def predict_batch(p: CrbmParams, x):
 
 def write_predictions_csv(path, probs, h_act, alternative_names):
     """Export batch predictions: row id, per-alternative probs, predicted
-    choice (1-based), hidden activations.  A failed write leaves `path`
-    as it was (`report.atomic_open`)."""
+    choice (1-based), hidden activations, under a `csv` header row.  A
+    failed write leaves `path` as it was (`report.atomic_open`)."""
     header = (["row"]
               + [f"p_{name}" for name in alternative_names]
               + ["predicted"]
               + [f"h{j + 1}" for j in range(h_act.shape[1])])
     with atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
+        csv.writer(fh, lineterminator="\n").writerow(header)
         for r, predicted in enumerate(probs.argmax(axis=1).tolist()):
             fh.write(",".join([str(r + 1), *map(repr, probs[r].tolist()),
                                str(predicted + 1),

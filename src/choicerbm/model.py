@@ -11,18 +11,14 @@ conditionals: the hidden drive gains A x (hidden-context weights) and the
 choice drive gains B x (choice-context weights).  The hidden units sum out
 of p(y | x) in closed form, so `choice_probs` is the exact conditional
 (Larochelle & Bengio, ICML 2008); its argmax is the one prediction rule.
+The fields of `ParamBlocks` declare the five parameter blocks once, and
+`CrbmParams` adds validation.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-
-# The parameter layout: block names in canonical order, weights first, with
-# their shapes for I alternatives, J hidden units and K features given by
-# `block_shapes`.  Flat parameter vectors and model files follow this order.
-BLOCK_NAMES = ("choice_hidden_w", "choice_context_w", "hidden_context_w",
-               "choice_bias", "hidden_bias")
 
 # The alternative whose c, B and D entries `canonical` fixes at zero,
 # 1-based as in choice columns and model files.
@@ -38,8 +34,18 @@ def block_shapes(i: int, j: int, k: int) -> tuple:
     return (i, j), (i, k), (j, k), (i,), (j,)
 
 
-class _Blocks:
-    """Block access shared by parameters and per-parameter quantities."""
+@dataclass(frozen=True)
+class ParamBlocks:
+    """The blocks D, B, A, c and d, shaped as `block_shapes` says, of the
+    parameters or of a per-parameter quantity (gradients, standard errors,
+    t values).  Fields cannot be rebound; arrays can be written in place.
+    """
+
+    choice_hidden_w: np.ndarray
+    choice_context_w: np.ndarray
+    hidden_context_w: np.ndarray
+    choice_bias: np.ndarray
+    hidden_bias: np.ndarray
 
     @property
     def n_alternatives(self) -> int:
@@ -74,18 +80,17 @@ class _Blocks:
             for part, s in zip(parts, shapes)))
 
 
-@dataclass(frozen=True)
-class CrbmParams(_Blocks):
-    """Immutable snapshot of all estimated parameter blocks, shaped as
-    `block_shapes` says.  J = 0 collapses the model to a plain multinomial
-    logit.
-    """
+# Block names in canonical order, weights first: the layout of flat
+# parameter vectors and model files.
+BLOCK_NAMES = tuple(f.name for f in fields(ParamBlocks))
 
-    choice_hidden_w: np.ndarray
-    choice_context_w: np.ndarray
-    hidden_context_w: np.ndarray
-    choice_bias: np.ndarray
-    hidden_bias: np.ndarray
+
+@dataclass(frozen=True)
+class CrbmParams(ParamBlocks):
+    """Immutable, validated snapshot of all estimated parameter blocks,
+    with read-only arrays.  J = 0 collapses the model to a plain
+    multinomial logit.
+    """
 
     def __post_init__(self):
         for name in BLOCK_NAMES:
@@ -106,17 +111,6 @@ class CrbmParams(_Blocks):
                 raise ValueError(f"{name} shape {arr.shape} != {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite entries in {name}")
-
-
-@dataclass
-class ParamBlocks(_Blocks):
-    """Mutable companion to CrbmParams: gradients, standard errors, t values."""
-
-    choice_hidden_w: np.ndarray
-    choice_context_w: np.ndarray
-    hidden_context_w: np.ndarray
-    choice_bias: np.ndarray
-    hidden_bias: np.ndarray
 
 
 def _check_context_dim(p: CrbmParams, x):

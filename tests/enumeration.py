@@ -106,11 +106,11 @@ def exact_loglik_gradient(p: CrbmParams, ds: ChoiceDataset) -> ParamBlocks:
         h_neg = joint @ h_tab                    # (I, J): sum_h p(y_i, h) h
         y_neg = joint.sum(axis=1)                # p(y_i | x)
 
-        grads.choice_bias += eye[obs] - y_neg
-        grads.hidden_bias += h_pos - h_neg.sum(axis=0)
-        grads.choice_hidden_w += np.outer(eye[obs], h_pos) - h_neg
-        grads.choice_context_w += np.outer(eye[obs] - y_neg, x)
-        grads.hidden_context_w += np.outer(h_pos - h_neg.sum(axis=0), x)
+        grads.choice_bias[...] += eye[obs] - y_neg
+        grads.hidden_bias[...] += h_pos - h_neg.sum(axis=0)
+        grads.choice_hidden_w[...] += np.outer(eye[obs], h_pos) - h_neg
+        grads.choice_context_w[...] += np.outer(eye[obs] - y_neg, x)
+        grads.hidden_context_w[...] += np.outer(h_pos - h_neg.sum(axis=0), x)
     return grads
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choicerbm import cli, dataset, oracle, sensitivity, stats
+from choicerbm import cli, dataset, oracle, sensitivity, stats, trainer
 from choicerbm.dataset import NormStats
 from choicerbm.model import CrbmParams
 from choicerbm.report import load_model, save_model
@@ -60,6 +60,15 @@ class TestParserDefaults:
         assert args.cd_k == 1
         assert args.split == pytest.approx(0.70)
         assert args.hidden == 2
+
+    @pytest.mark.parametrize("command", ["train", "sensitivity"])
+    def test_defaults_are_those_of_train_config_and_split_spec(self, command):
+        args = cli._build_parser().parse_args(
+            [command, "--data", "d.csv", "--out", "m"])
+        assert cli._train_config(args) == trainer.TrainConfig()
+        assert args.split == dataset.SplitSpec().train_fraction
+        assert (args.batch, args.epochs, args.lr, args.cd_k, args.split) == (
+            64, 400, 1e-3, 1, 0.70)
 
 
 class TestTrainCommand:

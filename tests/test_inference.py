@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,17 @@ class TestPredictionsCsv:
         probs = np.array([float(v) for v in first[1:4]])
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert first[4] in {"1", "2", "3"}
+
+    def test_alternative_names_stay_one_cell_each(self, tmp_path, rng):
+        p = random_params(rng, 3, 2, 2, scale=0.4)
+        probs, h_act = predict_batch(p, rng.normal(0, 1, (4, 2)))
+        path = tmp_path / "preds.csv"
+        write_predictions_csv(path, probs, h_act, ["a,b", 'q"x', "c"])
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["row", "p_a,b", 'p_q"x', "p_c", "predicted",
+                           "h1", "h2"]
+        assert [len(row) for row in rows] == [7] * 5
 
     def test_values_round_trip_exactly(self, tmp_path, rng):
         p = random_params(rng, 3, 2, 2, scale=0.4)

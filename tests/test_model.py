@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -458,6 +459,22 @@ class TestLayout:
         assert all(np.all(arr == -1.0) for _, arr in blocks.blocks())
         params = CrbmParams.from_flat(np.zeros(param_count(*dims)), *dims)
         assert params.n_hidden == dims[1]
+
+    def test_param_blocks_declare_the_blocks_once(self, rng):
+        for cls in (ParamBlocks, CrbmParams):
+            assert tuple(f.name for f in dataclasses.fields(cls)) == BLOCK_NAMES
+        p = random_params(rng, 3, 2, 2)
+        assert isinstance(p, ParamBlocks)
+        flat = np.zeros(param_count(3, 2, 2))
+        blocks = ParamBlocks.from_flat(flat, 3, 2, 2)
+        blocks.choice_hidden_w[0, 1] = 2.0    # D comes first
+        blocks.hidden_bias[...] += 1.0        # d comes last
+        assert flat[1] == 2.0
+        np.testing.assert_array_equal(flat[-2:], 1.0)
+        assert np.count_nonzero(flat) == 3
+        for target in (blocks, p):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                target.choice_bias = np.zeros(3)
 
 
 class TestCanonical:

@@ -88,7 +88,7 @@ class TestModelFile:
     def test_stat_blocks_round_trip(self, rng, tmp_path):
         p = random_params(rng, 3, 1, 2)
         se = zero_blocks(p)
-        se.choice_context_w = np.abs(rng.normal(0, 1, (3, 2)))
+        se.choice_context_w[...] = np.abs(rng.normal(0, 1, (3, 2)))
         path = tmp_path / "m.model"
         save_model(p, path, **model_record(p, std_errs=se, tstats=se))
         _, meta = load_model(path)
