@@ -11,6 +11,12 @@ PYTHONPATH picks the checkout under test.  The two models run side by
 side, each command after the one before it.  A command that fails stops
 the script with its stderr.
 
+Each command's own peak RSS, `ru_maxrss` from `os.wait4` in MB, goes to
+`peak_rss.txt`, one line per command named by its argv, which
+`SHA256SUMS` leaves out.  A child starts as a copy of this script's
+process, so a value can include the script's own high-water mark at
+launch (numpy and the planted models are loaded by then).
+
 Usage:
     PYTHONPATH=src python3 scripts/cli_outputs.py OUTDIR [--rows 3000] [--epochs 10]
 """
@@ -20,6 +26,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -31,6 +38,9 @@ from choicerbm.model import CrbmParams, block_shapes
 
 SUBCOMMANDS = ("train", "evaluate", "predict", "sensitivity", "hinton",
                "generate")
+
+# Each command's peak RSS; not checksummed, as it varies between runs.
+RSS_FILE = "peak_rss.txt"
 
 TRAIN = ["--batch", "32", "--lr", "0.05", "--cd-k", "2", "--seed", "0",
          "--init-scale", "0.5"]
@@ -72,30 +82,41 @@ def table_commands(name: str, epochs: int) -> list:
     return cmds
 
 
-def run_cli(argv, stdout_name, out_dir: Path, env):
+def run_cli(argv, stdout_name, out_dir: Path, env) -> str:
     """Run one command in `out_dir`, writing its stdout to `stdout_name`
-    unless that is None."""
-    proc = subprocess.run([sys.executable, "-m", "choicerbm.cli", *argv],
-                          cwd=out_dir, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"error: choicerbm {' '.join(argv)} exited "
-                 f"{proc.returncode}: {proc.stderr.strip()}")
-    if stdout_name is not None:
-        (out_dir / stdout_name).write_text(proc.stdout, encoding="utf-8")
+    unless that is None, and return its `peak_rss.txt` line.
+
+    The child's own rusage comes from `os.wait4` on its pid, as the
+    benchmark reads it; RUSAGE_CHILDREN would carry one command's peak
+    into the next.
+    """
+    out = os.devnull if stdout_name is None else out_dir / stdout_name
+    with open(out, "wb") as stdout, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "choicerbm.cli", *argv],
+                                cwd=out_dir, env=env, stdout=stdout, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            sys.exit(f"error: choicerbm {' '.join(argv)} exited "
+                     f"{proc.returncode}: "
+                     f"{err.read().decode(errors='replace').strip()}")
+    return f"{usage.ru_maxrss / 1024.0:.2f}  {' '.join(argv)}\n"
 
 
-def run_table(name, pm, out_dir: Path, epochs: int, env):
-    """Save `pm`, then run its commands one after another."""
+def run_table(name, pm, out_dir: Path, epochs: int, env) -> list:
+    """Save `pm`, then run its commands one after another; their
+    `peak_rss.txt` lines in run order."""
     oracle.save_planted(pm, out_dir / f"{name}.planted.json")
-    for argv, stdout_name in table_commands(name, epochs):
-        run_cli(argv, stdout_name, out_dir, env)
+    return [run_cli(argv, stdout_name, out_dir, env)
+            for argv, stdout_name in table_commands(name, epochs)]
 
 
 def write_sums(out_dir: Path) -> Path:
     """`sha256sum`-format lines for every other file, sorted by name."""
     lines = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
              for path in sorted(out_dir.iterdir())
-             if path.is_file() and path.name != "SHA256SUMS"]
+             if path.is_file() and path.name not in ("SHA256SUMS", RSS_FILE)]
     sums = out_dir / "SHA256SUMS"
     sums.write_text("".join(lines), encoding="utf-8")
     return sums
@@ -117,13 +138,15 @@ def main():
     planted = {"band": oracle.band_planted_model(n_rows=args.rows, seed=11),
                "random": random_planted(n_rows=args.rows, seed=12)}
     with ThreadPoolExecutor(len(planted)) as pool:
-        for done in [pool.submit(run_table, name, pm, args.out_dir,
-                                 args.epochs, env)
-                     for name, pm in planted.items()]:
-            done.result()
+        rss = [line
+               for done in [pool.submit(run_table, name, pm, args.out_dir,
+                                        args.epochs, env)
+                            for name, pm in planted.items()]
+               for line in done.result()]
     for command in SUBCOMMANDS:
-        run_cli([command, "--help"], f"help.{command}.txt", args.out_dir,
-                {**env, "COLUMNS": "80"})
+        rss.append(run_cli([command, "--help"], f"help.{command}.txt",
+                           args.out_dir, {**env, "COLUMNS": "80"}))
+    (args.out_dir / RSS_FILE).write_text("".join(rss), encoding="utf-8")
     print(write_sums(args.out_dir))
 
 

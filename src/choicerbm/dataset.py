@@ -30,7 +30,7 @@ class ChoiceDomainError(ValueError):
     """A choice value falls outside the valid 1..I range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormStats:
     """Per-column mean/std used for z-scoring; constant columns are flagged."""
 
@@ -58,18 +58,21 @@ class NormStats:
                 "after normalization")
         return cls(means=means, stds=stds, constant=constant)
 
+    # Each builds one output and finishes it in place: no second N x K array.
     @np.errstate(over="ignore", invalid="ignore")
     def apply(self, x: np.ndarray) -> np.ndarray:
-        safe = np.where(self.constant, 1.0, self.stds)
-        return (x - self.means) / safe
+        out = x - self.means
+        out /= np.where(self.constant, 1.0, self.stds)
+        return out
 
     @np.errstate(over="ignore", invalid="ignore")
     def invert(self, x: np.ndarray) -> np.ndarray:
-        safe = np.where(self.constant, 1.0, self.stds)
-        return x * safe + self.means
+        out = x * np.where(self.constant, 1.0, self.stds)
+        out += self.means
+        return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiceDataset:
     """N x K z-scored features plus the N 0-based indices of the observed
     choices among the I alternatives."""

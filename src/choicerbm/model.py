@@ -34,7 +34,7 @@ def block_shapes(i: int, j: int, k: int) -> tuple:
     return (i, j), (i, k), (j, k), (i,), (j,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamBlocks:
     """The blocks D, B, A, c and d, shaped as `block_shapes` says, of the
     parameters or of a per-parameter quantity (gradients, standard errors,
@@ -85,7 +85,7 @@ class ParamBlocks:
 BLOCK_NAMES = tuple(f.name for f in fields(ParamBlocks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrbmParams(ParamBlocks):
     """Immutable, validated snapshot of all estimated parameter blocks,
     with read-only arrays.  J = 0 collapses the model to a plain

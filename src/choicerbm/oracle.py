@@ -45,7 +45,7 @@ class ContextSpec:
             raise ValueError("rate must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantedModel:
     """Ground-truth parameters plus a context distribution for data synthesis."""
 

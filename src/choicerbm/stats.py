@@ -113,8 +113,11 @@ def pinv_standard_errors(info: np.ndarray) -> np.ndarray:
     keep = eigvals > cutoff
     rank = int(keep.sum())
     inv = np.where(keep, 1.0 / np.where(keep, eigvals, 1.0), 0.0)
+    # Squared and scaled in place: one matrix besides the decomposition's.
+    eigvecs *= eigvecs
+    eigvecs *= inv
     std_errs = np.zeros(n_params)
-    std_errs[live] = np.sqrt(np.maximum((eigvecs ** 2 * inv).sum(axis=1), 0.0))
+    std_errs[live] = np.sqrt(np.maximum(eigvecs.sum(axis=1), 0.0))
     if rank < n_params:
         warnings.warn(
             f"information matrix is singular (rank {rank} of {n_params} free "
@@ -170,7 +173,8 @@ def t_statistics(p: CrbmParams, ds_train: ChoiceDataset):
     standard error, pinned to t = 0 where either is zero: a parameter with
     no information is not significant.  The information is S_b' S_b
     summed in row order over the scores S_b of each block of
-    `model.row_blocks`, one block and its forward pass at a time; the
+    `model.row_blocks`, one block and its forward pass at a time, each
+    block's scores freed before the next block's and the inversion; the
     fixed blocks fix the summation order.
     """
     i, j, k = dims = (p.n_alternatives, p.n_hidden, p.n_features)
@@ -181,6 +185,7 @@ def t_statistics(p: CrbmParams, ds_train: ChoiceDataset):
     for rows in row_blocks(ds_train.n_rows):
         s = _prediction_scores(p, ds_train.x[rows], ds_train.choices[rows])
         info += s.T @ s
+        del s
     free_se = ParamBlocks.from_flat(pinv_standard_errors(info), i - 1, j, k)
     se = np.zeros(param_count(*dims))
     # c, B and D lose their reference row, whose se stays 0; A and d do not.

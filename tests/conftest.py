@@ -35,6 +35,13 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def assert_compared_by_identity(one, other):
+    """`one` equals itself and not `other`, and both hash: two distinct
+    instances, even of equal arrays, are two members of a set."""
+    assert one == one and one != other and not one == other
+    assert len({one, other, one}) == 2
+
+
 def memory_case(rng, n_rows=20_000):
     """Parameters with I = 13, J = 2 and K = 20, and `n_rows` context rows
     with a choice each: the shape of the memory tests."""

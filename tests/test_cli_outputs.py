@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -19,6 +20,14 @@ EXPECTED = sorted(
                        "hinton", "generate")])
 
 
+def script_module():
+    spec = importlib.util.spec_from_file_location(
+        "cli_outputs", ROOT / "scripts" / "cli_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_checksums_list_every_cli_output(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
@@ -37,3 +46,12 @@ def test_checksums_list_every_cli_output(tmp_path):
         text = (tmp_path / f"help.{command}.txt").read_text()
         assert text.startswith(f"usage: choicerbm {command} ")
         assert "--weight-decay" in text
+    # One positive peak RSS per command, in run order, outside the sums.
+    script = script_module()
+    commands = [" ".join(argv) for model in ("band", "random")
+                for argv, _ in script.table_commands(model, 1)]
+    commands += [f"{command} --help" for command in script.SUBCOMMANDS]
+    rss = [line.split("  ", 1)
+           for line in (tmp_path / "peak_rss.txt").read_text().splitlines()]
+    assert [argv for _, argv in rss] == commands
+    assert all(float(mb) > 0 for mb, _ in rss)

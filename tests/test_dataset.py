@@ -13,7 +13,7 @@ from choicerbm.dataset import (ChoiceDataset, ChoiceDomainError, NormStats,
                                RowParseError, SchemaError, SplitSpec,
                                from_arrays, load_csv, load_features_csv,
                                one_hot, refit_normalization, split)
-from conftest import traced_peak
+from conftest import assert_compared_by_identity, traced_peak
 
 
 SRC = Path(choicerbm.__file__).parent
@@ -268,6 +268,14 @@ class TestNormalization:
         key0 = np.lexsort(raw.T)
         np.testing.assert_allclose(combined_raw[key], raw[key0], rtol=1e-9)
 
+    def test_apply_and_invert_build_one_output(self, rng):
+        x = rng.normal(0, 1, (20_000, 20))
+        stats = NormStats(means=rng.normal(0, 1, 20), stds=np.full(20, 2.0),
+                          constant=np.zeros(20, dtype=bool))
+        for fn in (stats.apply, stats.invert):
+            out, peak = traced_peak(fn, x)
+            assert peak <= 1.5 * out.nbytes, peak / out.nbytes
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 40))
     def test_one_hot_and_scaling_invariants(self, seed, n):
@@ -359,6 +367,11 @@ class TestValidation:
                    for n, line in enumerate(path.read_text().splitlines(), 1)
                    if re.search(r"\.y\b", line)]
         assert readers == []
+
+    def test_stats_and_datasets_compare_by_identity_and_hash(self):
+        assert_compared_by_identity(indexed([0, 1]).norm_stats,
+                                    indexed([0, 1]).norm_stats)
+        assert_compared_by_identity(indexed([0, 1]), indexed([0, 1]))
 
     def test_rejects_single_alternative(self):
         with pytest.raises(ValueError):

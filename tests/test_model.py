@@ -15,7 +15,8 @@ from choicerbm.model import (BLOCK_NAMES, BLOCK_ROWS, CrbmParams,
                              sample_categorical, score_choices, sigmoid)
 from choicerbm.inference import predict_batch
 from choicerbm.stats import evaluate
-from conftest import memory_case, random_params, tied_case, traced_peak
+from conftest import (assert_compared_by_identity, memory_case,
+                      random_params, tied_case, traced_peak)
 from enumeration import energy, exact_choice_distribution
 
 
@@ -475,6 +476,14 @@ class TestLayout:
         for target in (blocks, p):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 target.choice_bias = np.zeros(3)
+
+    def test_blocks_compare_by_identity_and_hash(self):
+        # Arrays have no single truth value and do not hash, so the
+        # generated __eq__ and __hash__ would raise on any two instances.
+        for cls in (ParamBlocks, CrbmParams):
+            one, other = (cls.from_flat(np.zeros(param_count(3, 2, 2)), 3, 2, 2)
+                          for _ in range(2))
+            assert_compared_by_identity(one, other)
 
 
 class TestCanonical:

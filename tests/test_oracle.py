@@ -5,7 +5,7 @@ from choicerbm import oracle
 from choicerbm.dataset import from_arrays
 from choicerbm.model import CrbmParams, choice_logits, normalize
 import enumeration
-from conftest import random_params
+from conftest import assert_compared_by_identity, random_params
 
 
 class TestExactChoiceDistribution:
@@ -174,6 +174,13 @@ class TestPlantedIo:
             np.testing.assert_array_equal(a, b)
         assert loaded.context == pm.context
         assert (loaded.n_rows, loaded.seed) == (123, 5)
+
+    def test_planted_models_compare_by_identity_and_hash(self, rng):
+        p = random_params(rng, 3, 1, 1)
+        one, other = (oracle.PlantedModel(
+            params=p, context=(oracle.ContextSpec("normal"),), n_rows=10,
+            seed=1) for _ in range(2))
+        assert_compared_by_identity(one, other)
 
     def test_overrides(self, rng, tmp_path):
         p = random_params(rng, 3, 1, 1)

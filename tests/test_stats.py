@@ -6,18 +6,18 @@ import pytest
 from scipy.special import expit
 
 from choicerbm import oracle
-from choicerbm.dataset import (SplitSpec, from_arrays, refit_normalization,
-                               split)
+from choicerbm.dataset import (NormStats, SplitSpec, from_arrays,
+                               refit_normalization, split)
 from choicerbm.model import (BLOCK_ROWS, CrbmParams, ParamBlocks, canonical,
                              choice_logits, choice_probs, normalize,
-                             param_count, score_choices)
+                             param_count, row_blocks, score_choices)
 from choicerbm.stats import (_prediction_scores, bic, evaluate,
                              free_param_count, log_likelihood,
                              pinv_standard_errors, report_table_rows,
                              rho_squared, t_statistics)
 from choicerbm.trainer import TrainConfig, train_crbm
 import enumeration
-from conftest import miss_rate, random_params
+from conftest import memory_case, miss_rate, random_params, traced_peak
 
 FULL_TRAIN_ROWS = 177_662
 
@@ -477,3 +477,81 @@ class TestReferenceGauge:
         finally:
             tracemalloc.stop()
         assert peak < n * param_count(*dims) * 8 / 4, peak
+
+
+def expression_t_statistics(p, ds):
+    """Reference: `t_statistics` with its squares and scaling written as
+    the expressions `eigvecs ** 2 * inv`, which build two temporaries that
+    the library's in-place product does not."""
+    dims = (p.n_alternatives, p.n_hidden, p.n_features)
+    n_free = free_param_count(*dims)
+    info = np.zeros((n_free, n_free))
+    for rows in row_blocks(ds.n_rows):
+        s = _prediction_scores(p, ds.x[rows], ds.choices[rows])
+        info += s.T @ s
+    live = np.flatnonzero(np.diag(info) != 0.0)
+    eigvals, eigvecs = np.linalg.eigh(info[np.ix_(live, live)])
+    cutoff = max(len(live) * np.finfo(np.float64).eps * eigvals.max(initial=0.0),
+                 len(live) / np.finfo(np.float64).max)
+    keep = eigvals > cutoff
+    inv = np.where(keep, 1.0 / np.where(keep, eigvals, 1.0), 0.0)
+    free_se = np.zeros(n_free)
+    free_se[live] = np.sqrt(np.maximum((eigvecs ** 2 * inv).sum(axis=1), 0.0))
+    se = np.zeros(param_count(*dims))
+    se[~reference_entries(p)] = free_se
+    theta = np.concatenate([arr.ravel() for _, arr in canonical(p).blocks()])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where((theta != 0.0) & (se != 0.0), theta / se, 0.0)
+    return se, t
+
+
+class TestSameBits:
+    @pytest.mark.parametrize("n_hidden", [0, 2])
+    @pytest.mark.parametrize("full_rank", [True, False])
+    def test_standard_errors_equal_the_expressions(self, rng, n_hidden,
+                                                   full_rank):
+        x = rng.normal(0, 1, (2500, 3))
+        if not full_rank:
+            x[:, 2] = x[:, 1]     # two B (and A) columns share one direction
+        ds = from_arrays(x, rng.integers(0, 4, 2500), n_alternatives=4)
+        p = random_params(rng, 4, n_hidden, 3, scale=0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            std_errs, tstats = t_statistics(p, ds)
+        assert any("singular" in str(w.message) for w in caught) != full_rank
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            se, t = expression_t_statistics(p, ds)
+        for got, expected in ((std_errs, se), (tstats, t)):
+            assert np.array_equal(
+                np.concatenate([arr.ravel() for _, arr in got.blocks()]),
+                expected)
+
+    def test_scaling_equals_the_expressions(self, rng):
+        x = rng.normal(0, 3, (500, 4))
+        stats = NormStats(means=rng.normal(0, 2, 4),
+                          stds=np.array([0.3, 0.0, 7.0, 1.1]),
+                          constant=np.array([False, True, False, False]))
+        scale = np.where(stats.constant, 1.0, stats.stds)
+        assert np.array_equal(stats.apply(x), (x - stats.means) / scale)
+        assert np.array_equal(stats.invert(x), x * scale + stats.means)
+
+
+class TestMemory:
+    def test_t_statistics_holds_at_most_two_blocks_of_scores(self, rng):
+        # One block's scores at a time, and none while inverting.
+        p, x, choices = memory_case(rng)
+        ds = from_arrays(x, choices, 13, norm_stats=NormStats(
+            np.zeros(20), np.ones(20), np.zeros(20, dtype=bool)))
+        _, peak = traced_peak(t_statistics, p, ds)
+        block = BLOCK_ROWS * free_param_count(13, 2, 20) * 8
+        assert peak <= 2.0 * block, peak / block
+
+    def test_inversion_holds_at_most_two_and_a_half_matrices(self, rng):
+        # The eigenvectors are squared and scaled in place.
+        s = rng.normal(0, 1, (2000, free_param_count(13, 2, 20)))
+        info = s.T @ s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # full rank: no warning
+            _, peak = traced_peak(pinv_standard_errors, info)
+        assert peak <= 2.5 * info.nbytes, peak / info.nbytes
