@@ -131,7 +131,7 @@ def _load_split(args):
     if not 0.0 < args.split < 1.0:
         raise UsageError("--split must lie in (0, 1)")
     spec = dataset.SplitSpec(train_fraction=args.split, seed=args.seed)
-    # No name holds the whole file's dataset while the split is rescaled.
+    # No name holds the whole file's dataset while the split is scaled.
     return spec, *dataset.refit_normalization(*dataset.split(
         dataset.load_csv(args.data, args.choice_col,
                          _feature_list(args.features)), spec))

@@ -1,11 +1,12 @@
-"""Choice data ingestion: CSV loading, z-scoring and splits.
+"""Choice data ingestion: CSV loading, splits and z-scoring.
 
-A dataset pairs a z-scored feature matrix with the 0-based index of the
+A dataset pairs a feature matrix with the 0-based index of the
 alternative chosen in each row; one-hot rows are built only where a
 product needs them.
-Normalization statistics travel with the dataset so that the original
-values can always be recovered and so that a trained model can re-apply
-identical scaling to new data.
+Features stay raw until they are scaled once, with given statistics:
+`refit_normalization` fits them on a split's training rows and scales
+both partitions, and the statistics travel with the scaled datasets so
+that a trained model can re-apply identical scaling to new data.
 """
 
 import csv
@@ -58,30 +59,25 @@ class NormStats:
                 "after normalization")
         return cls(means=means, stds=stds, constant=constant)
 
-    # Each builds one output and finishes it in place: no second N x K array.
+    # Builds one output and finishes it in place: no second N x K array.
     @np.errstate(over="ignore", invalid="ignore")
     def apply(self, x: np.ndarray) -> np.ndarray:
         out = x - self.means
         out /= np.where(self.constant, 1.0, self.stds)
         return out
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def invert(self, x: np.ndarray) -> np.ndarray:
-        out = x * np.where(self.constant, 1.0, self.stds)
-        out += self.means
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class ChoiceDataset:
-    """N x K z-scored features plus the N 0-based indices of the observed
-    choices among the I alternatives."""
+    """N x K features plus the N 0-based indices of the observed choices
+    among the I alternatives.  The features are raw where `norm_stats` is
+    None, and otherwise z-scored with it."""
 
     x: np.ndarray
     choices: np.ndarray
     feature_names: tuple
     alternative_names: tuple
-    norm_stats: NormStats
+    norm_stats: NormStats | None
 
     def __post_init__(self):
         choices = np.asarray(self.choices)
@@ -111,7 +107,7 @@ class ChoiceDataset:
     def y(self) -> np.ndarray:
         """The choices as read-only one-hot rows, (..., N, I), built on
         first access and kept."""
-        y = one_hot(self.choices, self.n_alternatives)
+        y = np.eye(self.n_alternatives)[self.choices]
         y.flags.writeable = False
         return y
 
@@ -153,17 +149,13 @@ class SplitSpec:
             raise ValueError(f"train_fraction {self.train_fraction} not in (0, 1)")
 
 
-def one_hot(indices, n_alternatives: int) -> np.ndarray:
-    """Float rows, one per index of any shape, with a 1 at the index."""
-    return np.eye(n_alternatives)[np.asarray(indices)]
-
-
 def from_arrays(x_raw, choice_idx, n_alternatives=None, feature_names=None,
                 *, norm_stats: NormStats | None = None) -> ChoiceDataset:
     """Build a dataset from a raw feature matrix and 0-based choice indices.
 
-    Features are z-scored with their own statistics unless `norm_stats` is
-    given.  Unlike the CSV path, zero feature columns are allowed.
+    Features are scaled only with a given `norm_stats`; otherwise a float64
+    `x_raw` is held as it is and made read-only, as `ChoiceDataset` does.
+    Unlike the CSV path, zero feature columns are allowed.
     """
     x_raw = np.asarray(x_raw, dtype=np.float64)
     choice_idx = np.asarray(choice_idx, dtype=np.int64)
@@ -171,14 +163,13 @@ def from_arrays(x_raw, choice_idx, n_alternatives=None, feature_names=None,
         raise ValueError("x_raw must be 2-d with one row per choice")
     if n_alternatives is None:
         n_alternatives = int(choice_idx.max()) + 1
-    stats = norm_stats if norm_stats is not None else NormStats.fit(x_raw)
     if feature_names is None:
         feature_names = tuple(f"f{j + 1}" for j in range(x_raw.shape[1]))
     return ChoiceDataset(
-        x=stats.apply(x_raw), choices=choice_idx,
-        feature_names=feature_names,
+        x=x_raw if norm_stats is None else norm_stats.apply(x_raw),
+        choices=choice_idx, feature_names=feature_names,
         alternative_names=tuple(f"alt{i + 1}" for i in range(n_alternatives)),
-        norm_stats=stats)
+        norm_stats=norm_stats)
 
 
 def _parsed_row(ridx, row, n_cells, choice_pos, feature_columns, feat_pos):
@@ -330,8 +321,8 @@ def load_csv(path, choice_column: str, feature_columns=None, n_alternatives=None
     """Load a UTF-8 comma-separated file with a header row.
 
     The choice column holds 1-based integer alternative indices; every other
-    requested column must be numeric.  Features are z-scored with the file's
-    own statistics unless `norm_stats` (e.g. from a saved model) is given.
+    requested column must be numeric.  Features stay raw unless `norm_stats`
+    (e.g. from a saved model) is given; `refit_normalization` scales a split.
     Rows with missing or non-numeric cells, or with the wrong number of
     cells, are rejected with the row index.
     """
@@ -383,16 +374,18 @@ def split(ds: ChoiceDataset, spec: SplitSpec):
 
 
 def refit_normalization(train: ChoiceDataset, valid: ChoiceDataset):
-    """Re-scale both partitions with statistics fitted on the train rows only.
+    """Scale both raw partitions with statistics fitted on the train rows.
 
     Call after `split` so held-out rows never leak into the scaling.  The
     returned validation set carries the train statistics, which makes
-    prediction-time scaling identical to training.
+    prediction-time scaling identical to training.  A partition that is
+    already scaled is refused, so the statistics are always of raw rows.
     """
-    raw_train = train.norm_stats.invert(train.x)
-    raw_valid = valid.norm_stats.invert(valid.x)
-    stats = NormStats.fit(raw_train)
+    if train.norm_stats is not None or valid.norm_stats is not None:
+        raise ValueError("refit_normalization takes raw partitions, "
+                         "not scaled ones")
+    stats = NormStats.fit(train.x)
     return tuple(ChoiceDataset(
-        x=stats.apply(raw), choices=ds.choices, feature_names=ds.feature_names,
+        x=stats.apply(ds.x), choices=ds.choices, feature_names=ds.feature_names,
         alternative_names=ds.alternative_names, norm_stats=stats)
-        for ds, raw in ((train, raw_train), (valid, raw_valid)))
+        for ds in (train, valid))

@@ -85,7 +85,7 @@ def draw_rows(pm: PlantedModel):
 
 
 def generate(pm: PlantedModel) -> ChoiceDataset:
-    """Synthesize a normalized dataset from the planted model, seeded."""
+    """Synthesize a dataset of raw draws from the planted model, seeded."""
     x_raw, idx = draw_rows(pm)
     return from_arrays(x_raw, idx, n_alternatives=pm.params.n_alternatives)
 

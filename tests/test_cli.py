@@ -174,6 +174,55 @@ class TestEvaluateCommand:
         assert error == f"{np.mean(predicted != choices + 1):.4f}"
 
 
+class TestScaling:
+    """A model is fitted and judged with the statistics of its raw training
+    rows, and `evaluate`'s replayed split reads the bits that `predict`
+    reads."""
+
+    @pytest.fixture(scope="class")
+    def band(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("scaling") / "band.csv"
+        oracle.write_dataset_csv(oracle.band_planted_model(n_rows=3000,
+                                                           seed=11), path)
+        model = path.parent / "m.model"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["train", "--data", str(path), "--hidden", "0",
+                            "--epochs", "1", "--out", str(model)]) == 0
+        return path, model
+
+    @staticmethod
+    def split_rows(n_rows):
+        """The (train, valid) rows of the default `SplitSpec`'s permutation."""
+        spec = dataset.SplitSpec()
+        perm = np.random.default_rng(spec.seed).permutation(n_rows)
+        n_train = int(np.floor(spec.train_fraction * n_rows))
+        return perm[:n_train], perm[n_train:]
+
+    def test_model_statistics_are_of_the_raw_training_rows(self, band):
+        path, model = band
+        raw = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
+        train_rows, _ = self.split_rows(len(raw))
+        norm = load_model(model)[1]["norm_stats"]
+        assert np.array_equal(norm.means, raw[train_rows].mean(axis=0))
+        assert np.array_equal(norm.stds, raw[train_rows].std(axis=0))
+
+    def test_evaluate_reads_the_features_of_predict(self, band, monkeypatch):
+        path, model = band
+        scored = []
+        evaluate = stats.evaluate
+        monkeypatch.setattr(stats, "evaluate", lambda p, tr, va: (
+            scored.append((tr.x, va.x)) or evaluate(p, tr, va)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["evaluate", "--model", str(model),
+                            "--data", str(path)]) == 0
+        meta = load_model(model)[1]
+        x = dataset.load_features_csv(path, meta["feature_names"],
+                                      meta["norm_stats"])
+        [(train_x, valid_x)] = scored
+        for got, rows in zip((train_x, valid_x), self.split_rows(len(x))):
+            assert np.array_equal(got, x[rows])
+
+
 class TestPredictCommand:
     def test_writes_prediction_csv(self, trained_model, data_file, tmp_path):
         out = tmp_path / "preds.csv"

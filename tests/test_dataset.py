@@ -1,5 +1,6 @@
 import csv
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from choicerbm import dataset, oracle
 from choicerbm.dataset import (ChoiceDataset, ChoiceDomainError, NormStats,
                                RowParseError, SchemaError, SplitSpec,
                                from_arrays, load_csv, load_features_csv,
-                               one_hot, refit_normalization, split)
+                               refit_normalization, split)
 from conftest import assert_compared_by_identity, traced_peak
 
 
@@ -38,10 +39,12 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", ["choice", "a", "b"],
                          [[1, 5.0, 1.0], [2, 5.0, 2.0], [1, 5.0, 3.0]])
         with pytest.warns(UserWarning, match="constant"):
-            ds = load_csv(path, "choice")
-        np.testing.assert_array_equal(ds.x[:, 0], 0.0)
-        assert ds.norm_stats.constant[0]
-        assert not ds.norm_stats.constant[1]
+            tr, va = refit_normalization(*split(load_csv(path, "choice"),
+                                                SplitSpec(seed=0)))
+        for part in (tr, va):
+            np.testing.assert_array_equal(part.x[:, 0], 0.0)
+        assert tr.norm_stats.constant[0]
+        assert not tr.norm_stats.constant[1]
 
     def test_twenty_features_thirteen_alternatives(self, tmp_path, rng):
         names = [f"var{k:02d}" for k in range(20)]
@@ -57,8 +60,19 @@ class TestLoadCsv:
     def test_z_scoring(self, tmp_path, rng):
         rows = [[1 + i % 2, v] for i, v in enumerate(rng.normal(3, 7, 50))]
         ds = load_csv(write_csv(tmp_path / "d.csv", ["choice", "a"], rows), "choice")
-        assert abs(ds.x[:, 0].mean()) < 1e-9
-        assert abs(ds.x[:, 0].std() - 1.0) < 1e-6
+        tr, _ = refit_normalization(*split(ds, SplitSpec(seed=0)))
+        assert abs(tr.x[:, 0].mean()) < 1e-9
+        assert abs(tr.x[:, 0].std() - 1.0) < 1e-6
+
+    def test_features_stay_raw_without_statistics(self, tmp_path):
+        # No warning either: a constant column is flagged when it is scaled.
+        path = write_csv(tmp_path / "d.csv", ["choice", "a", "b"],
+                         [[1, 5.0, 0.25], [2, 5.0, -1.5], [1, 5.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(path, "choice")
+        assert ds.norm_stats is None
+        assert np.array_equal(ds.x, [[5.0, 0.25], [5.0, -1.5], [5.0, 3.0]])
 
     def test_missing_column_schema_error(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["choice", "a"], [[1, 0.0], [2, 1.0]])
@@ -142,9 +156,8 @@ class TestParser:
         names = list(ds.feature_names)
         raw = reference_rows(generated, names)
         choices = reference_rows(generated, ["choice"])[:, 0].astype(np.int64)
-        stats = NormStats.fit(raw)
-        assert np.array_equal(ds.x, stats.apply(raw))
-        assert np.array_equal(ds.y, one_hot(choices - 1, ds.n_alternatives))
+        assert ds.norm_stats is None and np.array_equal(ds.x, raw)
+        assert np.array_equal(ds.y, np.eye(ds.n_alternatives)[choices - 1])
         reversed_stats = NormStats.fit(raw[:, ::-1])
         x = load_features_csv(generated, names[::-1], reversed_stats)
         assert np.array_equal(x, reversed_stats.apply(raw[:, ::-1]))
@@ -155,10 +168,9 @@ class TestParser:
         plain, marked = load_csv(generated, "choice"), load_csv(bom, "choice")
         assert np.array_equal(plain.x, marked.x)
         assert np.array_equal(plain.y, marked.y)
-        names = list(plain.feature_names)
-        assert np.array_equal(
-            load_features_csv(generated, names, plain.norm_stats),
-            load_features_csv(bom, names, plain.norm_stats))
+        names, stats = list(plain.feature_names), NormStats.fit(plain.x)
+        assert np.array_equal(load_features_csv(generated, names, stats),
+                              load_features_csv(bom, names, stats))
 
     @pytest.mark.parametrize("bad_row, message", [
         ("2,nan,oops", "row 2: missing or non-finite value in column 'a'"),
@@ -180,7 +192,7 @@ class TestParser:
         path = tmp_path / "d.csv"
         path.write_text('choice,a\n"1","0.5"\n2,"-1.5e1"\n')
         ds = load_csv(path, "choice")
-        assert np.array_equal(ds.norm_stats.invert(ds.x)[:, 0], [0.5, -15.0])
+        assert np.array_equal(ds.x[:, 0], [0.5, -15.0])
         assert np.array_equal(ds.y, [[1, 0], [0, 1]])
 
     @pytest.mark.parametrize("bad_row, message", [
@@ -248,33 +260,44 @@ class TestSplit:
 
 
 class TestNormalization:
-    def test_round_trip(self, rng):
-        raw = rng.normal(5, 3, (40, 4)) * np.array([1, 10, 100, 0.01])
-        ds = from_arrays(raw, rng.integers(0, 2, 40))
-        recovered = ds.norm_stats.invert(ds.x)
-        np.testing.assert_allclose(recovered, raw, rtol=1e-9)
-
     def test_refit_uses_train_stats_only(self, rng):
         raw = rng.normal(2, 4, (30, 2))
         ds = from_arrays(raw, rng.integers(0, 2, 30))
-        tr, va = refit_normalization(*split(ds, SplitSpec(seed=3)))
+        raw_tr, raw_va = split(ds, SplitSpec(seed=3))
+        tr, va = refit_normalization(raw_tr, raw_va)
         assert np.all(np.abs(tr.x.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(tr.x.std(axis=0) - 1.0) < 1e-6)
-        np.testing.assert_array_equal(tr.norm_stats.means, va.norm_stats.means)
-        # validation rows keep their raw values under the train scaling
-        combined_raw = np.vstack([tr.norm_stats.invert(tr.x),
-                                  va.norm_stats.invert(va.x)])
-        key = np.lexsort(combined_raw.T)
-        key0 = np.lexsort(raw.T)
-        np.testing.assert_allclose(combined_raw[key], raw[key0], rtol=1e-9)
+        assert va.norm_stats is tr.norm_stats
+        # The statistics are those of the raw train rows, bit for bit, and
+        # both partitions are scaled with them once.
+        assert np.array_equal(tr.norm_stats.means, raw_tr.x.mean(axis=0))
+        assert np.array_equal(tr.norm_stats.stds, raw_tr.x.std(axis=0))
+        for part, raw_part in ((tr, raw_tr), (va, raw_va)):
+            assert np.array_equal(part.x, tr.norm_stats.apply(raw_part.x))
+            assert np.array_equal(part.choices, raw_part.choices)
 
-    def test_apply_and_invert_build_one_output(self, rng):
+    def test_refit_refuses_a_scaled_partition(self, rng):
+        ds = from_arrays(rng.normal(2, 4, (30, 2)), rng.integers(0, 2, 30))
+        raw_tr, raw_va = split(ds, SplitSpec(seed=3))
+        tr, va = refit_normalization(raw_tr, raw_va)
+        for pair in ((tr, va), (raw_tr, va), (tr, raw_va)):
+            with pytest.raises(ValueError, match="raw partitions"):
+                refit_normalization(*pair)
+
+    def test_refit_holds_the_scaled_partitions_only(self, rng):
+        ds = from_arrays(rng.normal(0, 1, (20_000, 20)),
+                         rng.integers(0, 13, 20_000), n_alternatives=13)
+        tr, va = split(ds, SplitSpec(train_fraction=0.7, seed=0))
+        _, peak = traced_peak(refit_normalization, tr, va)
+        features = tr.x.nbytes + va.x.nbytes
+        assert peak <= 1.25 * features, peak / features
+
+    def test_apply_builds_one_output(self, rng):
         x = rng.normal(0, 1, (20_000, 20))
         stats = NormStats(means=rng.normal(0, 1, 20), stds=np.full(20, 2.0),
                           constant=np.zeros(20, dtype=bool))
-        for fn in (stats.apply, stats.invert):
-            out, peak = traced_peak(fn, x)
-            assert peak <= 1.5 * out.nbytes, peak / out.nbytes
+        out, peak = traced_peak(stats.apply, x)
+        assert peak <= 1.5 * out.nbytes, peak / out.nbytes
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 40))
@@ -282,7 +305,8 @@ class TestNormalization:
         rng = np.random.default_rng(seed)
         raw = rng.normal(0, rng.uniform(0.5, 20), (n, 3))
         idx = rng.integers(0, 4, n)
-        ds = from_arrays(raw, idx, n_alternatives=4)
+        ds = from_arrays(raw, idx, n_alternatives=4,
+                         norm_stats=NormStats.fit(raw))
         assert np.all(ds.y.sum(axis=1) == 1.0)
         assert np.all((ds.y == 0) | (ds.y == 1))
         live = ~ds.norm_stats.constant
@@ -325,7 +349,7 @@ class TestValidation:
     def test_accepts_a_stack_of_choices(self):
         ds = indexed([[0, 1, 1], [1, 0, 0]])
         assert (ds.n_rows, ds.n_alternatives) == (3, 2)
-        np.testing.assert_array_equal(ds.y, one_hot(ds.choices, 2))
+        np.testing.assert_array_equal(ds.y, np.eye(2)[ds.choices])
         assert ds.y.shape == (2, 3, 2)
 
     def test_take_of_a_row_index_per_fit_is_a_stack(self, rng):
@@ -351,7 +375,7 @@ class TestValidation:
     def test_one_hot_rows_are_cached_and_read_only(self):
         ds = indexed([0, 1, 1])
         y = ds.y
-        np.testing.assert_array_equal(y, one_hot(ds.choices, 2))
+        np.testing.assert_array_equal(y, np.eye(2)[ds.choices])
         np.testing.assert_array_equal(y, [[1, 0], [0, 1], [0, 1]])
         assert ds.y is y
         assert ds.choices.dtype == np.int64

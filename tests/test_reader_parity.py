@@ -5,8 +5,9 @@ numpy's C reader and hand every other file to a per-cell Python loop.  The
 reference below is that Python reader as it stood before the C path was
 added: it alone defined which files are accepted and what each error says.
 The package readers must return bit-identical arrays, or raise the same
-exception type with the same message, on any file.  The one later rule
-in the reference is the bound on the inferred alternative count.
+exception type with the same message, on any file.  The later rules in
+the reference are the bound on the inferred alternative count and the
+raw features of a dataset loaded without statistics.
 """
 
 import contextlib
@@ -108,12 +109,11 @@ def reference_load_csv(path, choice_column, feature_columns=None,
         raise ChoiceDomainError(
             f"choice value {bad} outside 1..{n_alternatives}")
     x_raw = np.asarray(values, dtype=np.float64).reshape(len(choices), -1)
-    stats = norm_stats if norm_stats is not None else NormStats.fit(x_raw)
     return ChoiceDataset(
-        x=stats.apply(x_raw), choices=choices - 1,
-        feature_names=tuple(feature_columns),
+        x=x_raw if norm_stats is None else norm_stats.apply(x_raw),
+        choices=choices - 1, feature_names=tuple(feature_columns),
         alternative_names=tuple(f"alt{i + 1}" for i in range(n_alternatives)),
-        norm_stats=stats)
+        norm_stats=norm_stats)
 
 
 def reference_load_features_csv(path, feature_names, norm_stats):
@@ -163,8 +163,9 @@ def outcome(fn, *args):
     if isinstance(result, Exception):
         return warned, "error", type(result), str(result)
     if isinstance(result, ChoiceDataset):
-        arrays = (result.x, result.y, result.norm_stats.means,
-                  result.norm_stats.stds, result.norm_stats.constant)
+        stats = result.norm_stats
+        arrays = (result.x, result.y) + (() if stats is None else (
+            stats.means, stats.stds, stats.constant))
         names = (result.feature_names, result.alternative_names)
     else:
         arrays, names = (result,), ()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from choicerbm import oracle
-from choicerbm.dataset import ChoiceDataset, NormStats, from_arrays, one_hot
+from choicerbm.dataset import ChoiceDataset, NormStats, from_arrays
 from choicerbm.model import CrbmParams
 from choicerbm.trainer import (MOMENTUM_FINAL, MOMENTUM_INITIAL,
                                MOMENTUM_SWITCH_EPOCH, TrainConfig,
@@ -45,7 +45,7 @@ class TestCdStep:
             choice_bias=np.array([-big, 0.0]),
             hidden_bias=np.array([-big / 2]))
         xb = np.zeros((8, 1))
-        yb = one_hot(np.array([0, 1, 0, 1, 1, 0, 0, 1]), 2)
+        yb = np.eye(2)[[0, 1, 0, 1, 1, 0, 0, 1]]
         g = cd_step(p, (xb, yb), TrainConfig(), np.random.default_rng(0))
         for _, arr in g.blocks():
             assert np.all(arr == 0.0)
@@ -105,7 +105,7 @@ class TestCdStep:
         with pytest.raises(ValueError):
             cd_step(p, (np.zeros((0, 2)), np.zeros((0, 3))), TrainConfig(), rng)
         with pytest.raises(ValueError):
-            cd_step(p, (np.zeros((4, 1)), one_hot(np.zeros(4, dtype=int), 3)),
+            cd_step(p, (np.zeros((4, 1)), np.eye(3)[np.zeros(4, dtype=int)]),
                     TrainConfig(), rng)
 
 
