@@ -202,7 +202,7 @@ def _cmd_sensitivity(args) -> int:
     if args.replicates < 1:
         raise UsageError("--replicates must be >= 1")
     cfg = _train_config(args)
-    _, train_ds, valid_ds = _load_split(args)
+    train_ds = _load_split(args)[1]
     reports = [
         sensitivity.sensitivity_run(train_ds, j, cfg, args.fraction,
                                     args.replicates, args.seed)

@@ -5,9 +5,9 @@ is the CD estimate: hidden activation probabilities at the data against a
 sampled reconstruction chain.  Without hidden units the reconstruction
 chain mixes in a single step, so its expectation is available in closed
 form and the loop becomes exact multinomial-logit gradient ascent: the MNL
-baseline is `train_crbm` with zero hidden units.  Each epoch scores both
-splits with `model.score_choices`, as `stats` does, and early stopping
-keeps the snapshot of lowest validation error.
+baseline is `train_crbm` with zero hidden units.  Each epoch scores the
+validation rows alone with `model.score_choices`, as `stats` does, and
+early stopping keeps the snapshot of lowest validation error.
 """
 
 from dataclasses import dataclass, field
@@ -59,10 +59,9 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch diagnostics; `best_epoch` indexes the kept parameter snapshot."""
+    """Per-epoch validation diagnostics; `best_epoch` is the kept snapshot's."""
 
-    train_nll: list = field(default_factory=list)   # mean per-row NLL
-    valid_nll: list = field(default_factory=list)
+    valid_nll: list = field(default_factory=list)   # mean per-row NLL
     valid_error: list = field(default_factory=list)
     recon_error: list = field(default_factory=list)
     best_epoch: int = -1
@@ -113,9 +112,8 @@ def _cd_grads(b, xb, cb, cd_k, rng, eye, out: ParamBlocks):
         mismatch = (idx != cb).sum(axis=-1) / cb.shape[-1]
     else:
         y_neg = normalize(choice_drive)[1]
-        picked = y_neg.reshape(-1, y_neg.shape[-1])[np.arange(cb.size),
-                                                    cb.ravel()]
-        mismatch = 1.0 - picked.reshape(cb.shape).sum(axis=-1) / cb.shape[-1]
+        picked = np.take_along_axis(y_neg, cb[..., None], axis=-1)[..., 0]
+        mismatch = 1.0 - picked.sum(axis=-1) / cb.shape[-1]
     dy = yb - y_neg
     np.divide(dy.mT @ xb, n, out=out.choice_context_w)
     np.divide(dy.sum(axis=-2, keepdims=True), n, out=out.choice_bias)
@@ -153,7 +151,8 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
 
     `n_hidden=0` degenerates to the multinomial-logit estimator.  The
     optional `epoch_hook(epoch, params)` observes the end-of-epoch iterate,
-    before any gauge shift, and must not touch any random state.
+    before any gauge shift, and must not touch any random state; scoring
+    it on `ds_train` gives the training NLL, which the trace leaves out.
 
     `ds_train` may also be a stack of equal-size datasets validated on
     itself (`ChoiceDataset.take` of an (R, n) row index).  The fits then run
@@ -219,23 +218,20 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
                 np.isfinite(arr.reshape(len(live), -1)[pos])))
             diverged[live[pos]] = f"non-finite values in {name} at epoch {epoch}"
 
-        train = score_choices(b, x_all, train_choices)
-        valid, valid_choices = (
-            (train, train_choices) if ds_valid is ds_train
-            else (score_choices(b, ds_valid.x, ds_valid.choices),
-                  ds_valid.choices))
+        valid_x, valid_choices = (
+            (x_all, train_choices) if ds_valid is ds_train
+            else (ds_valid.x, ds_valid.choices))
+        log_p, predicted = score_choices(b, valid_x, valid_choices)
         scores = [np.ravel(v) for v in (
-            -train[0].mean(axis=-1), -valid[0].mean(axis=-1),
-            (valid[1] != valid_choices).mean(axis=-1),
+            -log_p.mean(axis=-1), (predicted != valid_choices).mean(axis=-1),
             mismatch_sum / len(batch_starts))]
         stay, snapshots = [], {}
         for pos, fit in enumerate(live):
             if fit in diverged:
                 continue
             trace = traces[fit]
-            for series, values in zip((trace.train_nll, trace.valid_nll,
-                                       trace.valid_error, trace.recon_error),
-                                      scores):
+            for series, values in zip((trace.valid_nll, trace.valid_error,
+                                       trace.recon_error), scores):
                 series.append(float(values[pos]))
             if epoch_hook is not None:
                 snapshots[fit] = CrbmParams.from_flat(rows[pos].copy(), *dims)

@@ -1,4 +1,6 @@
+import contextlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,16 @@ from choicerbm.dataset import NormStats
 from choicerbm.inference import predict_batch
 from choicerbm.model import CrbmParams, ParamBlocks
 from choicerbm.trainer import TrainConfig
+
+# Hypothesis's pytest plugin imports `hypothesis.extra._patching` to report
+# a failing example.  Where libcst is installed, that import reaches the
+# deprecated `mypy_extensions.TypedDict`, and under
+# `-W error::DeprecationWarning` its warning turns the failure report into an
+# INTERNALERROR.  Imported once here, with deprecations ignored for that
+# import alone, the module is already loaded when the plugin asks for it.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def random_params(rng, n_alternatives, n_hidden, n_features, scale=1.0):

@@ -13,7 +13,7 @@ from scipy.special import logsumexp
 
 from choicerbm import cli, oracle
 from choicerbm.dataset import SplitSpec, from_arrays, refit_normalization, split
-from choicerbm.model import CrbmParams, choice_logits, normalize
+from choicerbm.model import CrbmParams, choice_logits, normalize, score_choices
 from choicerbm.report import hinton_svg
 from choicerbm.sensitivity import rank_agreement, sensitivity_run
 from choicerbm.stats import bic, log_likelihood, rho_squared
@@ -96,7 +96,8 @@ def test_criterion_3_mnl_reduction():
     p, trace = train_crbm(tr, va, 0, cfg,
                           epoch_hook=lambda _epoch, s: snapshots.append(s))
     ll_gap = 0.0
-    for snap, nll in zip(snapshots, trace.train_nll, strict=True):
+    for snap, _ in zip(snapshots, trace.valid_error, strict=True):
+        nll = -score_choices(snap, tr.x, tr.choices)[0].mean()
         logits = snap.choice_bias + tr.x @ snap.choice_context_w.T
         mnl_ll = (tr.y * (logits - logsumexp(logits, axis=1,
                                              keepdims=True))).sum()

@@ -130,7 +130,7 @@ class TestMnlAnalyticCases:
         cfg = TrainConfig(batch_size=n, epochs=80, learning_rate=0.2, seed=0,
                           early_stop_patience=80)
         _, trace = train_crbm(ds, ds, 0, cfg)
-        diffs = np.diff(trace.train_nll[1:])
+        diffs = np.diff(trace.valid_nll[1:])   # the training rows
         assert np.all(diffs <= 1e-8)
 
     def test_separable_data_drives_error_to_zero(self, rng):
@@ -151,7 +151,7 @@ class TestDeterminismAndReduction:
         b, tb = train_crbm(ds, ds, 2, cfg)
         for (_, x), (_, y) in zip(a.blocks(), b.blocks()):
             np.testing.assert_array_equal(x, y)
-        assert ta.train_nll == tb.train_nll
+        assert ta.valid_nll == tb.valid_nll
         assert ta.valid_error == tb.valid_error
 
     @pytest.mark.parametrize("n_hidden", [0, 2])
@@ -170,7 +170,7 @@ class TestDeterminismAndReduction:
         monkeypatch.setattr(trainer, "score_choices",
                             lambda *args: calls.append(1) or scorer(*args))
         p_same, t_same = train_crbm(ds, ds, n_hidden, cfg, hook)
-        assert len(calls) == len(t_same.train_nll)
+        assert len(calls) == len(t_same.valid_nll)
         assert t_same == t_copy
         for (_, a), (_, b) in zip(p_same.blocks(), p_copy.blocks()):
             np.testing.assert_array_equal(a, b)
@@ -178,6 +178,12 @@ class TestDeterminismAndReduction:
         for a, b in zip(snapshots[:half], snapshots[half:]):
             for (_, u), (_, v) in zip(a.blocks(), b.blocks()):
                 np.testing.assert_array_equal(u, v)
+        # A separate validation set is scored alone: the training rows are
+        # not scored at all.
+        calls.clear()
+        _, t_apart = train_crbm(ds, ds.take(np.arange(ds.n_rows)), n_hidden,
+                                cfg)
+        assert len(calls) == len(t_apart.valid_nll)
 
 
 class TestMemory:
