@@ -14,7 +14,7 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,11 +132,7 @@ class ChoiceDataset:
         """The dataset of `rows`.  An (R, n) index array gives a stack of R
         datasets, x (R, n, K), that `train_crbm` fits as R fits; an int
         picks one dataset out of a stack."""
-        return ChoiceDataset(
-            x=self.x[rows], choices=self.choices[rows],
-            feature_names=self.feature_names,
-            alternative_names=self.alternative_names,
-            norm_stats=self.norm_stats)
+        return replace(self, x=self.x[rows], choices=self.choices[rows])
 
 
 @dataclass(frozen=True)
@@ -155,10 +151,11 @@ def from_arrays(x_raw, choice_idx, n_alternatives=None, feature_names=None,
 
     Features are scaled only with a given `norm_stats`; otherwise a float64
     `x_raw` is held as it is and made read-only, as `ChoiceDataset` does.
-    Unlike the CSV path, zero feature columns are allowed.
+    Unlike the CSV path, zero feature columns are allowed.  Choices are
+    checked and cast by `ChoiceDataset`, which refuses non-integer ones.
     """
     x_raw = np.asarray(x_raw, dtype=np.float64)
-    choice_idx = np.asarray(choice_idx, dtype=np.int64)
+    choice_idx = np.asarray(choice_idx)
     if x_raw.ndim != 2 or x_raw.shape[0] != len(choice_idx):
         raise ValueError("x_raw must be 2-d with one row per choice")
     if n_alternatives is None:
@@ -385,7 +382,5 @@ def refit_normalization(train: ChoiceDataset, valid: ChoiceDataset):
         raise ValueError("refit_normalization takes raw partitions, "
                          "not scaled ones")
     stats = NormStats.fit(train.x)
-    return tuple(ChoiceDataset(
-        x=stats.apply(ds.x), choices=ds.choices, feature_names=ds.feature_names,
-        alternative_names=ds.alternative_names, norm_stats=stats)
-        for ds in (train, valid))
+    return tuple(replace(ds, x=stats.apply(ds.x), norm_stats=stats)
+                 for ds in (train, valid))

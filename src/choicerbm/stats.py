@@ -52,16 +52,12 @@ def _finite(values):
 
 
 def _scored(p: CrbmParams, ds: ChoiceDataset):
-    """`score_choices` over every row of `ds`, checked by `_finite`."""
+    """(total, per-row log-likelihoods, argmax) of `score_choices` over
+    every row of `ds`.  A row that overflows scores NaN, which carries into
+    the total, so one `_finite` check of the total covers every row."""
     with np.errstate(over="ignore", invalid="ignore"):
         observed, predicted = score_choices(p, ds.x, ds.choices)
-        return _finite(observed), predicted
-
-
-def _total(observed) -> float:
-    """The sum of per-row log-likelihoods, checked by `_finite`."""
-    with np.errstate(over="ignore"):
-        return float(_finite(observed.sum()))
+        return float(_finite(observed.sum())), observed, predicted
 
 
 def log_likelihood(p: CrbmParams, ds: ChoiceDataset) -> float:
@@ -71,7 +67,7 @@ def log_likelihood(p: CrbmParams, ds: ChoiceDataset) -> float:
     produce -inf; logits or a sum that overflow float64 all the same
     raise ValueError.
     """
-    return _total(_scored(p, ds)[0])
+    return _scored(p, ds)[0]
 
 
 def rho_squared(loglik: float, n: int, n_alternatives: int) -> float:
@@ -211,8 +207,7 @@ def evaluate(p: CrbmParams, ds_train: ChoiceDataset,
     """Assemble the full statistical report for a fitted model, from one
     `score_choices` pass per split (one in all when `ds_valid is ds_train`)
     and the blocked pass of `t_statistics` over the training rows."""
-    observed, predicted = _scored(p, ds_valid)
-    ll_valid = _total(observed)
+    ll_valid, observed, predicted = _scored(p, ds_valid)
     ll_train = (ll_valid if ds_valid is ds_train
                 else log_likelihood(p, ds_train))
     n_params = free_param_count(p.n_alternatives, p.n_hidden, p.n_features)

@@ -188,7 +188,7 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
 
     live = list(range(len(theta) if stacked else 1))   # fits in the stack
     traces = [TrainTrace() for _ in live]
-    best_error, best_theta = [np.inf] * len(live), [None] * len(live)
+    best_theta = [None] * len(live)
     diverged = {}   # fit -> the error that a fit alone would raise
     grad, vel = np.zeros_like(theta), np.zeros_like(theta)
     b, g = (ParamBlocks.from_flat(a, *dims, batched=True) for a in (theta, grad))
@@ -235,8 +235,8 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
                 series.append(float(values[pos]))
             if epoch_hook is not None:
                 snapshots[fit] = CrbmParams.from_flat(rows[pos].copy(), *dims)
-            if trace.valid_error[-1] < best_error[fit]:
-                best_error[fit] = trace.valid_error[-1]
+            if (trace.best_epoch < 0 or trace.valid_error[-1]
+                    < trace.valid_error[trace.best_epoch]):
                 trace.best_epoch = epoch
                 best_theta[fit] = rows[pos].copy()
             elif epoch - trace.best_epoch > cfg.early_stop_patience:

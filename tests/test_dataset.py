@@ -338,6 +338,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="integer indices"):
             indexed(choices, x_shape=(2, 1))
 
+    @pytest.mark.parametrize("choices", [[0.7, 1.2, 2.9], [0.0, -0.5, 1.0],
+                                         [True, False, True]],
+                             ids=["float", "negative-float", "bool"])
+    def test_from_arrays_rejects_non_integer_indices(self, choices):
+        # Neither truncated to integers nor read as 0 and 1.
+        with pytest.raises(ValueError, match="integer indices"):
+            from_arrays(np.zeros((3, 1)), choices, n_alternatives=3)
+        with pytest.raises(ValueError, match="integer indices"):
+            from_arrays(np.zeros((3, 1)), choices)
+
     @pytest.mark.parametrize("choices_shape, x_shape", [
         ((3,), (2, 1)), ((1,), (2, 1)), ((2, 2), (2, 1)), ((3,), (2, 3, 1)),
         ((2, 3, 1), (2, 3, 1))])
