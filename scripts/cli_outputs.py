@@ -5,7 +5,9 @@ Two checkouts whose `SHA256SUMS` files are equal wrote byte-identical
 outputs: model files, train/evaluate/sensitivity stdout, prediction and
 sensitivity CSVs, Hinton SVGs, generated datasets and the `--help` text
 of each subcommand at 80 columns, so a changed flag, help text or flag
-order shows too.  The commands run as `python -m choicerbm.cli`
+order shows too.  Each J = 2 model also scores, with `--whole-file`, a
+fresh draw of its planted model (seed 13), so out-of-sample scoring is
+pinned as well.  The commands run as `python -m choicerbm.cli`
 subprocesses of the `choicerbm` package this script imports, so
 PYTHONPATH picks the checkout under test.  The two models run side by
 side, each command after the one before it.  A command that fails stops
@@ -70,6 +72,11 @@ def table_commands(name: str, epochs: int) -> list:
     cmds += [(["evaluate", *model, *data], f"{name}.J2.evaluate.txt"),
              (["evaluate", *model, *data, "--whole-file"],
               f"{name}.J2.evaluate_whole.txt")]
+    # Out-of-sample scoring: a fresh draw of the same planted model.
+    cmds += [(["generate", "--planted", f"{name}.planted.json",
+               "--seed", "13", "--out", f"{name}.fresh.csv"], None),
+             (["evaluate", *model, "--data", f"{name}.fresh.csv",
+               "--whole-file"], f"{name}.J2.evaluate_fresh.txt")]
     cmds.append((["predict", *model, *data, "--out", f"{name}.J2.preds.csv"],
                  None))
     cmds += [(["hinton", *model, "--block", block,

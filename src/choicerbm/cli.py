@@ -167,12 +167,19 @@ def _cmd_evaluate(args) -> int:
         rep = stats.evaluate(params, ds, ds)
     else:
         # Replay the exact split and scaling used when the model was
-        # trained, so the printed metrics reproduce the training output.
+        # trained, so the printed metrics reproduce the training output;
+        # data whose training rows give other statistics is refused.
         metrics = meta["metrics"]
         spec = dataset.SplitSpec(train_fraction=metrics["split_fraction"],
                                  seed=int(metrics["split_seed"]))
-        rep = stats.evaluate(params, *dataset.refit_normalization(
-            *dataset.split(dataset.load_csv(**read), spec)))
+        train_ds, valid_ds = dataset.refit_normalization(
+            *dataset.split(dataset.load_csv(**read), spec))
+        saved, fit = meta["norm_stats"], train_ds.norm_stats
+        diff = np.abs([fit.means - saved.means, fit.stds - saved.stds])
+        if not np.all(diff <= 1e-9 * np.where(saved.constant, 1.0, saved.stds)):
+            raise ValueError(f"{args.data}: its training rows do not give the "
+                             "model's statistics; score new data with --whole-file")
+        rep = stats.evaluate(params, train_ds, valid_ds)
     label = "MNL" if params.n_hidden == 0 else f"CRBM-J{params.n_hidden}"
     sys.stdout.write(stats.report_table_rows([(label, rep)]))
     sys.stdout.write(f"valid_loglik,{rep.loglik_valid:.6f}\n")

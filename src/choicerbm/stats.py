@@ -15,6 +15,8 @@ them.  The free parameters are scored in their own layout, that of I - 1
 alternatives.
 """
 
+import csv
+import io
 import warnings
 from dataclasses import dataclass
 
@@ -232,15 +234,13 @@ TABLE_COLUMNS = ("model", "validation_error", "log_likelihood", "rho2",
 
 
 def report_table_rows(labeled_reports) -> str:
-    """CSV rows of (label, FitReport) pairs in result-table column order."""
-    lines = [",".join(TABLE_COLUMNS)]
-    for label, rep in labeled_reports:
-        lines.append(",".join([
-            str(label),
-            f"{rep.validation_error:.4f}",
-            f"{rep.loglik_train:.0f}",
-            f"{rep.rho2:.3f}",
-            str(rep.n_params),
-            f"{rep.bic:.0f}",
-        ]))
-    return "\n".join(lines) + "\n"
+    """CSV rows of (label, FitReport) pairs in result-table column order; a
+    label is quoted as the `csv` module quotes it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(TABLE_COLUMNS)
+    writer.writerows(
+        [label, f"{rep.validation_error:.4f}", f"{rep.loglik_train:.0f}",
+         f"{rep.rho2:.3f}", rep.n_params, f"{rep.bic:.0f}"]
+        for label, rep in labeled_reports)
+    return out.getvalue()

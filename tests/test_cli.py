@@ -154,6 +154,25 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert "CRBM-J2," in out
 
+    def test_replay_refuses_data_with_other_statistics(
+            self, trained_model, planted_file, tmp_path, capsys):
+        # A fresh draw of the model's planted truth has the training file's
+        # columns but not its rows: the replayed split would rescale it to
+        # look like the training file, so only `--whole-file` scores it.
+        fresh = tmp_path / "fresh.csv"
+        assert cli.run(["generate", "--planted", str(planted_file), "--n",
+                        "2500", "--seed", "13", "--out", str(fresh)]) == 0
+        argv = ["evaluate", "--model", str(trained_model), "--data", str(fresh)]
+        capsys.readouterr()
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {fresh}: its training rows do not give the model's "
+            "statistics; score new data with --whole-file\n")
+        assert cli.run([*argv, "--whole-file"]) == 0
+        assert capsys.readouterr().out.startswith("model,")
+
     def test_validation_error_is_the_miss_rate_of_predict(self, tmp_path,
                                                           capsys):
         # On rows whose top two probabilities tie in float64, `evaluate`

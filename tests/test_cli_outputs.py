@@ -12,7 +12,8 @@ EXPECTED = sorted(
      for model in ("band", "random")
      for name in ("planted.json", "csv",
                   "J0.model", "J0.train.txt", "J2.model", "J2.train.txt",
-                  "J2.evaluate.txt", "J2.evaluate_whole.txt", "J2.preds.csv",
+                  "J2.evaluate.txt", "J2.evaluate_whole.txt",
+                  "fresh.csv", "J2.evaluate_fresh.txt", "J2.preds.csv",
                   "J2.A.svg", "J2.B.svg", "J2.D.svg",
                   "sensitivity.csv", "sensitivity.txt")]
     + [f"help.{command}.txt"
@@ -40,7 +41,8 @@ def test_checksums_list_every_cli_output(tmp_path):
     assert list(sums) == EXPECTED
     for name, digest in sums.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
-    for name in ("band.J0.train.txt", "random.J2.evaluate.txt"):
+    for name in ("band.J0.train.txt", "random.J2.evaluate.txt",
+                 "band.J2.evaluate_fresh.txt"):
         assert (tmp_path / name).read_text().startswith("model,")
     for command in ("train", "sensitivity"):
         text = (tmp_path / f"help.{command}.txt").read_text()

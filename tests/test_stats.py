@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 import warnings
 
@@ -11,8 +13,8 @@ from choicerbm.dataset import (NormStats, SplitSpec, from_arrays,
 from choicerbm.model import (BLOCK_ROWS, CrbmParams, ParamBlocks, canonical,
                              choice_logits, choice_probs, normalize,
                              param_count, row_blocks, score_choices)
-from choicerbm.stats import (_prediction_scores, bic, evaluate,
-                             free_param_count, log_likelihood,
+from choicerbm.stats import (TABLE_COLUMNS, _prediction_scores, bic,
+                             evaluate, free_param_count, log_likelihood,
                              pinv_standard_errors, report_table_rows,
                              rho_squared, t_statistics)
 from choicerbm.trainer import TrainConfig, train_crbm
@@ -381,6 +383,16 @@ class TestEvaluate:
         assert lines[0].startswith("model,validation_error,log_likelihood")
         assert lines[1].startswith("MNL,")
         assert len(lines[1].split(",")) == 6
+
+    def test_table_label_with_a_comma_is_one_cell(self, rng):
+        tr = from_arrays(rng.normal(0, 1, (200, 2)), rng.integers(0, 3, 200))
+        rep = evaluate(zero_params(3, 0, 2), tr, tr)
+        text = report_table_rows([("MNL", rep), ('CRBM, J="2"', rep)])
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [row[0] for row in rows] == ["model", "MNL", 'CRBM, J="2"']
+        assert {len(row) for row in rows} == {len(TABLE_COLUMNS)}
+        # The command line's labels keep their bytes.
+        assert text.split("\n")[1].startswith("MNL,")
 
 
 def reference_entries(p):
