@@ -64,20 +64,17 @@ class ParamBlocks:
         return [(name, getattr(self, name)) for name in BLOCK_NAMES]
 
     @classmethod
-    def from_flat(cls, flat, i, j, k, batched=False):
+    def from_flat(cls, flat, i, j, k):
         """Blocks as views of a flat vector laid out in BLOCK_NAMES order.
 
         Leading axes of `flat` carry over to every block, one parameter
-        set per index.  With `batched`, each bias block gains a unit axis
-        before its last, so that every block broadcasts against a batch of
-        rows (..., rows, n).
+        set per index: block b is shaped `flat.shape[:-1] + shapes[b]`.
         """
         shapes = block_shapes(i, j, k)
         parts = np.split(flat, np.cumsum([math.prod(s) for s in shapes[:-1]]),
                          axis=-1)
-        return cls(*(part.reshape(flat.shape[:-1] + (
-            (1, *s) if batched and len(s) == 1 else s), copy=False)
-            for part, s in zip(parts, shapes)))
+        return cls(*(part.reshape(flat.shape[:-1] + s, copy=False)
+                     for part, s in zip(parts, shapes)))
 
 
 # Block names in canonical order, weights first: the layout of flat
@@ -133,14 +130,14 @@ def choice_logits(p: CrbmParams, x):
     c_i + B_i x + sum_j softplus(d_j + A_j x + D_ij).
 
     Softplus is max(u, 0) + log1p(exp(-|u|)), so no drive overflows.  `p`
-    may hold batched blocks (`from_flat(..., batched=True)`) whose leading
-    axes match those of `x` before its rows.
+    may hold a stack of parameter sets (`from_flat` of an (..., P) array)
+    whose leading axes match those of `x` before its rows.
     """
     x = _check_context_dim(p, x)
     if x.ndim == 1:
         return choice_logits(p, x[None])[0]
-    logits = x @ p.choice_context_w.mT + p.choice_bias
-    hidden = x @ p.hidden_context_w.mT + p.hidden_bias   # (..., rows, J)
+    logits = x @ p.choice_context_w.mT + p.choice_bias[..., None, :]
+    hidden = x @ p.hidden_context_w.mT + p.hidden_bias[..., None, :]
     for j in range(p.n_hidden):   # in place: each temporary costs time
         u = hidden[..., j, None] + p.choice_hidden_w[..., None, :, j]
         tail = np.abs(u)
@@ -151,9 +148,9 @@ def choice_logits(p: CrbmParams, x):
 
 def hidden_given_choice(p: CrbmParams, x):
     """p(h_j = 1 | y = i, x) = sigmoid(d_j + A_j x + D_ij), shaped
-    (..., I, J), one row per alternative; `p` may be batched, as above."""
+    (..., I, J), one row per alternative; `p` may be a stack, as above."""
     x = _check_context_dim(p, x)
-    hidden = x @ p.hidden_context_w.mT + p.hidden_bias
+    hidden = x @ p.hidden_context_w.mT + p.hidden_bias[..., None, :]
     return sigmoid(hidden[..., None, :] + p.choice_hidden_w[..., None, :, :])
 
 
@@ -184,8 +181,8 @@ def choice_probs(p: CrbmParams, x):
     blocks = row_blocks(x.shape[-2]) if x.ndim > 1 else []
     if len(blocks) <= 1:
         return normalize(choice_logits(p, x))[1]
-    out = np.empty(np.broadcast_shapes(x.shape[:-1], p.choice_bias.shape[:-1])
-                   + (p.n_alternatives,))
+    out = np.empty(np.broadcast_shapes(x.shape[:-2], p.choice_bias.shape[:-1])
+                   + x.shape[-2:-1] + (p.n_alternatives,))
     for rows in blocks:
         out[..., rows, :] = normalize(choice_logits(p, x[..., rows, :]))[1]
     return out
@@ -195,7 +192,7 @@ def score_choices(p: CrbmParams, x, choices):
     """(log p(y_obs | x), argmax_i p(i | x)) per row of `x` for the 0-based
     observed `choices` (..., rows), from both outputs of `normalize`, the
     probabilities as `choice_probs` gives them, one block at a time
-    (`row_blocks`); `p` may be batched, as in `choice_logits`.  A row whose
+    (`row_blocks`); `p` may be a stack, as in `choice_logits`.  A row whose
     log-probabilities are not all finite, as when a logit overflows
     float64, scores NaN."""
     x = _check_context_dim(p, x)

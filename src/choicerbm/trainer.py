@@ -90,13 +90,13 @@ def _cd_grads(b, xb, cb, cd_k, rng, eye, out: ParamBlocks):
     context clamped.  Without hidden units the chain mixes in one step, so
     its expectation `softmax(c + B x)` replaces the sample: the exact MNL
     gradient and the expected mismatch.  Arrays may carry a leading stack
-    axis; `out` holds batched blocks.
+    axis.
     """
     n = xb.shape[-2]
     yb = eye.take(cb, axis=0)
-    choice_drive = xb @ b.choice_context_w.mT + b.choice_bias
+    choice_drive = xb @ b.choice_context_w.mT + b.choice_bias[..., None, :]
     if b.hidden_bias.shape[-1]:
-        hidden_drive = xb @ b.hidden_context_w.mT + b.hidden_bias
+        hidden_drive = xb @ b.hidden_context_w.mT + b.hidden_bias[..., None, :]
         h_pos = h_probs = sigmoid(hidden_drive + yb @ b.choice_hidden_w)
         for step in range(cd_k):
             if step:   # step 0 starts the chain at the data, where it is h_pos
@@ -108,7 +108,7 @@ def _cd_grads(b, xb, cb, cd_k, rng, eye, out: ParamBlocks):
         dh = h_pos - h_neg
         np.divide(yb.mT @ h_pos - y_neg.mT @ h_neg, n, out=out.choice_hidden_w)
         np.divide(dh.mT @ xb, n, out=out.hidden_context_w)
-        np.divide(dh.sum(axis=-2, keepdims=True), n, out=out.hidden_bias)
+        np.divide(dh.sum(axis=-2), n, out=out.hidden_bias)
         mismatch = (idx != cb).sum(axis=-1) / cb.shape[-1]
     else:
         y_neg = normalize(choice_drive)[1]
@@ -116,7 +116,7 @@ def _cd_grads(b, xb, cb, cd_k, rng, eye, out: ParamBlocks):
         mismatch = 1.0 - picked.sum(axis=-1) / cb.shape[-1]
     dy = yb - y_neg
     np.divide(dy.mT @ xb, n, out=out.choice_context_w)
-    np.divide(dy.sum(axis=-2, keepdims=True), n, out=out.choice_bias)
+    np.divide(dy.sum(axis=-2), n, out=out.choice_bias)
     return mismatch
 
 
@@ -135,10 +135,9 @@ def cd_step(p: CrbmParams, batch, cfg: TrainConfig, rng: np.random.Generator):
     if xb.shape[1] != p.n_features or yb.shape[1] != p.n_alternatives:
         raise ValueError("batch dimensions do not match the parameters")
     dims = (p.n_alternatives, p.n_hidden, p.n_features)
-    flat = np.empty(param_count(*dims))
-    _cd_grads(p, xb, yb.argmax(-1), cfg.cd_k, rng, np.eye(dims[0]),
-              ParamBlocks.from_flat(flat, *dims, batched=True))
-    return ParamBlocks.from_flat(flat, *dims)
+    grads = ParamBlocks.from_flat(np.empty(param_count(*dims)), *dims)
+    _cd_grads(p, xb, yb.argmax(-1), cfg.cd_k, rng, np.eye(dims[0]), grads)
+    return grads
 
 
 # A diverging fit fails with TrainingDivergedError at the end of its epoch;
@@ -191,7 +190,7 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
     best_theta = [None] * len(live)
     diverged = {}   # fit -> the error that a fit alone would raise
     grad, vel = np.zeros_like(theta), np.zeros_like(theta)
-    b, g = (ParamBlocks.from_flat(a, *dims, batched=True) for a in (theta, grad))
+    b, g = (ParamBlocks.from_flat(a, *dims) for a in (theta, grad))
 
     for epoch in range(cfg.epochs):
         momentum = (MOMENTUM_INITIAL if epoch < MOMENTUM_SWITCH_EPOCH
@@ -253,8 +252,7 @@ def train_crbm(ds_train: ChoiceDataset, ds_valid: ChoiceDataset, n_hidden: int,
             theta, vel = theta[stay], vel[stay]
             grad = np.zeros_like(theta)
             x_all, train_choices = x_all[stay], train_choices[stay]
-            b, g = (ParamBlocks.from_flat(a, *dims, batched=True)
-                    for a in (theta, grad))
+            b, g = (ParamBlocks.from_flat(a, *dims) for a in (theta, grad))
 
     if diverged:
         raise TrainingDivergedError(diverged[min(diverged)])

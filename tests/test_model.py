@@ -317,22 +317,33 @@ class TestRowBlocks:
     def test_blocked_passes_equal_one_pass(self, rng, n_hidden, shape):
         # The reference normalizes one `choice_logits` call over all rows,
         # takes E[h | x] from one `hidden_given_choice` call and scores the
-        # choices by one gather and argmax; a stack is scored with batched
-        # parameters, one set per fit.
+        # choices by one gather and argmax; a stack is scored with stacked
+        # parameters, one set per fit, and each fit r of the stack gives
+        # the bits of its own parameters on its own rows.
+        def passes(p, x, choices):
+            return [choice_logits(p, x), hidden_given_choice(p, x),
+                    *score_choices(p, x, choices), choice_probs(p, x),
+                    *predict_batch(p, x)]
+
         p = random_params(rng, 5, n_hidden, 6)
         if len(shape) == 3:
             flat = rng.normal(0, 1, (shape[0], param_count(5, n_hidden, 6)))
-            p = ParamBlocks.from_flat(flat, 5, n_hidden, 6, batched=True)
+            p = ParamBlocks.from_flat(flat, 5, n_hidden, 6)
         x, choices = rng.normal(0, 1, shape), rng.integers(0, 5, shape[:-1])
-        log_probs, probs = normalize(choice_logits(p, x))
-        observed, predicted = score_choices(p, x, choices)
+        logits, h_given, observed, predicted, *predictions = passes(
+            p, x, choices)
+        log_probs, probs = normalize(logits)
         assert np.array_equal(observed, np.take_along_axis(
             log_probs, choices[..., None], axis=-1)[..., 0])
         assert np.array_equal(predicted, probs.argmax(axis=-1))
-        assert np.array_equal(choice_probs(p, x), probs)
-        h_act = (probs[..., None] * hidden_given_choice(p, x)).sum(axis=-2)
-        for got, expected in zip(predict_batch(p, x), (probs, h_act)):
+        h_act = (probs[..., None] * h_given).sum(axis=-2)
+        for got, expected in zip(predictions, (probs, probs, h_act)):
             assert np.array_equal(got, expected)
+        stacked = [logits, h_given, observed, predicted, *predictions]
+        for r in range(shape[0] if len(shape) == 3 else 0):
+            one = CrbmParams.from_flat(flat[r], 5, n_hidden, 6)
+            for got, expected in zip(stacked, passes(one, x[r], choices[r])):
+                assert np.array_equal(got[r], expected)
 
     def test_width_is_checked_for_any_row_count(self, rng):
         p = random_params(rng, 3, 1, 4)
