@@ -7,11 +7,13 @@ sensitivity CSVs, Hinton SVGs, generated datasets and the `--help` text
 of each subcommand at 80 columns, so a changed flag, help text or flag
 order shows too.  Each J = 2 model also scores, with `--whole-file`, a
 fresh draw of its planted model (seed 13), so out-of-sample scoring is
-pinned as well.  The commands run as `python -m choicerbm.cli`
-subprocesses of the `choicerbm` package this script imports, so
-PYTHONPATH picks the checkout under test.  The two models run side by
-side, each command after the one before it.  A command that fails stops
-the script with its stderr.
+pinned as well.  A second sensitivity run with patience 1 pins early
+stopping, which the default patience of 20 never reaches in 10 epochs.
+The commands run as `python -m choicerbm.cli` subprocesses of the
+`choicerbm` package this script imports, so PYTHONPATH picks the
+checkout under test.  The two models run side by side, each command
+after the one before it.  A command that fails stops the script with its
+stderr.
 
 Each command's own peak RSS, `ru_maxrss` from `os.wait4` in MB, goes to
 `peak_rss.txt`, one line per command named by its argv, which
@@ -82,10 +84,15 @@ def table_commands(name: str, epochs: int) -> list:
     cmds += [(["hinton", *model, "--block", block,
                "--out", f"{name}.J2.{block}.svg"], None)
              for block in ("A", "B", "D")]
-    cmds.append((["sensitivity", *data, "--hidden", "0,2", *fit,
-                  "--fraction", "0.5", "--replicates", "3",
-                  "--out", f"{name}.sensitivity.csv"],
+    sensitivity = ["sensitivity", *data, "--hidden", "0,2", *fit,
+                   "--fraction", "0.5", "--replicates", "3"]
+    cmds.append(([*sensitivity, "--out", f"{name}.sensitivity.csv"],
                  f"{name}.sensitivity.txt"))
+    # Patience 1 stops the replicate fits early, at different epochs, so
+    # fits leave the stack before the last epoch.
+    cmds.append(([*sensitivity, "--patience", "1",
+                  "--out", f"{name}.sensitivity_stop.csv"],
+                 f"{name}.sensitivity_stop.txt"))
     return cmds
 
 

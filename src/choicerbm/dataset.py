@@ -151,15 +151,18 @@ def from_arrays(x_raw, choice_idx, n_alternatives=None, feature_names=None,
 
     Features are scaled only with a given `norm_stats`; otherwise a float64
     `x_raw` is held as it is and made read-only, as `ChoiceDataset` does.
-    Unlike the CSV path, zero feature columns are allowed.  Choices are
-    checked and cast by `ChoiceDataset`, which refuses non-integer ones.
+    Unlike the CSV path, zero feature columns are allowed.  Non-integer
+    choices are refused before I is read off them; `ChoiceDataset` checks
+    the rest.
     """
     x_raw = np.asarray(x_raw, dtype=np.float64)
     choice_idx = np.asarray(choice_idx)
+    if choice_idx.dtype.kind not in "iu":
+        raise ValueError("choices must be integer indices")
     if x_raw.ndim != 2 or x_raw.shape[0] != len(choice_idx):
         raise ValueError("x_raw must be 2-d with one row per choice")
-    if n_alternatives is None:
-        n_alternatives = int(choice_idx.max()) + 1
+    if n_alternatives is None:   # no rows: none, and `ChoiceDataset` says so
+        n_alternatives = int(choice_idx.max(initial=-1)) + 1
     if feature_names is None:
         feature_names = tuple(f"f{j + 1}" for j in range(x_raw.shape[1]))
     return ChoiceDataset(

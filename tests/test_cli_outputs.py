@@ -15,7 +15,8 @@ EXPECTED = sorted(
                   "J2.evaluate.txt", "J2.evaluate_whole.txt",
                   "fresh.csv", "J2.evaluate_fresh.txt", "J2.preds.csv",
                   "J2.A.svg", "J2.B.svg", "J2.D.svg",
-                  "sensitivity.csv", "sensitivity.txt")]
+                  "sensitivity.csv", "sensitivity.txt",
+                  "sensitivity_stop.csv", "sensitivity_stop.txt")]
     + [f"help.{command}.txt"
        for command in ("train", "evaluate", "predict", "sensitivity",
                        "hinton", "generate")])

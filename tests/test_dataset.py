@@ -348,6 +348,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="integer indices"):
             from_arrays(np.zeros((3, 1)), choices)
 
+    def test_from_arrays_checks_choices_before_counting_alternatives(self):
+        # Inferring I from a non-finite choice or from no choices at all
+        # must not surface a numpy error in place of the documented one.
+        for choices in ([0.0, np.inf], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="^choices must be integer "
+                                                 "indices$"):
+                from_arrays(np.zeros((2, 1)), choices)
+        with pytest.raises(ValueError, match="^dataset has no rows$"):
+            from_arrays(np.zeros((0, 1)), np.array([], dtype=np.int64))
+
     @pytest.mark.parametrize("choices_shape, x_shape", [
         ((3,), (2, 1)), ((1,), (2, 1)), ((2, 2), (2, 1)), ((3,), (2, 3, 1)),
         ((2, 3, 1), (2, 3, 1))])
