@@ -151,9 +151,8 @@ def from_arrays(x_raw, choice_idx, n_alternatives=None, feature_names=None,
 
     Features are scaled only with a given `norm_stats`; otherwise a float64
     `x_raw` is held as it is and made read-only, as `ChoiceDataset` does.
-    Unlike the CSV path, zero feature columns are allowed.  Non-integer
-    choices are refused before I is read off them; `ChoiceDataset` checks
-    the rest.
+    Unlike the CSV path, zero feature columns are allowed.  Choices must
+    be integers, checked before I is read off them.
     """
     x_raw = np.asarray(x_raw, dtype=np.float64)
     choice_idx = np.asarray(choice_idx)
@@ -161,7 +160,7 @@ def from_arrays(x_raw, choice_idx, n_alternatives=None, feature_names=None,
         raise ValueError("choices must be integer indices")
     if x_raw.ndim != 2 or x_raw.shape[0] != len(choice_idx):
         raise ValueError("x_raw must be 2-d with one row per choice")
-    if n_alternatives is None:   # no rows: none, and `ChoiceDataset` says so
+    if n_alternatives is None:   # no rows: I = 0, and `ChoiceDataset` says so
         n_alternatives = int(choice_idx.max(initial=-1)) + 1
     if feature_names is None:
         feature_names = tuple(f"f{j + 1}" for j in range(x_raw.shape[1]))
