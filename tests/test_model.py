@@ -330,8 +330,8 @@ class TestRowBlocks:
             flat = rng.normal(0, 1, (shape[0], param_count(5, n_hidden, 6)))
             p = ParamBlocks.from_flat(flat, 5, n_hidden, 6)
         x, choices = rng.normal(0, 1, shape), rng.integers(0, 5, shape[:-1])
-        logits, h_given, observed, predicted, *predictions = passes(
-            p, x, choices)
+        stacked = passes(p, x, choices)
+        logits, h_given, observed, predicted, *predictions = stacked
         log_probs, probs = normalize(logits)
         assert np.array_equal(observed, np.take_along_axis(
             log_probs, choices[..., None], axis=-1)[..., 0])
@@ -339,7 +339,6 @@ class TestRowBlocks:
         h_act = (probs[..., None] * h_given).sum(axis=-2)
         for got, expected in zip(predictions, (probs, probs, h_act)):
             assert np.array_equal(got, expected)
-        stacked = [logits, h_given, observed, predicted, *predictions]
         for r in range(shape[0] if len(shape) == 3 else 0):
             one = CrbmParams.from_flat(flat[r], 5, n_hidden, 6)
             for got, expected in zip(stacked, passes(one, x[r], choices[r])):
