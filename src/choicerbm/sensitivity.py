@@ -5,10 +5,16 @@ scored by the aggregate standard error of its alternative-specific
 coefficients.  Rank disagreement between the full fit and the subsample
 fits, plus the relative change in standard errors, measures how sensitive
 the estimates are to input variability.
+
+The full-sample fit runs in a forked child while the caller fits the
+replicates; its result or exception and its warnings come back pickled
+through a pipe, and outputs and warnings are those of the fits run in turn.
 """
 
 import csv
 import io
+import os
+import pickle
 import warnings
 from dataclasses import dataclass
 
@@ -53,6 +59,47 @@ def _ranks_descending(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _recorded(fn):
+    """`fn()` or its exception, and its warnings as (message, category)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn()
+        except Exception as exc:
+            out = exc
+    return out, [(str(w.message), w.category) for w in caught]
+
+
+def _answer(writer, fn):
+    """The forked child's run: `_recorded(fn)` pickled onto `writer`, an
+    exception that pickling does not bring back as its builtin base class,
+    then `os._exit`: no flush of stdio and no return into the caller."""
+    try:
+        out, caught = _recorded(fn)
+        try:
+            pickle.loads(pickle.dumps(out))
+        except Exception:
+            out = next(c for c in type(out).__mro__
+                       if c.__module__ == "builtins")(str(out))
+        writer.write(pickle.dumps((out, caught)))
+        writer.flush()
+        os._exit(0)
+    finally:   # the reply failed
+        os._exit(1)
+
+
+def _replicates(ds, n_hidden, cfg, n_sub, replicates, seed) -> np.ndarray:
+    rows = np.sort([   # (R, n_sub), each replicate's rows in file order
+        np.random.default_rng(ss).choice(ds.n_rows, size=n_sub, replace=False)
+        for ss in np.random.SeedSequence(seed).spawn(replicates)], axis=1)
+    # One stacked fit gives each subset the parameters of a fit of it alone.
+    refits = ds.take(rows)
+    return np.stack([   # (R, K+1)
+        _variable_sensitivity(p, refits.take(r),
+                              f"J{n_hidden}, replicate {r + 1}")
+        for r, (p, _) in enumerate(train_crbm(refits, refits, n_hidden, cfg))])
+
+
 def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
                     fraction: float, replicates: int,
                     seed: int) -> SensitivityReport:
@@ -71,20 +118,33 @@ def sensitivity_run(ds: ChoiceDataset, n_hidden: int, cfg: TrainConfig,
         raise ValueError(
             f"subsample size {n_sub} is smaller than batch size {cfg.batch_size}")
 
-    # Early stopping validates on the fitted rows themselves; the point here
-    # is a deterministic refit, not generalization measurement.
-    params, _ = train_crbm(ds, ds, n_hidden, cfg)
-    full_sens = _variable_sensitivity(params, ds, f"J{n_hidden}, full sample")
-
-    rows = np.sort([   # (R, n_sub), each replicate's rows in file order
-        np.random.default_rng(ss).choice(ds.n_rows, size=n_sub, replace=False)
-        for ss in np.random.SeedSequence(seed).spawn(replicates)], axis=1)
-    # One stacked fit gives each subset the parameters of a fit of it alone.
-    refits = ds.take(rows)
-    sub_sens = np.stack([   # (R, K+1)
-        _variable_sensitivity(p, refits.take(r),
-                              f"J{n_hidden}, replicate {r + 1}")
-        for r, (p, _) in enumerate(train_crbm(refits, refits, n_hidden, cfg))])
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as reader, os.fdopen(w, "wb") as writer:
+        if (pid := os.fork()) == 0:
+            # Early stopping validates on the fitted rows themselves; the
+            # point is a deterministic refit, not generalization measurement.
+            _answer(writer, lambda: _variable_sensitivity(
+                train_crbm(ds, ds, n_hidden, cfg)[0], ds,
+                f"J{n_hidden}, full sample"))
+        writer.close()
+        try:
+            sub = _recorded(lambda: _replicates(ds, n_hidden, cfg, n_sub,
+                                                replicates, seed))
+            reply = reader.read()
+        except BaseException:
+            os.kill(pid, 9)   # SIGKILL: nothing waits for its result now
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        raise RuntimeError(f"full-sample fit ended with exit status {code}")
+    # The full-sample fit's warnings come first, and its error wins.
+    for out, caught in (full := pickle.loads(reply), sub):
+        for message, category in caught:
+            warnings.warn(message, category)
+        if isinstance(out, Exception):
+            raise out
+    full_sens, sub_sens = full[0], sub[0]
 
     # Zero full-sample sensitivity only happens for parameters with no
     # information at all; report the absolute change there.

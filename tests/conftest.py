@@ -1,14 +1,16 @@
 import contextlib
+import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from choicerbm import sensitivity
 from choicerbm.dataset import NormStats
 from choicerbm.inference import predict_batch
 from choicerbm.model import CrbmParams, ParamBlocks
-from choicerbm.trainer import TrainConfig
+from choicerbm.trainer import TrainConfig, TrainingDivergedError, train_crbm
 
 # Hypothesis's pytest plugin imports `hypothesis.extra._patching` to report
 # a failing example.  Where libcst is installed, that import reaches the
@@ -98,3 +100,30 @@ def model_record(p, **fields):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240813)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def spy_by_half(monkeypatch, full=None, replicates=None):
+    """Make `sensitivity_run`'s full-sample fit, which runs in a forked
+    child, call `full` first, and its replicate stack, in this process,
+    call `replicates`; either half runs the real fit alone when None."""
+    parent = os.getpid()
+
+    def spy(ds_train, ds_valid, n_hidden, cfg):
+        action = full if os.getpid() != parent else replicates
+        if action is not None:
+            action()
+        return train_crbm(ds_train, ds_valid, n_hidden, cfg)
+
+    monkeypatch.setattr(sensitivity, "train_crbm", spy)
+
+
+def diverging(where):
+    """An action for `spy_by_half` that fails as a diverged fit would."""
+    def action():
+        raise TrainingDivergedError(f"non-finite values ({where})")
+    return action

@@ -17,7 +17,8 @@ from choicerbm import cli, dataset, oracle, sensitivity, stats, trainer
 from choicerbm.dataset import NormStats
 from choicerbm.model import CrbmParams
 from choicerbm.report import load_model, save_model
-from conftest import model_record, random_params, tied_case
+from conftest import (assert_no_child_left, diverging, model_record,
+                      random_params, spy_by_half, tied_case)
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +352,54 @@ class TestSensitivityCommand:
             sub = [int(r[2 + 3 * group]) for r in rows]
             assert line.split(",")[1] == (
                 f"{sensitivity.rank_agreement(full, sub):.6f}")
+
+
+class TestSensitivityFailures:
+    """The full-sample fit runs in a forked child; a failure of either half
+    is still one line and exit 1, and leaves no child behind."""
+
+    @staticmethod
+    def _run(data_file, tmp_path, capsys, *flags):
+        rc = cli.run(["sensitivity", "--data", str(data_file), "--hidden", "2",
+                      "--fraction", "0.5", "--replicates", "2", "--epochs",
+                      "2", "--out", str(tmp_path / "s.csv"), *flags])
+        assert_no_child_left()
+        assert not (tmp_path / "s.csv").exists()
+        return rc, capsys.readouterr().err
+
+    def test_diverging_fits(self, data_file, tmp_path, capsys):
+        rc, err = self._run(data_file, tmp_path, capsys, "--lr=1.7e308")
+        assert rc == 1
+        assert re.fullmatch(r"error: non-finite values in \w+ at epoch \d+\n",
+                            err), err
+
+    @pytest.mark.parametrize("full", [False, True],
+                             ids=["replicates-alone", "both-halves"])
+    def test_diverging_half(self, data_file, tmp_path, capsys, monkeypatch,
+                            full):
+        spy_by_half(monkeypatch, replicates=diverging("replicates"),
+                    full=diverging("full sample") if full else None)
+        rc, err = self._run(data_file, tmp_path, capsys)
+        winner = "full sample" if full else "replicates"
+        assert (rc, err) == (1, f"error: non-finite values ({winner})\n")
+
+    def test_child_killed_before_it_answers(self, data_file, tmp_path, capsys,
+                                            monkeypatch):
+        spy_by_half(monkeypatch, full=lambda: os._exit(3))
+        assert self._run(data_file, tmp_path, capsys) == (
+            1, "error: full-sample fit ended with exit status 3\n")
+
+    def test_unpicklable_allocation_error_is_out_of_memory(
+            self, data_file, tmp_path, capsys, monkeypatch):
+        class LocalMemoryError(MemoryError):   # a local class: no pickle
+            pass
+
+        def no_memory():
+            raise LocalMemoryError("Unable to allocate 3. TiB")
+
+        spy_by_half(monkeypatch, full=no_memory)
+        assert self._run(data_file, tmp_path, capsys) == (
+            1, "error: out of memory (Unable to allocate 3. TiB)\n")
 
 
 class _FullDisk:

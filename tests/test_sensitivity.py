@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from choicerbm.dataset import from_arrays
 from choicerbm.model import CrbmParams
 from choicerbm.sensitivity import (SensitivityReport, rank_agreement,
                                    sensitivity_run, sensitivity_table_csv)
-from choicerbm.trainer import TrainConfig, train_crbm
+from choicerbm.trainer import TrainConfig, TrainingDivergedError, train_crbm
+from conftest import assert_no_child_left, diverging, spy_by_half
 
 
 def quick_config(**kw):
@@ -72,17 +74,19 @@ class TestSensitivityRun:
     @pytest.mark.filterwarnings("ignore:information matrix")
     def test_subsample_size_floor(self, rng, monkeypatch):
         ds = small_dataset(rng, n=601)
-        calls = []
+        parent, calls = os.getpid(), []
 
         def spy(ds_train, ds_valid, n_hidden, cfg):
-            calls.append(ds_train)
+            if os.getpid() == parent:
+                calls.append(ds_train)
+            else:   # the full-sample fit, whose assertion errors come back
+                assert ds_train.n_rows == 601
             return train_crbm(ds_train, ds_valid, n_hidden, cfg)
 
         monkeypatch.setattr(sensitivity, "train_crbm", spy)
         sensitivity_run(ds, 0, quick_config(), fraction=0.5, replicates=2,
                         seed=3)
-        full, refits = calls
-        assert full.n_rows == 601
+        [refits] = calls
         assert refits.x.shape[:2] == (2, 300)    # floor(0.5 * 601)
         # floor(0.1 * 76141) from the reference protocol
         assert int(np.floor(0.1 * 76_141)) == 7_614
@@ -108,17 +112,20 @@ class TestSensitivityRun:
     def test_refits_are_one_stack_of_the_spawned_subsets_in_order(
             self, rng, monkeypatch):
         ds = small_dataset(rng, n=200)
-        calls = []
+        parent, calls = os.getpid(), []
 
         def spy(ds_train, ds_valid, n_hidden, cfg):
-            calls.append((ds_train, ds_valid))
+            if os.getpid() == parent:
+                calls.append((ds_train, ds_valid))
+            else:   # the full-sample fit, whose assertion errors come back
+                assert ds_train is ds and ds_valid is ds
             return train_crbm(ds_train, ds_valid, n_hidden, cfg)
 
         monkeypatch.setattr(sensitivity, "train_crbm", spy)
         sensitivity_run(ds, 0, quick_config(), fraction=0.5, replicates=3,
                         seed=4)
-        (full, full_valid), (refits, refits_valid) = calls
-        assert full is ds and full_valid is ds and refits_valid is refits
+        [(refits, refits_valid)] = calls
+        assert refits_valid is refits
         assert refits.x.shape == (3, 100, ds.n_features)
         streams = np.random.SeedSequence(4).spawn(3)
         for r, ss in enumerate(streams):
@@ -161,6 +168,103 @@ class TestSensitivityRun:
                               replicates=3, seed=2)
         assert rep.full_rank[0] == 1
         assert rep.sub_rank[0] == 1
+
+
+@pytest.mark.filterwarnings("ignore:information matrix")
+class TestForkedFullFit:
+    """The full-sample fit runs in a forked child: every path reaps it and
+    closes both ends of its pipe, and failures read as before."""
+
+    def test_success_leaves_no_child_and_no_descriptor(self, rng):
+        ds = small_dataset(rng)
+        fds = "/proc/self/fd"
+        before = os.listdir(fds) if os.path.isdir(fds) else None
+        sensitivity_run(ds, 0, quick_config(), 0.5, 2, seed=4)
+        assert_no_child_left()
+        if before is not None:
+            assert sorted(os.listdir(fds)) == sorted(before)
+
+    def test_diverging_fits_leave_no_child(self, rng):
+        ds = small_dataset(rng)
+        cfg = quick_config(learning_rate=1.7e308)
+        with pytest.raises(TrainingDivergedError, match="non-finite"):
+            sensitivity_run(ds, 0, cfg, 0.5, 2, seed=4)
+        assert_no_child_left()
+
+    def test_replicate_diverging_alone(self, rng, monkeypatch):
+        ds = small_dataset(rng)
+        spy_by_half(monkeypatch, replicates=diverging("replicates"))
+        with pytest.raises(TrainingDivergedError, match=r"\(replicates\)"):
+            sensitivity_run(ds, 0, quick_config(), 0.5, 2, seed=4)
+        assert_no_child_left()
+
+    def test_full_sample_error_wins(self, rng, monkeypatch):
+        ds = small_dataset(rng)
+        spy_by_half(monkeypatch, full=diverging("full sample"),
+                    replicates=diverging("replicates"))
+        with pytest.raises(TrainingDivergedError, match=r"\(full sample\)"):
+            sensitivity_run(ds, 0, quick_config(), 0.5, 2, seed=4)
+        assert_no_child_left()
+
+    def test_assertion_in_the_child_reaches_the_caller(self, rng,
+                                                       monkeypatch):
+        def fail():
+            assert False, "checked in the child"
+
+        spy_by_half(monkeypatch, full=fail)
+        with pytest.raises(AssertionError, match="checked in the child"):
+            sensitivity_run(small_dataset(rng), 0, quick_config(), 0.5, 2,
+                            seed=4)
+        assert_no_child_left()
+
+    def test_unpicklable_exception_arrives_as_its_builtin_base(
+            self, rng, monkeypatch):
+        class LocalMemoryError(MemoryError):   # a local class: no pickle
+            pass
+
+        def fail():
+            raise LocalMemoryError("Unable to allocate 3. TiB")
+
+        spy_by_half(monkeypatch, full=fail)
+        with pytest.raises(MemoryError) as info:
+            sensitivity_run(small_dataset(rng), 0, quick_config(), 0.5, 2,
+                            seed=4)
+        assert type(info.value) is MemoryError
+        assert str(info.value) == "Unable to allocate 3. TiB"
+        assert_no_child_left()
+
+    def test_child_ending_without_a_result(self, rng, monkeypatch):
+        spy_by_half(monkeypatch, full=lambda: os._exit(3))
+        with pytest.raises(RuntimeError) as info:
+            sensitivity_run(small_dataset(rng), 0, quick_config(), 0.5, 2,
+                            seed=4)
+        assert str(info.value) == "full-sample fit ended with exit status 3"
+        assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_the_child(self, rng, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        # The child's fit would take hours: only a kill ends it in time.
+        cfg = quick_config(epochs=10**6, early_stop_patience=10**6)
+        spy_by_half(monkeypatch, replicates=interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            sensitivity_run(small_dataset(rng), 0, cfg, 0.5, 2, seed=4)
+        assert_no_child_left()
+
+    def test_warnings_come_full_sample_first(self, rng, monkeypatch):
+        def warn(where):
+            return lambda: warnings.warn(f"fit of the {where}")
+
+        spy_by_half(monkeypatch, full=warn("full sample"),
+                    replicates=warn("replicates"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sensitivity_run(small_dataset(rng), 0, quick_config(), 0.5, 2,
+                            seed=4)
+        assert [str(w.message) for w in caught
+                if str(w.message).startswith("fit of")] == [
+            "fit of the full sample", "fit of the replicates"]
 
 
 class TestTableCsv:
@@ -208,6 +312,8 @@ def test_each_rank_deficient_fit_warns_once_by_name(tmp_path):
     lines = done.stderr.splitlines()
     assert all(line.startswith("warning: information matrix is singular")
                for line in lines), done.stderr
-    assert sorted(line[line.rindex("("):] for line in lines) == [
+    # The full-sample fit runs in a forked child, but its warning comes
+    # first, as when it ran before the replicates.
+    assert [line[line.rindex("("):] for line in lines] == [
         "(J2, full sample)", "(J2, replicate 1)", "(J2, replicate 2)",
         "(J2, replicate 3)"]
