@@ -2,18 +2,18 @@
 """Run every CLI command on two planted models and checksum what they write.
 
 Two checkouts whose `SHA256SUMS` files are equal wrote byte-identical
-outputs: model files, train/evaluate/sensitivity stdout, prediction and
-sensitivity CSVs, Hinton SVGs, generated datasets and the `--help` text
-of each subcommand at 80 columns, so a changed flag, help text or flag
-order shows too.  Each J = 2 model also scores, with `--whole-file`, a
-fresh draw of its planted model (seed 13), so out-of-sample scoring is
-pinned as well.  A second sensitivity run with patience 1 pins early
-stopping, which the default patience of 20 never reaches in 10 epochs.
-The commands run as `python -m choicerbm.cli` subprocesses of the
-`choicerbm` package this script imports, so PYTHONPATH picks the
-checkout under test.  The two models run side by side, each command
-after the one before it.  A command that fails stops the script with its
-stderr.
+outputs: model files, train/evaluate/sensitivity stdout, sensitivity
+stderr (its warnings, in their order), prediction and sensitivity CSVs,
+Hinton SVGs, generated datasets and the `--help` text of each subcommand
+at 80 columns, so a changed flag, help text or flag order shows too.
+Each J = 2 model also scores, with `--whole-file`, a fresh draw of its
+planted model (seed 13), so out-of-sample scoring is pinned as well.  A
+second sensitivity run with patience 1 pins early stopping, which the
+default patience of 20 never reaches in 10 epochs.  The commands run as
+`python -m choicerbm.cli` subprocesses of the `choicerbm` package this
+script imports, so PYTHONPATH picks the checkout under test.  The two
+models run side by side, each command after the one before it.  A
+command that fails stops the script with its stderr.
 
 Each command's own peak RSS, `ru_maxrss` from `os.wait4` in MB, goes to
 `peak_rss.txt`, one line per command named by its argv, which
@@ -61,8 +61,9 @@ def random_planted(n_rows: int, seed: int) -> oracle.PlantedModel:
 
 
 def table_commands(name: str, epochs: int) -> list:
-    """(argv, stdout file or None) of every command on one planted model,
-    in run order; output paths are relative to the output directory."""
+    """(argv, stdout file or None, stderr file or None) of every command on
+    one planted model, in run order; output paths are relative to the
+    output directory."""
     fit = TRAIN + ["--epochs", str(epochs)]
     data = ["--data", f"{name}.csv"]
     cmds = [(["generate", "--planted", f"{name}.planted.json",
@@ -86,26 +87,30 @@ def table_commands(name: str, epochs: int) -> list:
              for block in ("A", "B", "D")]
     sensitivity = ["sensitivity", *data, "--hidden", "0,2", *fit,
                    "--fraction", "0.5", "--replicates", "3"]
-    cmds.append(([*sensitivity, "--out", f"{name}.sensitivity.csv"],
-                 f"{name}.sensitivity.txt"))
-    # Patience 1 stops the replicate fits early, at different epochs, so
-    # fits leave the stack before the last epoch.
-    cmds.append(([*sensitivity, "--patience", "1",
-                  "--out", f"{name}.sensitivity_stop.csv"],
-                 f"{name}.sensitivity_stop.txt"))
+    # Only the sensitivity runs keep their stderr, which holds the warnings
+    # of every fit, in order.  Patience 1 stops the replicate fits early,
+    # at different epochs, so fits leave the stack before the last epoch.
+    cmds = [(argv, stdout_name, None) for argv, stdout_name in cmds]
+    for run, flags in (("sensitivity", []),
+                       ("sensitivity_stop", ["--patience", "1"])):
+        cmds.append(([*sensitivity, *flags, "--out", f"{name}.{run}.csv"],
+                     f"{name}.{run}.txt", f"{name}.{run}.err.txt"))
     return cmds
 
 
-def run_cli(argv, stdout_name, out_dir: Path, env) -> str:
+def run_cli(argv, stdout_name, out_dir: Path, env, stderr_name=None) -> str:
     """Run one command in `out_dir`, writing its stdout to `stdout_name`
-    unless that is None, and return its `peak_rss.txt` line.
+    and its stderr to `stderr_name` unless they are None, and return its
+    `peak_rss.txt` line.
 
     The child's own rusage comes from `os.wait4` on its pid, as the
     benchmark reads it; RUSAGE_CHILDREN would carry one command's peak
     into the next.
     """
     out = os.devnull if stdout_name is None else out_dir / stdout_name
-    with open(out, "wb") as stdout, tempfile.TemporaryFile() as err:
+    with open(out, "wb") as stdout, (
+            tempfile.TemporaryFile() if stderr_name is None
+            else open(out_dir / stderr_name, "w+b")) as err:
         proc = subprocess.Popen([sys.executable, "-m", "choicerbm.cli", *argv],
                                 cwd=out_dir, env=env, stdout=stdout, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
@@ -122,8 +127,9 @@ def run_table(name, pm, out_dir: Path, epochs: int, env) -> list:
     """Save `pm`, then run its commands one after another; their
     `peak_rss.txt` lines in run order."""
     oracle.save_planted(pm, out_dir / f"{name}.planted.json")
-    return [run_cli(argv, stdout_name, out_dir, env)
-            for argv, stdout_name in table_commands(name, epochs)]
+    return [run_cli(argv, stdout_name, out_dir, env, stderr_name)
+            for argv, stdout_name, stderr_name
+            in table_commands(name, epochs)]
 
 
 def write_sums(out_dir: Path) -> Path:

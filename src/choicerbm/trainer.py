@@ -112,7 +112,8 @@ def _cd_grads(b, xb, cb, cd_k, rng, eye, out: ParamBlocks):
         mismatch = (idx != cb).sum(axis=-1) / cb.shape[-1]
     else:
         y_neg = normalize(choice_drive)[1]
-        picked = np.take_along_axis(y_neg, cb[..., None], axis=-1)[..., 0]
+        rows = np.arange(0, y_neg.size, y_neg.shape[-1]).reshape(cb.shape)
+        picked = y_neg.reshape(-1)[rows + cb]   # at the observed choices
         mismatch = 1.0 - picked.sum(axis=-1) / cb.shape[-1]
     dy = yb - y_neg
     np.divide(dy.mT @ xb, n, out=out.choice_context_w)

@@ -15,8 +15,9 @@ EXPECTED = sorted(
                   "J2.evaluate.txt", "J2.evaluate_whole.txt",
                   "fresh.csv", "J2.evaluate_fresh.txt", "J2.preds.csv",
                   "J2.A.svg", "J2.B.svg", "J2.D.svg",
-                  "sensitivity.csv", "sensitivity.txt",
-                  "sensitivity_stop.csv", "sensitivity_stop.txt")]
+                  "sensitivity.csv", "sensitivity.txt", "sensitivity.err.txt",
+                  "sensitivity_stop.csv", "sensitivity_stop.txt",
+                  "sensitivity_stop.err.txt")]
     + [f"help.{command}.txt"
        for command in ("train", "evaluate", "predict", "sensitivity",
                        "hinton", "generate")])
@@ -52,7 +53,7 @@ def test_checksums_list_every_cli_output(tmp_path):
     # One positive peak RSS per command, in run order, outside the sums.
     script = script_module()
     commands = [" ".join(argv) for model in ("band", "random")
-                for argv, _ in script.table_commands(model, 1)]
+                for argv, *_ in script.table_commands(model, 1)]
     commands += [f"{command} --help" for command in script.SUBCOMMANDS]
     rss = [line.split("  ", 1)
            for line in (tmp_path / "peak_rss.txt").read_text().splitlines()]
